@@ -3,7 +3,8 @@ mixture theory checks, and run the thresholding/fairness ablation suites.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or config error. Every
 output file is written atomically (temp file + rename), so artifacts are
-either complete or absent. FREEMATCH_LAB_THREADS caps ablation workers.
+either complete or absent. FREEMATCH_LAB_THREADS caps ablation workers;
+each worker runs its BLAS on one thread.
 """
 
 from __future__ import annotations
@@ -11,9 +12,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -331,16 +334,52 @@ def ablation_jobs(suite: str, seeds: list[int]) -> list[dict]:
     return jobs
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextmanager
+def _one_blas_thread():
+    """Set the BLAS thread variables to 1 inside the block, then restore the
+    caller's values. A worker spawned inside loads its BLAS under them, so
+    the pool runs one BLAS thread per worker instead of oversubscribing the
+    cores; this process's BLAS is already loaded and keeps its threads."""
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
+def _collect(jobs: list[dict], results) -> list[tuple[str, int, float, float]]:
+    """Job rows in job order. An aborted run is raised again with its variant
+    and seed in the message; reading stops there."""
+    rows = []
+    for job in jobs:
+        try:
+            rows.append(next(results))
+        except TrainingAborted as exc:
+            raise TrainingAborted(
+                exc.record, f"ablation run {job['variant']} seed {job['seed']}: {exc}"
+            ) from exc
+    return rows
+
+
 def run_ablation(suite: str, seeds: list[int], workers: int | None = None) -> dict[str, dict]:
     """Run the suite across seeds; returns per-variant summary statistics."""
     jobs = ablation_jobs(suite, seeds)
     n_workers = workers or int(os.environ.get("FREEMATCH_LAB_THREADS", os.cpu_count() or 1))
     n_workers = max(1, min(n_workers, len(jobs)))
     if n_workers == 1:
-        rows = [_ablation_job(j) for j in jobs]
+        rows = _collect(jobs, map(_ablation_job, jobs))
     else:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            rows = list(pool.map(_ablation_job, jobs))
+        spawn = multiprocessing.get_context("spawn")
+        with _one_blas_thread(), ProcessPoolExecutor(max_workers=n_workers, mp_context=spawn) as pool:
+            rows = _collect(jobs, pool.map(_ablation_job, jobs))
     rows.sort(key=lambda r: (r[0], r[1]))  # order-independent aggregation
     summary: dict[str, dict] = {}
     for variant, seed, final_error, best_error in rows:

@@ -5,6 +5,19 @@ evaluation.
 Everything is define-by-run: each training step rebuilds a fresh graph, and
 ``backward()`` on a scalar root fills ``.grad`` on every reachable leaf.
 Single-threaded mutation; tensor values are safe to share read-only.
+
+Gradients are never copied: a ``.grad`` array may be the very array another
+tensor holds as its ``.grad`` (an add hands one upstream array to both
+operands), or a read-only broadcast view (the backward of ``sum``). Treat
+``.grad`` as read-only and never change it in place; accumulation always
+builds a new array.
+
+The MLP runs on two fused ops: ``linear`` (``x @ w + b``, optionally ReLU,
+one graph node per layer) and ``weighted_nll`` (``-(log_softmax(z) * W).sum()``
+as one node). Each performs the same floating-point operations, in the same
+order, as the general ops it replaces, so results are bit-identical to
+composing ``@``, ``+``, ``relu``, ``log_softmax`` and ``sum``. Under
+``no_grad``, ``forward`` skips the tape entirely.
 """
 
 from __future__ import annotations
@@ -75,10 +88,9 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def _accum(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64, copy=True)
-        else:
-            self.grad = self.grad + g
+        # g may be shared or read-only (see the module docstring): store it
+        # as is, and accumulate out of place
+        self.grad = g if self.grad is None else self.grad + g
 
     # -- graph construction ------------------------------------------------
 
@@ -217,11 +229,9 @@ class Tensor:
         def bwd(g):
             if not self.requires_grad:
                 return
-            if axis is None:
-                self._accum(np.broadcast_to(g, self.data.shape).copy())
-            else:
-                gg = g if keepdims else np.expand_dims(g, axis)
-                self._accum(np.broadcast_to(gg, self.data.shape).copy())
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            self._accum(np.broadcast_to(g, self.data.shape))
 
         return Tensor._make(out_data, (self,), bwd)
 
@@ -248,7 +258,8 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if id(p) not in visited:
+                # leaves have no backward to run, so they never enter the order
+                if p._bwd is not None and id(p) not in visited:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
@@ -302,6 +313,52 @@ def log_softmax(logits: Tensor) -> Tensor:
     return Tensor._make(out_data, (logits,), bwd)
 
 
+def weighted_nll(logits: Tensor, weights: np.ndarray) -> Tensor:
+    """``-(log_softmax(logits) * weights).sum()`` as a single graph op, with
+    the same operations in the same order; ``weights`` is a constant array."""
+    if not np.isfinite(logits.data).all():
+        raise ValueError("log_softmax requires finite inputs")
+    weights = np.asarray(weights, dtype=np.float64)
+    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    log_probs = shifted - lse
+    out_data = -(log_probs * weights).sum()
+
+    def bwd(g):
+        if logits.requires_grad:
+            gw = -g * weights
+            logits._accum(gw - np.exp(log_probs) * gw.sum(axis=-1, keepdims=True))
+
+    return Tensor._make(out_data, (logits,), bwd)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
+    """``x @ w + b``, then ReLU if asked, as a single graph op. Bit-identical
+    to ``(x @ w + b).relu()`` in value and gradients: the forward adds ``b``
+    and clamps in place, and the backward masks by ``out > 0``, which holds
+    exactly where the pre-activation is positive."""
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+        raise ValueError(f"linear dimension mismatch: {x.data.shape} @ {w.data.shape}")
+    if b.data.shape != w.data.shape[1:]:
+        raise ValueError(f"bias shape {b.data.shape} does not match weight {w.data.shape}")
+    out_data = x.data @ w.data
+    out_data += b.data
+    if relu:
+        np.maximum(out_data, 0.0, out=out_data)
+
+    def bwd(g):
+        if relu:
+            g = g * (out_data > 0.0)
+        if b.requires_grad:
+            b._accum(g.sum(axis=0))
+        if w.requires_grad:
+            w._accum(x.data.T @ g)
+        if x.requires_grad:
+            x._accum(g @ w.data.T)
+
+    return Tensor._make(out_data, (x, w, b), bwd)
+
+
 # -- model ----------------------------------------------------------------------
 
 
@@ -348,19 +405,29 @@ class MlpModel:
 
 
 def forward(model: MlpModel, x) -> Tensor:
-    """Run the MLP on a [B, d] batch, returning [B, C] logits."""
-    h = as_tensor(x)
-    if h.data.ndim != 2:
+    """Run the MLP on a [B, d] batch, returning [B, C] logits.
+
+    While gradients are recorded each layer is one ``linear`` node. Under
+    ``no_grad`` no graph is built: each layer is computed in place in one
+    array, with the same operations, and only the logits are wrapped."""
+    data = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+    if data.ndim != 2:
         raise ValueError("forward expects a 2-D batch")
-    if h.data.shape[1] != model.in_dim:
+    if data.shape[1] != model.in_dim:
         raise ValueError(
-            f"input width {h.data.shape[1]} does not match model width {model.in_dim}"
+            f"input width {data.shape[1]} does not match model width {model.in_dim}"
         )
     last = len(model.layers) - 1
+    if not _grad_enabled:
+        for i, (w, b) in enumerate(model.layers):
+            data = data @ w.data
+            data += b.data
+            if i != last:
+                np.maximum(data, 0.0, out=data)
+        return Tensor(data)
+    h = as_tensor(x)
     for i, (w, b) in enumerate(model.layers):
-        h = h @ w + b
-        if i != last:
-            h = h.relu()
+        h = linear(h, w, b, relu=i != last)
     return h
 
 

@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .adaptive_threshold import ThresholdState, mask
-from .ndcore import Tensor, as_tensor, log_softmax
+from .ndcore import Tensor, as_tensor, weighted_nll
 
 _HIST_FLOOR = 1e-9
 _LOG_GUARD = 1e-12  # keeps log finite if soft mass underflows to exact zero
@@ -43,7 +43,7 @@ def supervised_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
         raise ValueError("labels must be valid class ids, one per row")
     onehot = np.zeros((B, C))
     onehot[np.arange(B), labels] = 1.0 / B
-    return -(log_softmax(logits) * onehot).sum()
+    return weighted_nll(logits, onehot)
 
 
 def consistency_loss(
@@ -62,7 +62,7 @@ def consistency_loss(
         return as_tensor(0.0), keep
     weights = np.zeros((B, C))
     weights[np.arange(B), hard] = keep.astype(np.float64) / B
-    return -(log_softmax(strong_logits) * weights).sum(), keep
+    return weighted_nll(strong_logits, weights), keep
 
 
 def _sum_norm(x):

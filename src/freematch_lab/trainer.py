@@ -82,6 +82,10 @@ class TrainingAborted(RuntimeError):
         super().__init__(message)
         self.record = record
 
+    def __reduce__(self):
+        # pickled as its constructor arguments, so it survives a process pool
+        return type(self), (self.record, str(self))
+
 
 @dataclass
 class EvalResult:

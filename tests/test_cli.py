@@ -1,9 +1,11 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from freematch_lab import cli
+from freematch_lab.trainer import TrainConfig, TrainingAborted, run
 
 
 CONFIGS_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -196,6 +198,60 @@ def test_ablate_deterministic_csv(tmp_path, fast_protocol):
     cli.main(["ablate", "--suite", "fairness", "--seeds", "1", "--out", str(tmp_path / "x")])
     cli.main(["ablate", "--suite", "fairness", "--seeds", "1", "--out", str(tmp_path / "y")])
     assert (tmp_path / "x" / "ablation.csv").read_bytes() == (tmp_path / "y" / "ablation.csv").read_bytes()
+
+
+# Stand-ins for cli._ablation_job. Pool workers are spawned and import them
+# from this module, so they take every setting from the job itself.
+
+
+def _blas_env_job(job: dict) -> tuple[str, int, float, float]:
+    """Reports, as its final error, whether the worker saw one BLAS thread."""
+    one = all(os.environ.get(v) == "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"))
+    return job["variant"], job["seed"], float(one), 0.0
+
+
+def _diverging_job(job: dict) -> tuple[str, int, float, float]:
+    """'sat' at seed 1 trains at a learning rate that overflows the weights in
+    its first step; every other job returns at once."""
+    if (job["variant"], job["seed"]) != ("sat", 1):
+        return job["variant"], job["seed"], 0.5, 0.5
+    config = TrainConfig(lr0=1e200, K=20, mu=2, B=2, eval_every=10, hidden_dims=(8,), seed=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        run(config, cli.canonical_two_moon_data(1))
+    raise AssertionError("training did not diverge")
+
+
+def test_ablation_pool_workers_run_one_blas_thread(monkeypatch):
+    monkeypatch.setattr(cli, "_ablation_job", _blas_env_job)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    summary = cli.run_ablation("fairness", [0, 1], workers=2)
+    assert {v: e["mean_error"] for v, e in summary.items()} == {"none": 1.0, "uniform_prior": 1.0, "saf": 1.0}
+    # the caller's environment is back as it was
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+    assert "OMP_NUM_THREADS" not in os.environ and "MKL_NUM_THREADS" not in os.environ
+    # the serial path runs in this process and leaves the variables alone
+    summary = cli.run_ablation("fairness", [0], workers=1)
+    assert all(e["mean_error"] == 0.0 for e in summary.values())
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ablation_abort_names_variant_and_seed(monkeypatch, workers):
+    monkeypatch.setattr(cli, "_ablation_job", _diverging_job)
+    with pytest.raises(TrainingAborted) as exc_info:
+        cli.run_ablation("thresholds", [0, 1], workers=workers)
+    assert str(exc_info.value).startswith("ablation run sat seed 1: aborted at iteration 1")
+    assert exc_info.value.record.iteration == 1
+
+
+def test_ablate_command_reports_aborted_pool_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_ablation_job", _diverging_job)
+    monkeypatch.setenv("FREEMATCH_LAB_THREADS", "2")
+    out = tmp_path / "ab"
+    assert cli.main(["ablate", "--suite", "thresholds", "--seeds", "2", "--out", str(out)]) == 1
+    assert "run aborted: ablation run sat seed 1: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_usage_error_exits_2():

@@ -13,10 +13,12 @@ from freematch_lab.ndcore import (
     ema_model,
     ema_update,
     forward,
+    linear,
     log_softmax,
     no_grad,
     sgd_step,
     softmax,
+    weighted_nll,
 )
 
 
@@ -208,6 +210,117 @@ def test_no_grad_suppresses_recording():
     with no_grad():
         y = (x * 2.0).sum()
     assert y._bwd is None and not y.requires_grad
+
+
+# -- fused ops against the general tape ---------------------------------------------
+# The fused ops must reproduce the general ops bit for bit: no tolerance.
+
+
+def _leaf(rng, *shape):
+    return Tensor(rng.normal(size=shape), requires_grad=True)
+
+
+def _value_and_grads(root: Tensor, leaves: list[Tensor]) -> list[np.ndarray]:
+    root.backward()
+    out = [root.data] + [leaf.grad for leaf in leaves]
+    for leaf in leaves:
+        leaf.grad = None
+    return out
+
+
+@pytest.mark.parametrize("relu", [True, False])
+def test_linear_matches_matmul_add_relu_bit_for_bit(relu):
+    rng = np.random.default_rng(3)
+    x, w, b = _leaf(rng, 97, 64), _leaf(rng, 64, 32), _leaf(rng, 32)
+    upstream = rng.normal(size=(97, 32))  # non-uniform, so each gradient path counts
+
+    fused = linear(x, w, b, relu=relu)
+    general = x @ w + b
+    if relu:
+        general = general.relu()
+        assert (fused.data == 0.0).any() and (fused.data > 0.0).any()
+    assert np.array_equal(fused.data, general.data)
+    got = _value_and_grads((fused * upstream).sum(), [x, w, b])
+    want = _value_and_grads((general * upstream).sum(), [x, w, b])
+    for g, e in zip(got, want):
+        assert np.array_equal(g, e)
+
+
+def test_linear_rejects_mismatched_shapes():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError):
+        linear(_leaf(rng, 3, 2), _leaf(rng, 3, 4), _leaf(rng, 4), relu=True)
+    with pytest.raises(ValueError):
+        linear(_leaf(rng, 3, 2), _leaf(rng, 2, 4), _leaf(rng, 3), relu=True)
+
+
+def test_graph_forward_matches_general_ops_bit_for_bit():
+    model = MlpModel.init([2, 64, 64, 64, 2], seed=7)
+    x = Tensor(np.random.default_rng(4).normal(size=(193, 2)), requires_grad=True)
+    upstream = np.random.default_rng(5).normal(size=(193, 2))
+    leaves = [x, *model.parameters()]
+
+    got = _value_and_grads((forward(model, x) * upstream).sum(), leaves)
+    h = x
+    for i, (w, b) in enumerate(model.layers):
+        h = h @ w + b
+        if i != len(model.layers) - 1:
+            h = h.relu()
+    want = _value_and_grads((h * upstream).sum(), leaves)
+    for g, e in zip(got, want):
+        assert np.array_equal(g, e)
+
+
+def test_no_grad_forward_matches_graph_forward_bit_for_bit():
+    model = MlpModel.init([2, 64, 64, 64, 2], seed=7)
+    x = np.random.default_rng(4).normal(size=(193, 2))
+    graph = forward(model, x)
+    with no_grad():
+        plain = forward(model, x)
+    assert graph.requires_grad and not plain.requires_grad and plain._bwd is None
+    assert np.array_equal(plain.data, graph.data)
+
+
+def test_weighted_nll_matches_log_softmax_mul_sum_bit_for_bit():
+    rng = np.random.default_rng(5)
+    z = _leaf(rng, 9, 3)
+    weights = rng.uniform(size=(9, 3)) / 9.0
+    weights[2] = 0.0  # a masked-out row
+    got = _value_and_grads(weighted_nll(z, weights) * 0.7, [z])
+    want = _value_and_grads(-(log_softmax(z) * weights).sum() * 0.7, [z])
+    for g, e in zip(got, want):
+        assert np.array_equal(g, e)
+
+
+def test_weighted_nll_rejects_non_finite_logits():
+    with pytest.raises(ValueError):
+        weighted_nll(Tensor(np.array([[np.inf, 0.0]]), requires_grad=True), np.ones((1, 2)))
+
+
+def test_shared_gradient_array_gives_the_same_sgd_update_as_copies():
+    """An add hands both operands one upstream array as their gradient: for
+    (x + y).sum() a read-only broadcast view, for ((x + y) * s).sum() a
+    writeable product. SGD with momentum must treat either exactly like two
+    separate copies."""
+    rng = np.random.default_rng(6)
+    init = [rng.normal(size=(3, 4)), rng.normal(size=(3, 4))]
+    scale = rng.normal(size=(3, 4))
+
+    def train(copy_grads: bool):
+        x, y = (Tensor(a.copy(), requires_grad=True) for a in init)
+        opt = OptimState.for_params([x, y], momentum=0.9)
+        for k in range(4):
+            root = (x + y).sum() if k % 2 == 0 else ((x + y) * scale).sum()
+            root.backward()
+            assert x.grad is y.grad
+            assert x.grad.flags.writeable == (k % 2 == 1)
+            if copy_grads:
+                x.grad, y.grad = x.grad.copy(), y.grad.copy()
+            sgd_step([x, y], opt, lr=0.1)
+        return [x.data, y.data, *opt.velocity]
+
+    for shared, copied in zip(train(False), train(True)):
+        assert np.array_equal(shared, copied)
 
 
 # -- optimizer -------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -145,6 +146,15 @@ def test_training_aborts_on_weight_blowup():
         with pytest.raises(TrainingAborted) as exc_info:
             train_step(model, opt, ema, state, lb, ub, cfg, aug_rng)
     assert isinstance(exc_info.value.record, MetricsRecord)
+
+
+def test_training_aborted_survives_pickling():
+    record = MetricsRecord(3, 0.5, float("inf"), 0.0, float("inf"), 0.6, 0.7, 0.25)
+    exc = TrainingAborted(record, "non-finite loss at iteration 3")
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is TrainingAborted
+    assert str(back) == "non-finite loss at iteration 3"
+    assert back.record == record
 
 
 def test_warmup_parameters_independent_of_unlabeled_values():
