@@ -16,8 +16,7 @@ The MLP runs on two fused ops: ``linear`` (``x @ w + b``, optionally ReLU,
 one graph node per layer) and ``weighted_nll`` (``-(log_softmax(z) * W).sum()``
 as one node). Each performs the same floating-point operations, in the same
 order, as the general ops it replaces, so results are bit-identical to
-composing ``@``, ``+``, ``relu``, ``log_softmax`` and ``sum``. Under
-``no_grad``, ``forward`` skips the tape entirely.
+composing ``@``, ``+``, ``relu``, ``log_softmax`` and ``sum``.
 """
 
 from __future__ import annotations
@@ -297,13 +296,19 @@ def softmax(logits):
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _log_softmax_data(z: np.ndarray) -> np.ndarray:
+    """Row-stabilized log-softmax of a plain array; shared by the graph ops
+    below so their values stay bit-identical."""
+    if not np.isfinite(z).all():
+        raise ValueError("log_softmax requires finite inputs")
+    shifted = z - z.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return shifted - lse
+
+
 def log_softmax(logits: Tensor) -> Tensor:
     """Row-stabilized log-softmax as a single graph op."""
-    if not np.isfinite(logits.data).all():
-        raise ValueError("log_softmax requires finite inputs")
-    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    out_data = shifted - lse
+    out_data = _log_softmax_data(logits.data)
     probs = np.exp(out_data)
 
     def bwd(g):
@@ -316,12 +321,8 @@ def log_softmax(logits: Tensor) -> Tensor:
 def weighted_nll(logits: Tensor, weights: np.ndarray) -> Tensor:
     """``-(log_softmax(logits) * weights).sum()`` as a single graph op, with
     the same operations in the same order; ``weights`` is a constant array."""
-    if not np.isfinite(logits.data).all():
-        raise ValueError("log_softmax requires finite inputs")
     weights = np.asarray(weights, dtype=np.float64)
-    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    log_probs = shifted - lse
+    log_probs = _log_softmax_data(logits.data)
     out_data = -(log_probs * weights).sum()
 
     def bwd(g):
@@ -405,27 +406,16 @@ class MlpModel:
 
 
 def forward(model: MlpModel, x) -> Tensor:
-    """Run the MLP on a [B, d] batch, returning [B, C] logits.
-
-    While gradients are recorded each layer is one ``linear`` node. Under
-    ``no_grad`` no graph is built: each layer is computed in place in one
-    array, with the same operations, and only the logits are wrapped."""
-    data = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-    if data.ndim != 2:
+    """Run the MLP on a [B, d] batch, returning [B, C] logits. Each layer is
+    one ``linear`` node; under ``no_grad`` no graph is recorded."""
+    h = as_tensor(x)
+    if h.data.ndim != 2:
         raise ValueError("forward expects a 2-D batch")
-    if data.shape[1] != model.in_dim:
+    if h.data.shape[1] != model.in_dim:
         raise ValueError(
-            f"input width {data.shape[1]} does not match model width {model.in_dim}"
+            f"input width {h.data.shape[1]} does not match model width {model.in_dim}"
         )
     last = len(model.layers) - 1
-    if not _grad_enabled:
-        for i, (w, b) in enumerate(model.layers):
-            data = data @ w.data
-            data += b.data
-            if i != last:
-                np.maximum(data, 0.0, out=data)
-        return Tensor(data)
-    h = as_tensor(x)
     for i, (w, b) in enumerate(model.layers):
         h = linear(h, w, b, relu=i != last)
     return h
