@@ -269,16 +269,20 @@ def cmd_theory(grid_path: str | None, out_dir: str, mc_samples: int, seed: int) 
     if mc_samples > 0:
         worst = 0.0
         n_checked = 0
-        for _, res in results:
+        rerolled = []
+        for name, res in results:
             for row in res.rows:
                 d = PseudoLabelDist(row.p_pos, row.p_neg, row.p_mask)
                 worst = max(worst, mc_agreement_z(d, row.mc))
                 n_checked += 3
+                if row.rerolled:
+                    rerolled.append(f"{name} {res.varying}={row.param:.12g}")
         ok = worst <= 3.0
         all_pass = all_pass and ok
         lines.append(
             f"{'PASS' if ok else 'FAIL'} mc_agreement: max |analytic - mc| / stderr = {worst:.3f} "
-            f"over {n_checked} entries (n={mc_samples}, one reroll per flagged point)"
+            f"over {n_checked} entries (n={mc_samples}, one reroll per flagged point; "
+            f"{len(rerolled)} rerolled{': ' + ', '.join(rerolled) if rerolled else ''})"
         )
     lines.append(f"overall: {'PASS' if all_pass else 'FAIL'}")
     verdicts_path = os.path.join(out_dir, "verdicts.txt")

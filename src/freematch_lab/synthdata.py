@@ -193,15 +193,36 @@ def gen_gaussian_clusters(
     )
 
 
-def sample_mixture(spec: MixtureSpec, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw n samples (x, y) with y in {-1, +1} uniform and x | y Gaussian."""
+def mixture_blocks(
+    spec: MixtureSpec, n: int, seed: int | np.random.SeedSequence, block: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield the n-sample draw of `sample_mixture` as consecutive (x, y)
+    blocks of at most `block` samples each.
+
+    The one-generator draw takes n labels and then n normals from one PCG64
+    stream. Each label uses one 32-bit half of a 64-bit output, so the normals
+    start ceil(n/2) outputs in. Two generators from the same seed reproduce it
+    block by block: one draws the labels from the start, the other is advanced
+    past them and draws the normals. Concatenated, the blocks are bit-identical
+    to the one-generator draw.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    y = rng.integers(0, 2, size=n) * 2 - 1
-    z = rng.standard_normal(n)
-    x = np.where(y == 1, spec.mu2 + spec.sigma2 * z, spec.mu1 + spec.sigma1 * z)
-    return x, y
+    labels = np.random.default_rng(seed)
+    normals = np.random.default_rng(seed)
+    normals.bit_generator.advance((n + 1) // 2)
+    for start in range(0, n, block):
+        m = min(block, n - start)
+        y = labels.integers(0, 2, size=m) * 2 - 1
+        z = normals.standard_normal(m)
+        yield np.where(y == 1, spec.mu2 + spec.sigma2 * z, spec.mu1 + spec.sigma1 * z), y
+
+
+def sample_mixture(
+    spec: MixtureSpec, n: int, seed: int | np.random.SeedSequence
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw n samples (x, y) with y in {-1, +1} uniform and x | y Gaussian."""
+    return next(mixture_blocks(spec, n, seed, block=n))
 
 
 def batch_iter(dataset: PointSet, B: int, seed: int) -> Iterator[LabeledBatch]:

@@ -12,6 +12,10 @@ midpoint +- c with c = log(tau/(1-tau)) / beta, which gives the closed form
     P(mask) = 1 - P(pos) - P(neg)
 
 with Phi the standard normal CDF, computed from erfc for tail accuracy.
+
+The Monte-Carlo oracle streams its draws in blocks of MC_BLOCK samples and
+counts each block as it goes, so its memory does not depend on n; the counts
+are those of one n-sample `sample_mixture` draw.
 """
 
 from __future__ import annotations
@@ -22,7 +26,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .synthdata import MixtureSpec, sample_mixture
+# sample_mixture stays bound here: perfbench's tracer wraps it on this module
+from .synthdata import MixtureSpec, mixture_blocks, sample_mixture  # noqa: F401
+
+# samples per Monte-Carlo block: small enough that a block's arrays stay in
+# cache, large enough that the per-block Python overhead is negligible
+MC_BLOCK = 2**16
 
 
 def _phi_cdf(z: float) -> float:
@@ -65,22 +74,19 @@ def _band_halfwidth(spec: MixtureSpec) -> float:
     return math.log(spec.tau / (1.0 - spec.tau)) / spec.beta
 
 
-def assign_pseudo(x: float, spec: MixtureSpec) -> int:
-    """Pseudo label for one sample: +1, -1, or 0 (masked)."""
+def _band_edges(spec: MixtureSpec) -> tuple[float, float]:
+    """(lo, hi): a sample is labeled -1 below lo, +1 above hi, else masked."""
     c = _band_halfwidth(spec)
-    if x > spec.midpoint + c:
-        return 1
-    if x < spec.midpoint - c:
-        return -1
-    return 0
+    return spec.midpoint - c, spec.midpoint + c
 
 
 def assign_pseudo_batch(x: np.ndarray, spec: MixtureSpec) -> np.ndarray:
-    c = _band_halfwidth(spec)
+    """Pseudo label per sample: +1, -1, or 0 (masked)."""
+    lo, hi = _band_edges(spec)
     x = np.asarray(x, dtype=np.float64)
     out = np.zeros(x.shape, dtype=np.int8)
-    out[x > spec.midpoint + c] = 1
-    out[x < spec.midpoint - c] = -1
+    out[x > hi] = 1
+    out[x < lo] = -1
     return out
 
 
@@ -110,28 +116,20 @@ def mc_agreement_z(dist: PseudoLabelDist, mc: McResult) -> float:
     return worst
 
 
-def mc_dist(spec: MixtureSpec, n: int, seed: int, workers: int = 1) -> McResult:
+def mc_dist(spec: MixtureSpec, n: int, seed: int) -> McResult:
     """Empirical pseudo-label frequencies with binomial standard errors.
 
-    The draw is partitioned into `workers` independently seeded streams and
-    merged by summation, so results are deterministic for a fixed
-    (seed, workers) pair regardless of execution order.
+    Draws the n samples of `sample_mixture` at a seed derived from `seed`,
+    in blocks of MC_BLOCK, and counts the labels of each block as it goes.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    sizes = [n // workers] * workers
-    sizes[0] += n - sum(sizes)
-    counts = np.zeros(3, dtype=np.int64)  # pos, neg, mask
-    for child, m in zip(np.random.SeedSequence(seed).spawn(workers), sizes):
-        if m == 0:
-            continue
-        x, _ = sample_mixture(spec, m, seed=child)
-        yp = assign_pseudo_batch(x, spec)
-        counts[0] += int((yp == 1).sum())
-        counts[1] += int((yp == -1).sum())
-        counts[2] += int((yp == 0).sum())
+    lo, hi = _band_edges(spec)
+    n_pos = n_neg = 0
+    for x, _ in mixture_blocks(spec, n, np.random.SeedSequence(seed).spawn(1)[0], MC_BLOCK):
+        n_pos += np.count_nonzero(x > hi)
+        n_neg += np.count_nonzero(x < lo)
+    counts = np.array([n_pos, n_neg, n - n_pos - n_neg], dtype=np.int64)  # pos, neg, mask
     freqs = counts / n
     ses = np.sqrt(freqs * (1.0 - freqs) / n)
     dist = PseudoLabelDist(float(freqs[0]), float(freqs[1]), float(freqs[2]))
@@ -149,6 +147,7 @@ class SweepRow:
     p_mask: float
     imbalance: float
     mc: McResult | None = None
+    rerolled: bool = False  # the first MC draw had z > 3 and was redrawn once
 
 
 @dataclass(frozen=True)
@@ -181,7 +180,9 @@ def sweep(
     Returns per-point rows plus monotonicity verdicts, checked exactly on the
     analytic values: the masked fraction rises with tau and with shrinking
     delta, falls with beta, and (for the tau sweep) the pseudo-label imbalance
-    never decreases.
+    never decreases. With mc_samples > 0 each row also carries an MC draw; a
+    point whose first draw disagrees by z > 3 is drawn once more on a new seed
+    and marked `rerolled`.
     """
     vals = [float(v) for v in values]
     if len(vals) < 2:
@@ -196,13 +197,15 @@ def sweep(
         spec = _spec_for(base, varying, v)
         d = analytic_dist(spec)
         mc = None
+        rerolled = False
         if mc_samples > 0:
             mc = mc_dist(spec, mc_samples, seed=seed + i)
-            if mc_agreement_z(d, mc) > 3.0:
+            rerolled = mc_agreement_z(d, mc) > 3.0
+            if rerolled:
                 # a 3-sigma excursion is expected a few times per thousand
                 # entries; one deterministic reroll resolves statistical flukes
                 mc = mc_dist(spec, mc_samples, seed=seed + i + 7919)
-        rows.append(SweepRow(v, d.p_pos, d.p_neg, d.p_mask, d.imbalance, mc))
+        rows.append(SweepRow(v, d.p_pos, d.p_neg, d.p_mask, d.imbalance, mc, rerolled))
 
     # orient the series so the parameter increases
     ordered = rows if ascending else rows[::-1]

@@ -360,14 +360,25 @@ def save_checkpoint(result: RunResult, path_prefix: str) -> None:
 
 
 def load_checkpoint(path_prefix: str) -> tuple[nd.MlpModel, nd.MlpModel, at.ThresholdState, dict]:
-    """Returns (model, ema model, threshold state, manifest)."""
+    """Returns (model, ema model, threshold state, manifest).
+
+    Raises ValueError when the `.bin` does not hold exactly the float count
+    the manifest's shapes need.
+    """
     with open(f"{path_prefix}.json") as fh:
         manifest = json.load(fh)
-    flat = np.fromfile(f"{path_prefix}.bin", dtype="<f8")
+    bin_path = f"{path_prefix}.bin"
+    flat = np.fromfile(bin_path, dtype="<f8")
+    shapes = manifest["param_shapes"] + manifest["ema_shapes"]
+    sizes = [int(np.prod(shape)) for shape in shapes]
+    if flat.size != sum(sizes):
+        raise ValueError(
+            f"checkpoint {bin_path}: the manifest's shapes need {sum(sizes)} float64 values, "
+            f"found {flat.size}"
+        )
     arrays = []
     offset = 0
-    for shape in manifest["param_shapes"] + manifest["ema_shapes"]:
-        size = int(np.prod(shape))
+    for shape, size in zip(shapes, sizes):
         arrays.append(flat[offset : offset + size].reshape(shape))
         offset += size
     n_params = len(manifest["param_shapes"])

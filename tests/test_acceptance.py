@@ -40,12 +40,14 @@ def test_criterion_1_theorem_agreement():
     )
     n = 10**7
     worst = 0.0
+    rerolls = 0
     for i, (delta, (s1, s2), beta, tau) in enumerate(grid):
         spec = MixtureSpec(mu1=-delta / 2, mu2=delta / 2, sigma1=s1, sigma2=s2, beta=beta, tau=tau)
         dist = analytic_dist(spec)
         mc = mc_dist(spec, n, seed=1000 + i)
         z = mc_agreement_z(dist, mc)
         if z > 3.0:
+            rerolls += 1
             mc = mc_dist(spec, n, seed=100_000 + i)  # reroll once on a new seed
             z = mc_agreement_z(dist, mc)
         worst = max(worst, z)
@@ -54,7 +56,8 @@ def test_criterion_1_theorem_agreement():
     _report(
         "1 (theorem agreement)",
         worst <= 3.0 and elapsed < 120.0,
-        f"{len(grid)} grid points at n=1e7, max z={worst:.2f} <= 3, runtime {elapsed:.0f}s < 120s",
+        f"{len(grid)} grid points at n=1e7, max z={worst:.2f} <= 3, {rerolls} rerolled, "
+        f"runtime {elapsed:.0f}s < 120s",
     )
 
 

@@ -130,6 +130,33 @@ def test_theory_mc_columns_and_agreement(tmp_path):
     assert row[7] != "" and row[8] != ""
 
 
+def test_theory_reports_rerolled_points(tmp_path, monkeypatch, capsys):
+    from freematch_lab import theory
+
+    real_z = theory.mc_agreement_z
+    calls = []
+
+    def z_flags_second_draw(dist, mc):
+        calls.append(mc)
+        return 99.0 if len(calls) == 2 else real_z(dist, mc)
+
+    # sweep's own z check sees the forced excursion; the verdict line is computed
+    # from cli's unpatched mc_agreement_z on the rerolled draw
+    monkeypatch.setattr(theory, "mc_agreement_z", z_flags_second_draw)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({
+        "sweeps": [{"name": "mini", "varying": "tau",
+                    "base": {"mu1": -1.0, "mu2": 1.0, "sigma1": 1.0, "sigma2": 1.0, "beta": 1.0, "tau": 0.8},
+                    "values": [0.6, 0.7, 0.8]}]
+    }))
+    out = tmp_path / "o"
+    assert cli.main(["theory", "--grid", str(grid), "--out", str(out), "--mc-samples", "5000"]) == 0
+    line = next(ln for ln in (out / "verdicts.txt").read_text().splitlines() if "mc_agreement" in ln)
+    assert line.startswith("PASS mc_agreement")
+    assert line.endswith("; 1 rerolled: mini tau=0.7)")
+    assert line in capsys.readouterr().out
+
+
 def test_theory_analytic_only_flag(tmp_path):
     out = tmp_path / "th"
     assert cli.main(["theory", "--out", str(out), "--mc-samples", "0"]) == 0

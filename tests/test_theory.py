@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freematch_lab.synthdata import MixtureSpec
+from freematch_lab.synthdata import MixtureSpec, mixture_blocks, sample_mixture
 from freematch_lab.theory import (
+    MC_BLOCK,
     analytic_dist,
-    assign_pseudo,
     assign_pseudo_batch,
     confidence,
     mc_dist,
@@ -41,19 +41,19 @@ def test_confidence_monotone():
     assert (np.diff(s) > 0).all()
 
 
-# -- assign_pseudo ----------------------------------------------------------------
+# -- assign_pseudo_batch ----------------------------------------------------------
 
 
 def test_midpoint_is_masked_for_any_tau():
     for tau in (0.51, 0.7, 0.99):
         spec = MixtureSpec(mu1=0.0, mu2=2.0, tau=tau)
-        assert assign_pseudo(spec.midpoint, spec) == 0
+        assert assign_pseudo_batch(np.array([spec.midpoint]), spec).tolist() == [0]
 
 
 def test_band_vanishes_as_tau_approaches_half():
     spec = MixtureSpec(mu1=0.0, mu2=2.0, tau=0.5 + 1e-12)
-    assert assign_pseudo(spec.midpoint + 1e-9, spec) == 1
-    assert assign_pseudo(spec.midpoint - 1e-9, spec) == -1
+    assert assign_pseudo_batch(np.array([spec.midpoint + 1e-9]), spec).tolist() == [1]
+    assert assign_pseudo_batch(np.array([spec.midpoint - 1e-9]), spec).tolist() == [-1]
 
 
 def test_band_and_confidence_formulations_agree():
@@ -67,7 +67,6 @@ def test_band_and_confidence_formulations_agree():
     direct[s > spec.tau] = 1
     direct[s < 1 - spec.tau] = -1
     assert np.array_equal(band, direct)
-    assert band[0] == assign_pseudo(x[0], spec)
 
 
 # -- analytic_dist -----------------------------------------------------------------
@@ -113,9 +112,9 @@ def test_analytic_dist_sums_to_one(mu1, delta, s1, s2, beta, tau):
 # -- mc_dist ---------------------------------------------------------------------
 
 
-def test_mc_reproducible_for_fixed_seed_and_workers():
-    a = mc_dist(SPEC, 10_000, seed=3, workers=4)
-    b = mc_dist(SPEC, 10_000, seed=3, workers=4)
+def test_mc_reproducible_for_fixed_seed():
+    a = mc_dist(SPEC, 10_000, seed=3)
+    b = mc_dist(SPEC, 10_000, seed=3)
     assert a == b
 
 
@@ -125,11 +124,50 @@ def test_mc_mask_vanishes_near_half_tau():
     assert mc.dist.p_mask <= 1e-3
 
 
-def test_mc_worker_partition_merges_full_n():
-    mc = mc_dist(SPEC, 10_001, seed=5, workers=3)
-    assert mc.n == 10_001
-    total = round((mc.dist.p_pos + mc.dist.p_neg + mc.dist.p_mask) * mc.n)
-    assert total == 10_001
+def test_mc_n_not_a_multiple_of_the_block_sums_to_n():
+    n = 2 * MC_BLOCK + 10_001
+    mc = mc_dist(SPEC, n, seed=5)
+    assert mc.n == n
+    total = sum(round(p * n) for p in (mc.dist.p_pos, mc.dist.p_neg, mc.dist.p_mask))
+    assert total == n
+
+
+# -- the streamed draw is the one-generator draw, bit for bit ---------------------
+
+MIXED = MixtureSpec(mu1=-1.0, mu2=1.0, sigma1=0.5, sigma2=2.0, beta=2.0, tau=0.8)
+BLOCK_EDGE_SIZES = [1, 2, 3, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 3 * MC_BLOCK + 7]
+DRAW_SEEDS = [0, 1, 12345, np.random.SeedSequence(1000).spawn(1)[0]]
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
+def test_mixture_blocks_concatenate_to_the_one_generator_draw(n):
+    for seed in DRAW_SEEDS:
+        # oracle: labels then normals, all from one generator
+        rng = np.random.default_rng(seed)
+        y = rng.integers(0, 2, size=n) * 2 - 1
+        z = rng.standard_normal(n)
+        x = np.where(y == 1, MIXED.mu2 + MIXED.sigma2 * z, MIXED.mu1 + MIXED.sigma1 * z)
+
+        blocks = list(mixture_blocks(MIXED, n, seed, MC_BLOCK))
+        assert [len(bx) for bx, _ in blocks] == [min(MC_BLOCK, n - s) for s in range(0, n, MC_BLOCK)]
+        bx = np.concatenate([b[0] for b in blocks])
+        by = np.concatenate([b[1] for b in blocks])
+        assert bx.dtype == x.dtype and by.dtype == y.dtype
+        assert np.array_equal(bx, x) and np.array_equal(by, y)
+        sx, sy = sample_mixture(MIXED, n, seed)
+        assert np.array_equal(sx, x) and np.array_equal(sy, y)
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
+def test_mc_counts_equal_labels_of_the_full_draw(n):
+    for seed in (0, 7, 31):
+        mc = mc_dist(MIXED, n, seed=seed)
+        x, _ = sample_mixture(MIXED, n, np.random.SeedSequence(seed).spawn(1)[0])
+        yp = assign_pseudo_batch(x, MIXED)
+        assert mc.n == n
+        assert mc.dist.p_pos == int((yp == 1).sum()) / n
+        assert mc.dist.p_neg == int((yp == -1).sum()) / n
+        assert mc.dist.p_mask == int((yp == 0).sum()) / n
 
 
 # -- sweep -----------------------------------------------------------------------

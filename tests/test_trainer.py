@@ -283,6 +283,22 @@ def test_checkpoint_roundtrip(tmp_path):
     assert manifest["config"]["K"] == 6
 
 
+@pytest.mark.parametrize("extra", [-3, 2], ids=["truncated", "over_long"])
+def test_checkpoint_size_mismatch_names_the_file(tmp_path, extra):
+    result = run(_small_config(K=2), _cluster_data())
+    prefix = str(tmp_path / "ck")
+    save_checkpoint(result, prefix)
+    flat = np.fromfile(f"{prefix}.bin", dtype="<f8")
+    expected = flat.size
+    resized = flat[:extra] if extra < 0 else np.concatenate([flat, np.zeros(extra)])
+    resized.astype("<f8").tofile(f"{prefix}.bin")
+    with pytest.raises(ValueError) as exc:
+        load_checkpoint(prefix)
+    msg = str(exc.value)
+    assert f"{prefix}.bin" in msg
+    assert f"need {expected} " in msg and f"found {expected + extra}" in msg
+
+
 def test_config_dict_roundtrip():
     cfg = _small_config(clamp=(0.9, 0.95), w_u=1.0, w_f=0.01)
     clone = config_from_dict(config_to_dict(cfg))
