@@ -138,15 +138,6 @@ class ThresholdState:
         self.hist = np.full(self.C, 1.0 / self.C)
         self.cpl_counts = np.zeros(self.C)
 
-    def snapshot(self) -> "ThresholdState":
-        snap = ThresholdState(self.C, self.lam, self.clamp)
-        snap.tau_global = self.tau_global
-        snap.p_local = self.p_local.copy()
-        snap.hist = self.hist.copy()
-        snap.cpl_counts = self.cpl_counts.copy()
-        snap.t = self.t
-        return snap
-
     def advance(self) -> None:
         self.t += 1
 

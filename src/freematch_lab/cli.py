@@ -16,6 +16,7 @@ import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 
 import numpy as np
@@ -361,15 +362,18 @@ def _one_blas_thread():
 
 def _collect(jobs: list[dict], results) -> list[tuple[str, int, float, float]]:
     """Job rows in job order. An aborted run is raised again with its variant
-    and seed in the message; reading stops there."""
+    and seed in the message; reading stops there. A broken pool is raised
+    again naming the first run without a result: the dead worker's run, or an
+    earlier one that another worker had not finished."""
     rows = []
     for job in jobs:
+        run_name = f"ablation run {job['variant']} seed {job['seed']}"
         try:
             rows.append(next(results))
         except TrainingAborted as exc:
-            raise TrainingAborted(
-                exc.record, f"ablation run {job['variant']} seed {job['seed']}: {exc}"
-            ) from exc
+            raise TrainingAborted(exc.record, f"{run_name}: {exc}") from exc
+        except BrokenProcessPool as exc:
+            raise BrokenProcessPool(f"{run_name}: no result, a pool worker died ({exc})") from exc
     return rows
 
 
@@ -414,6 +418,9 @@ def cmd_ablate(suite: str, n_seeds: int, out_dir: str) -> int:
         summary = run_ablation(suite, seeds)
     except TrainingAborted as exc:
         print(f"run aborted: {exc}", file=sys.stderr)
+        return 1
+    except BrokenProcessPool as exc:
+        print(f"run failed: {exc}", file=sys.stderr)
         return 1
     os.makedirs(out_dir, exist_ok=True)
     order = [label for label, *_ in (THRESHOLD_SUITE if suite == "thresholds" else FAIRNESS_SUITE)]

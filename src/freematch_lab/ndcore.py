@@ -270,10 +270,6 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
-def backward(root: Tensor) -> None:
-    root.backward()
-
-
 def softmax(logits):
     """Row-stabilized softmax; accepts a Tensor (graph op) or a plain array."""
     if isinstance(logits, Tensor):

@@ -12,6 +12,7 @@ belongs to the learner.
 from __future__ import annotations
 
 import csv
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -205,17 +206,28 @@ def mixture_blocks(
     block by block: one draws the labels from the start, the other is advanced
     past them and draws the normals. Concatenated, the blocks are bit-identical
     to the one-generator draw.
+
+    The two streams are drawn on two threads. A helper thread, alive only
+    while this generator runs, draws the next block's normals while the
+    caller's thread draws the labels, forms x and consumes the block; NumPy
+    releases the GIL in both fills. Each generator is still used by one thread
+    in the same order, so the blocks do not depend on the timing. On one CPU
+    the threads take turns and the draw costs what it did serially. The price
+    is one block of normals in flight besides the one being consumed.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     labels = np.random.default_rng(seed)
     normals = np.random.default_rng(seed)
     normals.bit_generator.advance((n + 1) // 2)
-    for start in range(0, n, block):
-        m = min(block, n - start)
-        y = labels.integers(0, 2, size=m) * 2 - 1
-        z = normals.standard_normal(m)
-        yield np.where(y == 1, spec.mu2 + spec.sigma2 * z, spec.mu1 + spec.sigma1 * z), y
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        pending = helper.submit(normals.standard_normal, min(block, n))
+        for start in range(0, n, block):
+            y = labels.integers(0, 2, size=min(block, n - start)) * 2 - 1
+            z = pending.result()
+            if start + block < n:
+                pending = helper.submit(normals.standard_normal, min(block, n - start - block))
+            yield np.where(y == 1, spec.mu2 + spec.sigma2 * z, spec.mu1 + spec.sigma1 * z), y
 
 
 def sample_mixture(

@@ -336,12 +336,17 @@ def config_from_dict(d: dict) -> TrainConfig:
     return TrainConfig(**kwargs)
 
 
+# the manifest layout and the flat `.bin` order; bump on any change to either
+CHECKPOINT_FORMAT_VERSION = 1
+
+
 def save_checkpoint(result: RunResult, path_prefix: str) -> None:
     """Flat float64 binary of model + EMA parameters with a JSON manifest."""
     params = [p.data for p in result.model.parameters()]
     blobs = params + list(result.ema.shadow)
     flat = np.concatenate([b.reshape(-1) for b in blobs])
     manifest = {
+        "format_version": CHECKPOINT_FORMAT_VERSION,
         "param_shapes": [list(p.shape) for p in params],
         "ema_shapes": [list(s.shape) for s in result.ema.shadow],
         "threshold_state": at.to_record(result.state),
@@ -362,11 +367,18 @@ def save_checkpoint(result: RunResult, path_prefix: str) -> None:
 def load_checkpoint(path_prefix: str) -> tuple[nd.MlpModel, nd.MlpModel, at.ThresholdState, dict]:
     """Returns (model, ema model, threshold state, manifest).
 
-    Raises ValueError when the `.bin` does not hold exactly the float count
-    the manifest's shapes need.
+    Raises ValueError when the manifest's format version is missing or not
+    CHECKPOINT_FORMAT_VERSION, or when the `.bin` does not hold exactly the
+    float count the manifest's shapes need.
     """
-    with open(f"{path_prefix}.json") as fh:
+    json_path = f"{path_prefix}.json"
+    with open(json_path) as fh:
         manifest = json.load(fh)
+    version = manifest.get("format_version")
+    if version != CHECKPOINT_FORMAT_VERSION:
+        raise ValueError(
+            f"checkpoint {json_path}: format version {version!r}, expected {CHECKPOINT_FORMAT_VERSION}"
+        )
     bin_path = f"{path_prefix}.bin"
     flat = np.fromfile(bin_path, dtype="<f8")
     shapes = manifest["param_shapes"] + manifest["ema_shapes"]

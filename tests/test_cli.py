@@ -1,5 +1,7 @@
 import json
 import os
+import re
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -248,6 +250,21 @@ def _diverging_job(job: dict) -> tuple[str, int, float, float]:
     raise AssertionError("training did not diverge")
 
 
+def _crashing_job(job: dict) -> tuple[str, int, float, float]:
+    """The worker running 'sat' at seed 1 dies at once, as if killed; every
+    other job returns at once."""
+    if (job["variant"], job["seed"]) == ("sat", 1):
+        os._exit(1)
+    return job["variant"], job["seed"], 0.5, 0.5
+
+
+def _runs_up_to_sat_1() -> set[str]:
+    """The runs a crash at (sat, 1) can leave without a result: that one, or
+    an earlier one the other worker was still running."""
+    names = [f"{j['variant']} seed {j['seed']}" for j in cli.ablation_jobs("thresholds", [0, 1])]
+    return set(names[: names.index("sat seed 1") + 1])
+
+
 def test_ablation_pool_workers_run_one_blas_thread(monkeypatch):
     monkeypatch.setattr(cli, "_ablation_job", _blas_env_job)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
@@ -278,6 +295,25 @@ def test_ablate_command_reports_aborted_pool_run(tmp_path, monkeypatch, capsys):
     out = tmp_path / "ab"
     assert cli.main(["ablate", "--suite", "thresholds", "--seeds", "2", "--out", str(out)]) == 1
     assert "run aborted: ablation run sat seed 1: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ablation_crashed_worker_names_its_run(monkeypatch):
+    monkeypatch.setattr(cli, "_ablation_job", _crashing_job)
+    with pytest.raises(BrokenProcessPool) as exc_info:
+        cli.run_ablation("thresholds", [0, 1], workers=2)
+    match = re.match(r"ablation run (\S+ seed \d+): no result, a pool worker died", str(exc_info.value))
+    assert match and match.group(1) in _runs_up_to_sat_1()
+
+
+def test_ablate_command_reports_crashed_worker(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_ablation_job", _crashing_job)
+    monkeypatch.setenv("FREEMATCH_LAB_THREADS", "2")
+    out = tmp_path / "ab"
+    assert cli.main(["ablate", "--suite", "thresholds", "--seeds", "2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    match = re.search(r"run failed: ablation run (\S+ seed \d+): no result, a pool worker died", err)
+    assert match and match.group(1) in _runs_up_to_sat_1()
     assert not out.exists()
 
 

@@ -1,4 +1,6 @@
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -168,6 +170,33 @@ def test_mc_counts_equal_labels_of_the_full_draw(n):
         assert mc.dist.p_pos == int((yp == 1).sum()) / n
         assert mc.dist.p_neg == int((yp == -1).sum()) / n
         assert mc.dist.p_mask == int((yp == 0).sum()) / n
+
+
+# -- the helper thread that draws the normals ------------------------------------
+
+
+def test_closing_mixture_blocks_early_stops_its_helper_thread():
+    before = threading.active_count()
+    blocks = mixture_blocks(MIXED, 3 * MC_BLOCK, 0, MC_BLOCK)
+    next(blocks)
+    assert threading.active_count() == before + 1  # drawing the second block's normals
+    blocks.close()
+    assert threading.active_count() == before
+    sample_mixture(MIXED, 1000, 0)
+    assert threading.active_count() == before
+
+
+def test_mc_dist_from_two_threads_at_once_matches_serial_calls():
+    calls = [(MIXED, 5 * MC_BLOCK + 3, 11), (SPEC, 4 * MC_BLOCK, 12)]
+    serial = [mc_dist(*call) for call in calls]
+    barrier = threading.Barrier(len(calls))
+
+    def at_once(call):
+        barrier.wait()
+        return mc_dist(*call)
+
+    with ThreadPoolExecutor(max_workers=len(calls)) as pool:
+        assert list(pool.map(at_once, calls)) == serial
 
 
 # -- sweep -----------------------------------------------------------------------

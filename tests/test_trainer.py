@@ -1,4 +1,5 @@
 import copy
+import json
 import pickle
 
 import numpy as np
@@ -297,6 +298,25 @@ def test_checkpoint_size_mismatch_names_the_file(tmp_path, extra):
     msg = str(exc.value)
     assert f"{prefix}.bin" in msg
     assert f"need {expected} " in msg and f"found {expected + extra}" in msg
+
+
+@pytest.mark.parametrize("version", [None, 2], ids=["missing", "different"])
+def test_checkpoint_format_version_mismatch_names_the_manifest(tmp_path, version):
+    result = run(_small_config(K=2), _cluster_data())
+    prefix = str(tmp_path / "ck")
+    save_checkpoint(result, prefix)
+    manifest = json.loads((tmp_path / "ck.json").read_text())
+    assert manifest["format_version"] == 1
+    if version is None:
+        del manifest["format_version"]
+    else:
+        manifest["format_version"] = version
+    (tmp_path / "ck.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError) as exc:
+        load_checkpoint(prefix)
+    msg = str(exc.value)
+    assert f"{prefix}.json" in msg
+    assert f"format version {version!r}, expected 1" in msg
 
 
 def test_config_dict_roundtrip():
