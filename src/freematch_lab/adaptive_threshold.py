@@ -96,13 +96,6 @@ def scheme_to_dict(scheme: SchemeId) -> dict:
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def scheme_label(scheme: SchemeId) -> str:
-    d = scheme_to_dict(scheme)
-    if "tau" in d:
-        return f"{d['kind']}({d['tau']:g})"
-    return d["kind"]
-
-
 # -- state ----------------------------------------------------------------------
 
 

@@ -3,8 +3,8 @@ mixture theory checks, and run the thresholding/fairness ablation suites.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or config error. Every
 output file is written atomically (temp file + rename), so artifacts are
-either complete or absent. FREEMATCH_LAB_THREADS caps ablation workers;
-each worker runs its BLAS on one thread.
+either complete or absent. FREEMATCH_LAB_THREADS (an integer >= 1; default
+the CPU count) caps ablation workers; each runs its BLAS on one thread.
 """
 
 from __future__ import annotations
@@ -377,11 +377,20 @@ def _collect(jobs: list[dict], results) -> list[tuple[str, int, float, float]]:
     return rows
 
 
-def run_ablation(suite: str, seeds: list[int], workers: int | None = None) -> dict[str, dict]:
+def _worker_count() -> int:
+    """Ablation workers: FREEMATCH_LAB_THREADS if set, else the CPU count."""
+    raw = os.environ.get("FREEMATCH_LAB_THREADS")
+    if raw is None:
+        return os.cpu_count() or 1
+    if raw.strip().isdecimal() and int(raw) >= 1:
+        return int(raw)
+    raise ValueError(f"FREEMATCH_LAB_THREADS must be a positive integer, got {raw!r}")
+
+
+def run_ablation(suite: str, seeds: list[int]) -> dict[str, dict]:
     """Run the suite across seeds; returns per-variant summary statistics."""
     jobs = ablation_jobs(suite, seeds)
-    n_workers = workers or int(os.environ.get("FREEMATCH_LAB_THREADS", os.cpu_count() or 1))
-    n_workers = max(1, min(n_workers, len(jobs)))
+    n_workers = max(1, min(_worker_count(), len(jobs)))
     if n_workers == 1:
         rows = _collect(jobs, map(_ablation_job, jobs))
     else:
@@ -405,11 +414,11 @@ def run_ablation(suite: str, seeds: list[int], workers: int | None = None) -> di
 
 def cmd_ablate(suite: str, n_seeds: int, out_dir: str) -> int:
     try:
-        jobs_check = ablation_jobs(suite, [0])
+        ablation_jobs(suite, [0])
+        _worker_count()
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    del jobs_check
     if n_seeds < 1:
         print("config error: --seeds must be >= 1", file=sys.stderr)
         return 2

@@ -73,13 +73,6 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._bwd = None
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    def item(self) -> float:
-        return float(self.data)
-
     def __float__(self) -> float:
         return float(self.data)
 
@@ -128,9 +121,6 @@ class Tensor:
     def __sub__(self, other):
         return self + (-as_tensor(other))
 
-    def __rsub__(self, other):
-        return as_tensor(other) + (-self)
-
     def __mul__(self, other):
         other = as_tensor(other)
         out_data = self.data * other.data
@@ -158,20 +148,6 @@ class Tensor:
                 )
 
         return Tensor._make(out_data, (self, other), bwd)
-
-    def __rtruediv__(self, other):
-        return as_tensor(other) / self
-
-    def __pow__(self, p: float):
-        if not isinstance(p, (int, float)):
-            raise TypeError("only scalar exponents are supported")
-        out_data = self.data ** p
-
-        def bwd(g):
-            if self.requires_grad:
-                self._accum(g * p * self.data ** (p - 1))
-
-        return Tensor._make(out_data, (self,), bwd)
 
     def __matmul__(self, other):
         other = as_tensor(other)
@@ -234,10 +210,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), bwd)
 
-    def mean(self, axis: int | None = None):
-        n = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis) * (1.0 / n)
-
     # -- backward ---------------------------------------------------------------
 
     def backward(self) -> None:
@@ -272,23 +244,24 @@ def as_tensor(x) -> Tensor:
 
 def softmax(logits):
     """Row-stabilized softmax; accepts a Tensor (graph op) or a plain array."""
-    if isinstance(logits, Tensor):
-        if not np.isfinite(logits.data).all():
-            raise ValueError("softmax requires finite inputs")
-        shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        out_data = e / e.sum(axis=-1, keepdims=True)
+    if not isinstance(logits, Tensor):
+        return _softmax_data(np.asarray(logits, dtype=np.float64))
+    out_data = _softmax_data(logits.data)
 
-        def bwd(g):
-            if logits.requires_grad:
-                inner = (g * out_data).sum(axis=-1, keepdims=True)
-                logits._accum(out_data * (g - inner))
+    def bwd(g):
+        if logits.requires_grad:
+            inner = (g * out_data).sum(axis=-1, keepdims=True)
+            logits._accum(out_data * (g - inner))
 
-        return Tensor._make(out_data, (logits,), bwd)
-    x = np.asarray(logits, dtype=np.float64)
-    if not np.isfinite(x).all():
+    return Tensor._make(out_data, (logits,), bwd)
+
+
+def _softmax_data(z: np.ndarray) -> np.ndarray:
+    """Row-stabilized softmax of a plain array; shared by both branches of
+    ``softmax`` so a Tensor and its array give bit-identical values."""
+    if not np.isfinite(z).all():
         raise ValueError("softmax requires finite inputs")
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
 
@@ -426,23 +399,11 @@ class OptimState:
 
     velocity: list[np.ndarray]
     momentum: float = 0.9
-    lr0: float = 0.03
     k: int = 0
-    K: int = 1
 
     @classmethod
-    def for_params(
-        cls, params: list[Tensor], momentum: float = 0.9, lr0: float = 0.03, total_steps: int = 1
-    ) -> "OptimState":
-        if total_steps < 1:
-            raise ValueError("total_steps must be >= 1")
-        return cls(
-            velocity=[np.zeros_like(p.data) for p in params],
-            momentum=momentum,
-            lr0=lr0,
-            k=0,
-            K=total_steps,
-        )
+    def for_params(cls, params: list[Tensor], momentum: float = 0.9) -> "OptimState":
+        return cls(velocity=[np.zeros_like(p.data) for p in params], momentum=momentum)
 
 
 def sgd_step(params: list[Tensor], opt: OptimState, lr: float) -> None:

@@ -13,11 +13,16 @@ sign-literally:
 with p_local, hist entering as detached constants and gradient flowing only
 through p_bar. Zero entries of the histograms are floored at 1e-9 before
 division (early iterations can have empty classes).
+
+A class that no kept strong-branch argmax falls in drives SumNorm(p_bar /
+h_bar) toward one-hot on it, so l_f spikes (two moons, seed 0: min -10.2
+against a median of -0.693). USB's released code is recalled to zero that
+reciprocal instead, which cannot be checked offline; the floor stays, as the
+reference trace depends on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -100,24 +105,9 @@ def fairness_loss(
     return (batch_ratio.log() * target).sum()
 
 
-@dataclass
-class LossBundle:
-    """Weighted total and its parts. Scalars may be graph tensors so the
-    total can be backpropagated; float() any field for recording."""
-
-    l_s: object
-    l_u: object
-    l_f: object
-    w_u: float
-    w_f: float
-    total: object
-    n_masked_in: int = 0
-
-
-def total_loss(l_s, l_u, l_f, w_u: float = 1.0, w_f: float = 0.0, n_masked_in: int = 0) -> LossBundle:
-    """total = l_s + w_u*l_u + w_f*l_f, composed in-graph when given tensors."""
+def total_loss(l_s, l_u, l_f, w_u: float = 1.0, w_f: float = 0.0):
+    """l_s + w_u*l_u + w_f*l_f, composed in-graph when given tensors."""
     for name, v in (("l_s", l_s), ("l_u", l_u), ("l_f", l_f)):
         if not np.isfinite(float(v)):
             raise ValueError(f"{name} is not finite")
-    total = l_s + w_u * l_u + w_f * l_f
-    return LossBundle(l_s=l_s, l_u=l_u, l_f=l_f, w_u=w_u, w_f=w_f, total=total, n_masked_in=n_masked_in)
+    return l_s + w_u * l_u + w_f * l_f

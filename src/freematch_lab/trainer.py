@@ -71,7 +71,6 @@ class MetricsRecord:
     mean_class_threshold: float
     sampling_rate: float
     error_rate: float | None = None
-    confusion: np.ndarray | None = None
     pseudo_label_acc: float | None = None
 
 
@@ -91,7 +90,6 @@ class TrainingAborted(RuntimeError):
 class EvalResult:
     error_rate: float
     confusion: np.ndarray
-    per_class_accuracy: np.ndarray
 
 
 @dataclass
@@ -106,18 +104,14 @@ class RunResult:
 
 
 def evaluate(model: nd.MlpModel, test: PointSet) -> EvalResult:
-    """Error rate, confusion matrix (rows = true class), per-class accuracy."""
+    """Error rate and confusion matrix (rows = true class)."""
     C = model.out_dim
     with nd.no_grad():
         logits = nd.forward(model, test.points).data
     pred = logits.argmax(axis=1)
     confusion = np.zeros((C, C), dtype=np.int64)
     np.add.at(confusion, (test.labels, pred), 1)
-    row_tot = confusion.sum(axis=1)
-    per_class = np.divide(
-        np.diag(confusion), row_tot, out=np.zeros(C, dtype=np.float64), where=row_tot > 0
-    )
-    return EvalResult(float((pred != test.labels).mean()), confusion, per_class)
+    return EvalResult(float((pred != test.labels).mean()), confusion)
 
 
 def train_step(
@@ -189,8 +183,7 @@ def train_step(
     if not np.isfinite(record.total):
         raise TrainingAborted(record, f"non-finite loss at iteration {k}")
 
-    bundle = total_loss(l_s_t, l_u_t, l_f_t, config.w_u, config.w_f, n_masked_in=int(keep.sum()))
-    bundle.total.backward()
+    total_loss(l_s_t, l_u_t, l_f_t, config.w_u, config.w_f).backward()
     nd.sgd_step(model.parameters(), opt, nd.cosine_lr(config.lr0, k, config.K))
     opt.k += 1
 
@@ -205,9 +198,7 @@ def _build(config: TrainConfig, data: DatasetBundle):
     s_model, s_lab, s_unlab, s_aug = ss.spawn(4)
     d_in = data.labeled.points.shape[1]
     model = nd.MlpModel.init([d_in, *config.hidden_dims, data.n_classes], seed=np.random.default_rng(s_model))
-    opt = nd.OptimState.for_params(
-        model.parameters(), momentum=config.momentum, lr0=config.lr0, total_steps=config.K
-    )
+    opt = nd.OptimState.for_params(model.parameters(), momentum=config.momentum)
     ema = nd.ParamEma.from_model(model, decay=0.999)
     state = at.ThresholdState(C=data.n_classes, lam=config.lam, clamp=config.clamp)
     lab_iter = batch_iter(data.labeled, config.B, seed=s_lab)
@@ -229,7 +220,6 @@ def run(config: TrainConfig, data: DatasetBundle, out_dir: str | None = None) ->
         if (k + 1) % config.eval_every == 0 or k == config.K - 1:
             ev = evaluate(nd.ema_model(ema), data.test)
             record.error_rate = ev.error_rate
-            record.confusion = ev.confusion
             best_error = min(best_error, ev.error_rate)
         trace.append(record)
     final_error = trace[-1].error_rate

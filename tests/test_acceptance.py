@@ -198,7 +198,7 @@ def _composite_loss_case(rng):
         strong_logits = nd.forward(model, us)
         l_u, _ = consistency_loss(q, strong_logits, th)
         l_f = fairness_loss(FairnessVariant.SAF, state, q, nd.softmax(strong_logits), th)
-        return total_loss(l_s, l_u, l_f, w_u=1.0, w_f=0.05).total
+        return total_loss(l_s, l_u, l_f, w_u=1.0, w_f=0.05)
 
     return build, model.parameters()
 

@@ -203,6 +203,16 @@ def test_ablate_unknown_suite_exits_2(tmp_path):
     assert cli.main(["ablate", "--suite", "bogus", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("threads", ["abc", "0"])
+def test_ablate_bad_thread_count_is_a_config_error(tmp_path, fast_protocol, monkeypatch, capsys, threads):
+    monkeypatch.setenv("FREEMATCH_LAB_THREADS", threads)
+    out = tmp_path / "ab"
+    assert cli.main(["ablate", "--suite", "thresholds", "--seeds", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: FREEMATCH_LAB_THREADS must be a positive integer, got '{threads}'\n"
+    assert not out.exists()
+
+
 def test_ablate_thresholds_suite_rows(tmp_path, fast_protocol):
     out = tmp_path / "ab"
     assert cli.main(["ablate", "--suite", "thresholds", "--seeds", "2", "--out", str(out)]) == 0
@@ -270,21 +280,24 @@ def test_ablation_pool_workers_run_one_blas_thread(monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
-    summary = cli.run_ablation("fairness", [0, 1], workers=2)
+    monkeypatch.setenv("FREEMATCH_LAB_THREADS", "2")
+    summary = cli.run_ablation("fairness", [0, 1])
     assert {v: e["mean_error"] for v, e in summary.items()} == {"none": 1.0, "uniform_prior": 1.0, "saf": 1.0}
     # the caller's environment is back as it was
     assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
     assert "OMP_NUM_THREADS" not in os.environ and "MKL_NUM_THREADS" not in os.environ
     # the serial path runs in this process and leaves the variables alone
-    summary = cli.run_ablation("fairness", [0], workers=1)
+    monkeypatch.setenv("FREEMATCH_LAB_THREADS", "1")
+    summary = cli.run_ablation("fairness", [0])
     assert all(e["mean_error"] == 0.0 for e in summary.values())
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_ablation_abort_names_variant_and_seed(monkeypatch, workers):
     monkeypatch.setattr(cli, "_ablation_job", _diverging_job)
+    monkeypatch.setenv("FREEMATCH_LAB_THREADS", str(workers))
     with pytest.raises(TrainingAborted) as exc_info:
-        cli.run_ablation("thresholds", [0, 1], workers=workers)
+        cli.run_ablation("thresholds", [0, 1])
     assert str(exc_info.value).startswith("ablation run sat seed 1: aborted at iteration 1")
     assert exc_info.value.record.iteration == 1
 
@@ -300,8 +313,9 @@ def test_ablate_command_reports_aborted_pool_run(tmp_path, monkeypatch, capsys):
 
 def test_ablation_crashed_worker_names_its_run(monkeypatch):
     monkeypatch.setattr(cli, "_ablation_job", _crashing_job)
+    monkeypatch.setenv("FREEMATCH_LAB_THREADS", "2")
     with pytest.raises(BrokenProcessPool) as exc_info:
-        cli.run_ablation("thresholds", [0, 1], workers=2)
+        cli.run_ablation("thresholds", [0, 1])
     match = re.match(r"ablation run (\S+ seed \d+): no result, a pool worker died", str(exc_info.value))
     assert match and match.group(1) in _runs_up_to_sat_1()
 

@@ -95,6 +95,7 @@ def test_softmax_rows_sum_to_one_and_permutation_equivariant(row, rnd):
     perm = list(range(len(row)))
     rnd.shuffle(perm)
     assert np.allclose(softmax(x[:, perm]), s[:, perm], atol=1e-12)
+    assert np.array_equal(softmax(Tensor(x)).data, s)
 
 
 # -- backward -------------------------------------------------------------------
@@ -329,7 +330,7 @@ def test_shared_gradient_array_gives_the_same_sgd_update_as_copies():
 def test_sgd_single_step_no_momentum():
     p = Tensor(np.zeros(1), requires_grad=True)
     p.grad = np.ones(1)
-    opt = OptimState.for_params([p], momentum=0.0, total_steps=10)
+    opt = OptimState.for_params([p], momentum=0.0)
     sgd_step([p], opt, lr=0.1)
     assert p.data[0] == pytest.approx(-0.1, abs=0)
     assert p.grad is None
@@ -337,7 +338,7 @@ def test_sgd_single_step_no_momentum():
 
 def test_sgd_momentum_two_steps_hand_arithmetic():
     p = Tensor(np.zeros(1), requires_grad=True)
-    opt = OptimState.for_params([p], momentum=0.9, total_steps=10)
+    opt = OptimState.for_params([p], momentum=0.9)
     p.grad = np.ones(1)
     sgd_step([p], opt, lr=1.0)
     p.grad = np.ones(1)
@@ -357,7 +358,7 @@ def test_sgd_converges_on_quadratic_bowl():
     # minimize 0.5*(theta - a)^2; closed-form minimum at a
     a = np.array([1.7, -0.4])
     p = Tensor(np.zeros(2), requires_grad=True)
-    opt = OptimState.for_params([p], momentum=0.5, total_steps=100)
+    opt = OptimState.for_params([p], momentum=0.5)
     for _ in range(100):
         loss = ((p - a) * (p - a)).sum() * 0.5
         loss.backward()

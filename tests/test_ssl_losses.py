@@ -165,6 +165,25 @@ def test_fairness_saf_matches_straight_line_recomputation():
     assert float(out) == pytest.approx(expected, abs=1e-10)
 
 
+def test_fairness_saf_empty_class_uses_the_floored_histogram():
+    # every row is kept, but no strong-branch argmax falls in class 2
+    B, C = 4, 3
+    state = _state_with(np.full(C, 1.0 / C), np.full(C, 1.0 / C))
+    weak = np.array([[0.8, 0.1, 0.1], [0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.2, 0.7, 0.1]])
+    strong = np.array([[0.7, 0.2, 0.1], [0.6, 0.3, 0.1], [0.2, 0.7, 0.1], [0.3, 0.6, 0.1]])
+    out = fairness_loss(FairnessVariant.SAF, state, weak, Tensor(strong, requires_grad=True), np.zeros(C))
+
+    p_bar = strong.sum(axis=0) / B + 1e-12
+    h_bar = np.array([2.0, 2.0, 0.0]) / B
+    s = p_bar / np.maximum(h_bar, 1e-9)
+    s = s / s.sum()
+    expected = float((np.log(s) / C).sum())
+    assert float(out) == pytest.approx(expected, rel=1e-12)
+    # the empty class takes almost all of SumNorm(p_bar / h_bar): l_f spikes
+    assert s[2] > 1 - 1e-7
+    assert float(out) < -10 * math.log(C)
+
+
 def test_fairness_uniform_prior_value_and_masking():
     state = _state_with([0.5, 0.5], [0.5, 0.5])
     weak = np.array([[0.99, 0.01], [0.5, 0.5]])
@@ -213,21 +232,21 @@ def test_sum_norm_lands_on_simplex(values):
 
 
 def test_total_arithmetic():
-    bundle = total_loss(1.0, 2.0, -0.5, w_u=1.0, w_f=0.01)
-    assert bundle.total == pytest.approx(2.995, abs=1e-15)
+    total = total_loss(1.0, 2.0, -0.5, w_u=1.0, w_f=0.01)
+    assert total == pytest.approx(2.995, abs=1e-15)
 
 
 def test_total_degenerates_without_fairness():
-    bundle = total_loss(1.0, 2.0, -0.5, w_u=1.0, w_f=0.0)
-    assert bundle.total == pytest.approx(3.0, abs=0)
+    total = total_loss(1.0, 2.0, -0.5, w_u=1.0, w_f=0.0)
+    assert total == pytest.approx(3.0, abs=0)
 
 
 def test_total_composes_graph_tensors():
     l_s = Tensor(np.array(1.0), requires_grad=True)
     l_u = Tensor(np.array(2.0), requires_grad=True)
-    bundle = total_loss(l_s, l_u, 0.0, w_u=0.5, w_f=0.0)
-    bundle.total.backward()
-    assert float(bundle.total) == pytest.approx(2.0, abs=1e-15)
+    total = total_loss(l_s, l_u, 0.0, w_u=0.5, w_f=0.0)
+    total.backward()
+    assert float(total) == pytest.approx(2.0, abs=1e-15)
     assert l_s.grad == pytest.approx(1.0) and l_u.grad == pytest.approx(0.5)
 
 
@@ -251,7 +270,7 @@ def test_total_loss_gradient_matches_finite_differences():
     def build(t: Tensor):
         l_u, _ = consistency_loss(weak, t, th)
         l_f = fairness_loss(FairnessVariant.SAF, state, weak, softmax(t), th)
-        return total_loss(0.1, l_u, l_f, w_u=1.0, w_f=0.05).total
+        return total_loss(0.1, l_u, l_f, w_u=1.0, w_f=0.05)
 
     build(strong_logits).backward()
     ad = strong_logits.grad.copy()
