@@ -14,7 +14,7 @@ state is advanced by the caller once per training step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Union
 
 import numpy as np
@@ -24,12 +24,16 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class Fixed:
+class _TauScheme:
     tau: float = 0.95
 
     def __post_init__(self):
         if not 0.0 < self.tau <= 1.0:
             raise ValueError("fixed tau must lie in (0, 1]")
+
+
+class Fixed(_TauScheme):
+    pass
 
 
 @dataclass(frozen=True)
@@ -37,13 +41,8 @@ class GlobalOnly:
     pass
 
 
-@dataclass(frozen=True)
-class LocalOnly:
-    tau: float = 0.95
-
-    def __post_init__(self):
-        if not 0.0 < self.tau <= 1.0:
-            raise ValueError("fixed tau must lie in (0, 1]")
+class LocalOnly(_TauScheme):
+    pass
 
 
 @dataclass(frozen=True)
@@ -52,16 +51,14 @@ class Sat:
 
 
 @dataclass(frozen=True)
-class Cpl:
+class Cpl(_TauScheme):
     """Curriculum variant: tau * M(beta(c)) with beta(c) the per-class share
     of confident samples counted so far (running counts, never reset)."""
 
-    tau: float = 0.95
     mapping: str = "identity"  # or "convex" for x / (2 - x)
 
     def __post_init__(self):
-        if not 0.0 < self.tau <= 1.0:
-            raise ValueError("fixed tau must lie in (0, 1]")
+        super().__post_init__()
         if self.mapping not in ("identity", "convex"):
             raise ValueError("mapping must be 'identity' or 'convex'")
 
@@ -87,16 +84,21 @@ def scheme_from_dict(d: dict) -> SchemeId:
 def scheme_to_dict(scheme: SchemeId) -> dict:
     for kind, cls in _SCHEME_KINDS.items():
         if isinstance(scheme, cls):
-            d = {"kind": kind}
-            if hasattr(scheme, "tau"):
-                d["tau"] = scheme.tau
-            if hasattr(scheme, "mapping"):
-                d["mapping"] = scheme.mapping
-            return d
+            return {"kind": kind, **asdict(scheme)}
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
 # -- state ----------------------------------------------------------------------
+
+
+def check_statistics_params(lam: float, clamp: tuple[float, float] | None) -> None:
+    """The EMA decay lies in (0, 1); a clamp is an interval inside [0, 1]."""
+    if not 0.0 < lam < 1.0:
+        raise ValueError("lambda must lie in (0, 1)")
+    if clamp is not None:
+        lo, hi = clamp
+        if not 0.0 <= lo <= hi <= 1.0:
+            raise ValueError("clamp interval must satisfy 0 <= lo <= hi <= 1")
 
 
 @dataclass
@@ -119,13 +121,9 @@ class ThresholdState:
     def __post_init__(self):
         if self.C < 2:
             raise ValueError("need at least two classes")
-        if not 0.0 < self.lam < 1.0:
-            raise ValueError("lambda must lie in (0, 1)")
+        check_statistics_params(self.lam, self.clamp)
         if self.clamp is not None:
-            lo, hi = self.clamp
-            if not 0.0 <= lo <= hi <= 1.0:
-                raise ValueError("clamp interval must satisfy 0 <= lo <= hi <= 1")
-            self.clamp = (float(lo), float(hi))
+            self.clamp = (float(self.clamp[0]), float(self.clamp[1]))
         self.tau_global = 1.0 / self.C
         self.p_local = np.full(self.C, 1.0 / self.C)
         self.hist = np.full(self.C, 1.0 / self.C)

@@ -1,10 +1,13 @@
 """Command-line entry point: run experiments from JSON configs, sweep the
 mixture theory checks, and run the thresholding/fairness ablation suites.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage or config error. Every
-output file is written atomically (temp file + rename), so artifacts are
-either complete or absent. FREEMATCH_LAB_THREADS (an integer >= 1; default
-the CPU count) caps ablation workers; each runs its BLAS on one thread.
+An experiment config is checked in full when it is parsed: its keys are the
+fields of TrainConfig (`lambda` for `lam`) and the parameters of TwoMoonSpec
+or gen_gaussian_clusters. Exit codes: 0 success, 1 runtime failure, 2 usage
+or config error; a config error leaves no output directory. Every output
+file is written atomically (temp file + rename), so artifacts are either
+complete or absent. FREEMATCH_LAB_THREADS (an integer >= 1; default the CPU
+count) caps ablation workers; each runs its BLAS on one thread.
 """
 
 from __future__ import annotations
@@ -23,10 +26,12 @@ import numpy as np
 
 from . import ndcore as nd
 from .adaptive_threshold import Cpl, Fixed, GlobalOnly, LocalOnly, Sat, scheme_from_dict, scheme_to_dict
+from .atomic import atomic_open
 from .augment import AugmentSpec
 from .ssl_losses import FairnessVariant
 from .svgplot import boundary_chart, line_chart
-from .synthdata import DatasetBundle, MixtureSpec, TwoMoonSpec, gen_gaussian_clusters, gen_two_moons, to_csv
+from .synthdata import (DatasetBundle, MixtureSpec, TwoMoonSpec, check_batch_size, gen_gaussian_clusters,
+                        gen_two_moons, to_csv)
 from .theory import PseudoLabelDist, mc_agreement_z, sweep
 from .trainer import RunResult, TrainConfig, TrainingAborted, config_from_dict, run
 
@@ -60,19 +65,16 @@ def _reject_unknown(doc: dict, allowed: set[str], where: str) -> None:
 
 
 def build_dataset(doc: dict) -> DatasetBundle:
+    """`kind` picks TwoMoonSpec or gen_gaussian_clusters; the other keys are
+    its arguments, so an unknown key fails as an unexpected keyword."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValueError("dataset must be an object with a 'kind' key")
-    kind = doc["kind"]
-    if kind == "two_moons":
-        _reject_unknown(doc, {"kind", "n_unlabeled", "labels_per_class", "noise_sigma", "seed"}, "dataset")
-        spec = TwoMoonSpec(**{k: v for k, v in doc.items() if k != "kind"})
-        return gen_two_moons(spec)
-    if kind == "clusters":
-        allowed = {"kind", "C", "n_per_class", "means", "sigma", "seed", "labels_per_class", "n_test_per_class"}
-        _reject_unknown(doc, allowed, "dataset")
-        kwargs = {k: v for k, v in doc.items() if k != "kind"}
+    kwargs = {k: v for k, v in doc.items() if k != "kind"}
+    if doc["kind"] == "two_moons":
+        return gen_two_moons(TwoMoonSpec(**kwargs))
+    if doc["kind"] == "clusters":
         return gen_gaussian_clusters(**kwargs)
-    raise ValueError(f"unknown dataset kind {kind!r}")
+    raise ValueError(f"unknown dataset kind {doc['kind']!r}")
 
 
 def parse_experiment_config(doc: dict) -> tuple[DatasetBundle, TrainConfig, str | None]:
@@ -83,6 +85,8 @@ def parse_experiment_config(doc: dict) -> tuple[DatasetBundle, TrainConfig, str 
         raise ValueError("experiment config needs 'dataset' and 'train' sections")
     data = build_dataset(doc["dataset"])
     config = config_from_dict(doc["train"])
+    check_batch_size(config.B, len(data.labeled), "labeled split")
+    check_batch_size(config.mu * config.B, len(data.unlabeled), "unlabeled split")
     out_dir = doc.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
         raise ValueError("out_dir must be a string")
@@ -134,13 +138,8 @@ def _emit_plots(result: RunResult, data: DatasetBundle, out_dir: str) -> None:
 def cmd_train(config_path: str, out_override: str | None) -> int:
     try:
         with open(config_path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        data, config, out_dir = parse_experiment_config(doc)
-    except (ValueError, TypeError) as exc:
+            data, config, out_dir = parse_experiment_config(json.load(fh))
+    except (OSError, ValueError, TypeError) as exc:  # a JSONDecodeError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out_dir = out_override or out_dir
@@ -222,18 +221,20 @@ def _load_sweep_file(path: str) -> list[dict]:
 def cmd_theory(grid_path: str | None, out_dir: str, mc_samples: int, seed: int) -> int:
     try:
         entries = _load_sweep_file(grid_path) if grid_path else default_theory_sweeps()
+        # one MC seed per sweep, so no two sweeps draw the same streams
+        sweep_seeds = np.random.SeedSequence(seed).generate_state(len(entries))
         results = []
-        for entry in entries:
+        for entry, sweep_seed in zip(entries, sweep_seeds):
             base = MixtureSpec(**entry["base"])
-            results.append((entry["name"], sweep(base, entry["varying"], entry["values"], mc_samples, seed)))
+            results.append(
+                (entry["name"], sweep(base, entry["varying"], entry["values"], mc_samples, int(sweep_seed)))
+            )
     except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, "theorem_sweep.csv")
-    tmp = f"{csv_path}.tmp-{os.getpid()}"
-    with open(tmp, "w", newline="") as fh:
+    with atomic_open(os.path.join(out_dir, "theorem_sweep.csv"), newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["sweep", "varying", "param", "p_pos", "p_neg", "p_mask", "imbalance",
@@ -253,7 +254,6 @@ def cmd_theory(grid_path: str | None, out_dir: str, mc_samples: int, seed: int) 
                     [name, res.varying, f"{row.param:.12g}", f"{row.p_pos:.12g}", f"{row.p_neg:.12g}",
                      f"{row.p_mask:.12g}", f"{row.imbalance:.12g}", *mc_cols]
                 )
-    os.replace(tmp, csv_path)
 
     lines = []
     all_pass = True
@@ -286,11 +286,8 @@ def cmd_theory(grid_path: str | None, out_dir: str, mc_samples: int, seed: int) 
             f"{len(rerolled)} rerolled{': ' + ', '.join(rerolled) if rerolled else ''})"
         )
     lines.append(f"overall: {'PASS' if all_pass else 'FAIL'}")
-    verdicts_path = os.path.join(out_dir, "verdicts.txt")
-    tmp = f"{verdicts_path}.tmp-{os.getpid()}"
-    with open(tmp, "w") as fh:
+    with atomic_open(os.path.join(out_dir, "verdicts.txt")) as fh:
         fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, verdicts_path)
     print("\n".join(lines))
     return 0 if all_pass else 1
 
@@ -360,20 +357,19 @@ def _one_blas_thread():
                 os.environ[name] = value
 
 
+def _run_name(job: dict) -> str:
+    return f"{job['variant']} seed {job['seed']}"
+
+
 def _collect(jobs: list[dict], results) -> list[tuple[str, int, float, float]]:
     """Job rows in job order. An aborted run is raised again with its variant
-    and seed in the message; reading stops there. A broken pool is raised
-    again naming the first run without a result: the dead worker's run, or an
-    earlier one that another worker had not finished."""
+    and seed in the message; reading stops there."""
     rows = []
     for job in jobs:
-        run_name = f"ablation run {job['variant']} seed {job['seed']}"
         try:
             rows.append(next(results))
         except TrainingAborted as exc:
-            raise TrainingAborted(exc.record, f"{run_name}: {exc}") from exc
-        except BrokenProcessPool as exc:
-            raise BrokenProcessPool(f"{run_name}: no result, a pool worker died ({exc})") from exc
+            raise TrainingAborted(exc.record, f"ablation run {_run_name(job)}: {exc}") from exc
     return rows
 
 
@@ -396,7 +392,16 @@ def run_ablation(suite: str, seeds: list[int]) -> dict[str, dict]:
     else:
         spawn = multiprocessing.get_context("spawn")
         with _one_blas_thread(), ProcessPoolExecutor(max_workers=n_workers, mp_context=spawn) as pool:
-            rows = _collect(jobs, pool.map(_ablation_job, jobs))
+            futures = [pool.submit(_ablation_job, job) for job in jobs]
+            try:
+                rows = _collect(jobs, (f.result() for f in futures))
+            except BrokenProcessPool as exc:
+                # a dead worker fails every job not yet done, its own among them
+                lost = ", ".join(_run_name(job) for job, f in zip(jobs, futures) if f.exception() is not None)
+                raise BrokenProcessPool(f"a pool worker died; runs without a result: {lost} ({exc})") from exc
+            finally:
+                for f in futures:
+                    f.cancel()  # after an abort, the jobs not yet started do not run
     rows.sort(key=lambda r: (r[0], r[1]))  # order-independent aggregation
     summary: dict[str, dict] = {}
     for variant, seed, final_error, best_error in rows:
@@ -434,15 +439,13 @@ def cmd_ablate(suite: str, n_seeds: int, out_dir: str) -> int:
     os.makedirs(out_dir, exist_ok=True)
     order = [label for label, *_ in (THRESHOLD_SUITE if suite == "thresholds" else FAIRNESS_SUITE)]
     csv_path = os.path.join(out_dir, "ablation.csv")
-    tmp = f"{csv_path}.tmp-{os.getpid()}"
-    with open(tmp, "w", newline="") as fh:
+    with atomic_open(csv_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["variant", "n_seeds", "mean_error", "std_error", "mean_best_error"])
         for label in order:
             e = summary[label]
             std = "" if e["std_error"] is None else f"{e['std_error']:.12g}"
             writer.writerow([label, len(e["seeds"]), f"{e['mean_error']:.12g}", std, f"{e['mean_best_error']:.12g}"])
-    os.replace(tmp, csv_path)
     for label in order:
         e = summary[label]
         std = "n/a" if e["std_error"] is None else f"{e['std_error']:.4f}"

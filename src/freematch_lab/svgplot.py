@@ -4,22 +4,15 @@ file is written to a temp path and atomically renamed."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
+
+from .atomic import atomic_open
 
 _W, _H = 640, 480
 _ML, _MR, _MT, _MB = 60, 20, 30, 45  # margins
 
 _REGION_COLORS = ["#aec7e8", "#ffbb78", "#98df8a", "#ff9896", "#c5b0d5", "#c49c94"]
 _LINE_COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b"]
-
-
-def _atomic_write(path: str, text: str) -> None:
-    tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def _scale(vals, lo, hi, out_lo, out_hi):
@@ -77,7 +70,8 @@ def line_chart(title: str, series: list[tuple[str, np.ndarray, np.ndarray]], pat
             f'font-family="sans-serif" fill="{color}">{label}</text>'
         )
     parts.append("</svg>")
-    _atomic_write(path, "\n".join(parts) + "\n")
+    with atomic_open(path) as fh:
+        fh.write("\n".join(parts) + "\n")
 
 
 def boundary_chart(
@@ -125,4 +119,5 @@ def boundary_chart(
             )
     parts += _axes(title, x0, x1, y0, y1)
     parts.append("</svg>")
-    _atomic_write(path, "\n".join(parts) + "\n")
+    with atomic_open(path) as fh:
+        fh.write("\n".join(parts) + "\n")

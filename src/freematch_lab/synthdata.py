@@ -18,6 +18,8 @@ from typing import Iterator
 
 import numpy as np
 
+from .atomic import atomic_open
+
 _MOON_OFFSET = np.array([1.0, 0.25])
 
 
@@ -237,6 +239,16 @@ def sample_mixture(
     return next(mixture_blocks(spec, n, seed, block=n))
 
 
+def check_batch_size(B: int, n: int, split: str = "dataset") -> None:
+    """A batch of B items must fit in a split of n items."""
+    if B < 1:
+        raise ValueError("batch size must be >= 1")
+    if n == 0:
+        raise ValueError(f"{split} is empty")
+    if B > n:
+        raise ValueError(f"batch size {B} exceeds {split} size {n}")
+
+
 def batch_iter(dataset: PointSet, B: int, seed: int) -> Iterator[LabeledBatch]:
     """Cycle through the dataset forever with a fresh shuffle per epoch.
 
@@ -244,12 +256,7 @@ def batch_iter(dataset: PointSet, B: int, seed: int) -> Iterator[LabeledBatch]:
     (reshuffling restores coverage across epochs). Requires B <= len(dataset).
     """
     n = len(dataset)
-    if B < 1:
-        raise ValueError("batch size must be >= 1")
-    if n == 0:
-        raise ValueError("dataset is empty")
-    if B > n:
-        raise ValueError(f"batch size {B} exceeds dataset size {n}")
+    check_batch_size(B, n)
     rng = np.random.default_rng(seed)
     while True:
         perm = rng.permutation(n)
@@ -260,13 +267,9 @@ def batch_iter(dataset: PointSet, B: int, seed: int) -> Iterator[LabeledBatch]:
 
 def to_csv(bundle: DatasetBundle, path) -> None:
     """Serialize all splits as rows of (x0, x1, label, split); atomic write."""
-    import os
-
-    tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x0", "x1", "label", "split"])
         for split, ps in (("labeled", bundle.labeled), ("unlabeled", bundle.unlabeled), ("test", bundle.test)):
             for (x0, x1), y in zip(ps.points, ps.labels):
                 writer.writerow([f"{x0:.12g}", f"{x1:.12g}", int(y), split])
-    os.replace(tmp, path)

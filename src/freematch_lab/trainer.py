@@ -16,16 +16,31 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import adaptive_threshold as at
 from . import ndcore as nd
+from .atomic import atomic_open
 from .augment import AugmentSpec, strong, weak
 from .ssl_losses import FairnessVariant, consistency_loss, fairness_loss, supervised_loss, total_loss
 from .synthdata import DatasetBundle, LabeledBatch, PointSet, UnlabeledBatch, batch_iter
+
+
+# field name -> config key, where they differ
+_CONFIG_KEYS = {"lam": "lambda"}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -48,16 +63,20 @@ class TrainConfig:
     augment: AugmentSpec = field(default_factory=AugmentSpec)
 
     def __post_init__(self):
-        if self.K < 1:
-            raise ValueError("K must be >= 1")
-        if self.mu < 1:
-            raise ValueError("mu must be >= 1")
+        for f in fields(self):  # f.type is the annotation's source text
+            key, value = _CONFIG_KEYS.get(f.name, f.name), getattr(self, f.name)
+            if f.type == "int" and not _is_int(value):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+            if f.type == "float" and not _is_finite_number(value):
+                raise ValueError(f"{key} must be a finite number, got {value!r}")
+        if not isinstance(self.hidden_dims, tuple) or not all(_is_int(h) and h >= 1 for h in self.hidden_dims):
+            raise ValueError(f"hidden_dims must be a list of integers >= 1, got {self.hidden_dims!r}")
+        for name, low in (("K", 1), ("mu", 1), ("B", 1), ("eval_every", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
         if not 0 <= self.warmup_iters < self.K:
             raise ValueError("warmup_iters must lie in [0, K)")
-        if self.B < 1:
-            raise ValueError("B must be >= 1")
-        if self.eval_every < 1:
-            raise ValueError("eval_every must be >= 1")
+        at.check_statistics_params(self.lam, self.clamp)
 
 
 @dataclass
@@ -233,18 +252,8 @@ def run(config: TrainConfig, data: DatasetBundle, out_dir: str | None = None) ->
 
 # -- artifacts ---------------------------------------------------------------------
 
-TRACE_COLUMNS = [
-    "iter",
-    "l_s",
-    "l_u",
-    "l_f",
-    "total",
-    "tau_global",
-    "mean_class_threshold",
-    "sampling_rate",
-    "error_rate",
-    "pseudo_label_acc",
-]
+# the MetricsRecord fields in order, `iteration` written as `iter`
+TRACE_COLUMNS = ["iter", *(f.name for f in fields(MetricsRecord)[1:])]
 
 
 def _fmt(v: float | None) -> str:
@@ -252,77 +261,42 @@ def _fmt(v: float | None) -> str:
 
 
 def write_trace_csv(trace: list[MetricsRecord], path: str) -> None:
-    tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "w", newline="") as fh:
+    names = [f.name for f in fields(MetricsRecord)]
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
         for r in trace:
-            writer.writerow(
-                [
-                    r.iteration,
-                    _fmt(r.l_s),
-                    _fmt(r.l_u),
-                    _fmt(r.l_f),
-                    _fmt(r.total),
-                    _fmt(r.tau_global),
-                    _fmt(r.mean_class_threshold),
-                    _fmt(r.sampling_rate),
-                    _fmt(r.error_rate),
-                    _fmt(r.pseudo_label_acc),
-                ]
-            )
-    os.replace(tmp, path)
+            writer.writerow([_fmt(getattr(r, name)) for name in names])
 
 
 def config_to_dict(config: TrainConfig) -> dict:
-    return {
-        "scheme": at.scheme_to_dict(config.scheme),
-        "fairness": config.fairness.value,
-        "w_u": config.w_u,
-        "w_f": config.w_f,
-        "lambda": config.lam,
-        "mu": config.mu,
-        "B": config.B,
-        "K": config.K,
-        "warmup_iters": config.warmup_iters,
-        "clamp": list(config.clamp) if config.clamp else None,
-        "eval_every": config.eval_every,
-        "seed": config.seed,
-        "lr0": config.lr0,
-        "momentum": config.momentum,
-        "hidden_dims": list(config.hidden_dims),
-        "augment": {
-            "weak_sigma": config.augment.weak_sigma,
-            "strong_sigma": config.augment.strong_sigma,
-            "strong_scale_range": list(config.augment.strong_scale_range),
-            "seed": config.augment.seed,
-        },
-    }
+    """The config's JSON form: every field under its config key."""
+    d = {_CONFIG_KEYS.get(f.name, f.name): getattr(config, f.name) for f in fields(config)}
+    d.update(scheme=at.scheme_to_dict(config.scheme), fairness=config.fairness.value, augment=asdict(config.augment))
+    return d
+
+
+def _tuples(d: dict, section: str) -> dict:
+    """A JSON object's entries, with its lists as tuples."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{section} must be an object")
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}
 
 
 def config_from_dict(d: dict) -> TrainConfig:
-    d = dict(d)
-    aug = d.pop("augment", {})
-    if aug:
-        aug = dict(aug)
-        if "strong_scale_range" in aug:
-            aug["strong_scale_range"] = tuple(aug["strong_scale_range"])
-    kwargs = dict(
-        scheme=at.scheme_from_dict(d.pop("scheme")) if "scheme" in d else at.Sat(),
-        fairness=FairnessVariant(d.pop("fairness", "saf")),
-        lam=d.pop("lambda", 0.999),
-        augment=AugmentSpec(**aug),
-    )
-    if "clamp" in d:
-        clamp = d.pop("clamp")
-        kwargs["clamp"] = tuple(clamp) if clamp is not None else None
-    if "hidden_dims" in d:
-        kwargs["hidden_dims"] = tuple(d.pop("hidden_dims"))
-    allowed = {"w_u", "w_f", "mu", "B", "K", "warmup_iters", "eval_every", "seed", "lr0", "momentum"}
-    unknown = set(d) - allowed
+    """Inverse of config_to_dict; an omitted key takes the field's default."""
+    names = {_CONFIG_KEYS.get(f.name, f.name): f.name for f in fields(TrainConfig)}
+    kwargs = _tuples(d, "train config")
+    unknown = set(kwargs) - set(names)
     if unknown:
         raise ValueError(f"unknown train config keys: {sorted(unknown)}")
-    kwargs.update(d)
+    kwargs = {names[k]: v for k, v in kwargs.items()}
+    if "scheme" in kwargs:
+        kwargs["scheme"] = at.scheme_from_dict(kwargs["scheme"])
+    if "fairness" in kwargs:
+        kwargs["fairness"] = FairnessVariant(kwargs["fairness"])
+    if "augment" in kwargs:
+        kwargs["augment"] = AugmentSpec(**_tuples(kwargs["augment"], "augment"))
     return TrainConfig(**kwargs)
 
 
@@ -344,14 +318,11 @@ def save_checkpoint(result: RunResult, path_prefix: str) -> None:
         "final_error": result.final_error,
         "best_error": result.best_error,
     }
-    tmp_bin = f"{path_prefix}.bin.tmp-{os.getpid()}"
-    flat.astype("<f8").tofile(tmp_bin)
-    os.replace(tmp_bin, f"{path_prefix}.bin")
-    tmp_json = f"{path_prefix}.json.tmp-{os.getpid()}"
-    with open(tmp_json, "w") as fh:
+    with atomic_open(f"{path_prefix}.bin", "wb") as fh:
+        flat.astype("<f8").tofile(fh)
+    with atomic_open(f"{path_prefix}.json") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    os.replace(tmp_json, f"{path_prefix}.json")
 
 
 def load_checkpoint(path_prefix: str) -> tuple[nd.MlpModel, nd.MlpModel, at.ThresholdState, dict]:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from freematch_lab import cli
-from freematch_lab.trainer import TrainConfig, TrainingAborted, run
+from freematch_lab.trainer import TrainConfig, TrainingAborted, config_from_dict, config_to_dict, run
 
 
 CONFIGS_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -83,6 +83,66 @@ def test_train_requires_output_dir(tmp_path):
     assert cli.main(["train", "--config", str(cfg)]) == 2
 
 
+def _shipped_config(tmp_path, **train_overrides):
+    with open(os.path.join(CONFIGS_DIR, "two_moon_freematch.json")) as fh:
+        doc = json.load(fh)
+    doc["train"].update(train_overrides)
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"lambda": 1.5}, "lambda must lie in (0, 1)"),
+        ({"clamp": [0.95, 0.9]}, "clamp interval must satisfy 0 <= lo <= hi <= 1"),
+        ({"B": 5000}, "batch size 5000 exceeds labeled split size 2"),
+        ({"mu": 2.5}, "mu must be an integer, got 2.5"),
+        ({"mu": 600}, "batch size 1200 exceeds unlabeled split size 1000"),
+    ],
+    ids=["lambda", "clamp", "B", "mu", "mu_B"],
+)
+def test_bad_train_value_is_a_config_error(tmp_path, capsys, override, message):
+    """Caught when the config is parsed: no traceback, no output directory."""
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", str(_shipped_config(tmp_path, **override)), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section", ["top", "train", "augment", "scheme", "two_moons", "clusters"])
+def test_unknown_key_is_named(tmp_path, capsys, section):
+    doc = json.loads(_small_experiment(tmp_path).read_text())
+    if section == "two_moons":
+        doc["dataset"] = {"kind": "two_moons"}
+    target = {"top": doc, "train": doc["train"], "augment": doc["train"].setdefault("augment", {}),
+              "scheme": doc["train"]["scheme"], "two_moons": doc["dataset"], "clusters": doc["dataset"]}[section]
+    target["bogus_key"] = 1
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "bogus_key" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_python_field_name_is_not_a_config_key(tmp_path, capsys):
+    """`lambda` is the key for TrainConfig.lam; `lam` is not an alias."""
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", str(_shipped_config(tmp_path, lam=0.9)), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: unknown train config keys: ['lam']\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["two_moon_freematch.json", "two_moon_fixed.json"])
+def test_shipped_train_section_round_trips(name):
+    with open(os.path.join(CONFIGS_DIR, name)) as fh:
+        train = json.load(fh)["train"]
+    back = config_to_dict(config_from_dict(train))
+    assert json.loads(json.dumps(back)) == train
+
+
 def test_bundled_configs_parse():
     for name in ("two_moon_freematch.json", "two_moon_fixed.json"):
         with open(os.path.join(CONFIGS_DIR, name)) as fh:
@@ -130,6 +190,22 @@ def test_theory_mc_columns_and_agreement(tmp_path):
     assert "mc_agreement" in verdicts
     row = (out / "theorem_sweep.csv").read_text().strip().splitlines()[1].split(",")
     assert row[7] != "" and row[8] != ""
+
+
+def test_theory_sweeps_draw_their_own_streams(tmp_path):
+    """Two identical sweeps in one grid get different MC draws from one --seed."""
+    entry = {"varying": "tau", "values": [0.6, 0.7],
+             "base": {"mu1": -1.0, "mu2": 1.0, "sigma1": 1.0, "sigma2": 1.0, "beta": 1.0, "tau": 0.8}}
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"sweeps": [{"name": "a", **entry}, {"name": "b", **entry}]}))
+    out = tmp_path / "o"
+    assert cli.main(["theory", "--grid", str(grid), "--out", str(out), "--mc-samples", "5000", "--seed", "0"]) == 0
+    rows = [line.split(",") for line in (out / "theorem_sweep.csv").read_text().splitlines()[1:]]
+    a = [row[2:] for row in rows if row[0] == "a"]
+    b = [row[2:] for row in rows if row[0] == "b"]
+    assert [row[:5] for row in a] == [row[:5] for row in b]  # same analytic columns
+    for row_a, row_b in zip(a, b):
+        assert row_a[5:] != row_b[5:]
 
 
 def test_theory_reports_rerolled_points(tmp_path, monkeypatch, capsys):
@@ -268,11 +344,15 @@ def _crashing_job(job: dict) -> tuple[str, int, float, float]:
     return job["variant"], job["seed"], 0.5, 0.5
 
 
-def _runs_up_to_sat_1() -> set[str]:
-    """The runs a crash at (sat, 1) can leave without a result: that one, or
-    an earlier one the other worker was still running."""
+def _assert_names_lost_runs(message: str) -> None:
+    """The broken-pool error names the crashed run 'sat seed 1' among the
+    runs without a result, each a real run, in job order."""
+    match = re.search(r"a pool worker died; runs without a result: (.+?) \(", message)
+    assert match, message
+    lost = match.group(1).split(", ")
     names = [f"{j['variant']} seed {j['seed']}" for j in cli.ablation_jobs("thresholds", [0, 1])]
-    return set(names[: names.index("sat seed 1") + 1])
+    assert "sat seed 1" in lost
+    assert lost == [name for name in names if name in lost]
 
 
 def test_ablation_pool_workers_run_one_blas_thread(monkeypatch):
@@ -316,8 +396,7 @@ def test_ablation_crashed_worker_names_its_run(monkeypatch):
     monkeypatch.setenv("FREEMATCH_LAB_THREADS", "2")
     with pytest.raises(BrokenProcessPool) as exc_info:
         cli.run_ablation("thresholds", [0, 1])
-    match = re.match(r"ablation run (\S+ seed \d+): no result, a pool worker died", str(exc_info.value))
-    assert match and match.group(1) in _runs_up_to_sat_1()
+    _assert_names_lost_runs(str(exc_info.value))
 
 
 def test_ablate_command_reports_crashed_worker(tmp_path, monkeypatch, capsys):
@@ -326,8 +405,8 @@ def test_ablate_command_reports_crashed_worker(tmp_path, monkeypatch, capsys):
     out = tmp_path / "ab"
     assert cli.main(["ablate", "--suite", "thresholds", "--seeds", "2", "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    match = re.search(r"run failed: ablation run (\S+ seed \d+): no result, a pool worker died", err)
-    assert match and match.group(1) in _runs_up_to_sat_1()
+    assert err.startswith("run failed: a pool worker died; ")
+    _assert_names_lost_runs(err)
     assert not out.exists()
 
 

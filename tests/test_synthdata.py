@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from freematch_lab.atomic import atomic_open
 from freematch_lab.synthdata import (
     MixtureSpec,
     PointSet,
@@ -171,3 +174,18 @@ def test_to_csv_roundtrip_columns(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "x0,x1,label,split"
     assert len(lines) == 1 + 2 + 10 + 1000
+
+
+def test_atomic_open_leaves_the_old_file_when_the_write_fails(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("old\n")
+    with pytest.raises(RuntimeError):
+        with atomic_open(str(path)) as fh:
+            fh.write("partial")
+            raise RuntimeError("write failed")
+    assert path.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["out.txt"]  # the temp file is gone
+    with atomic_open(str(path)) as fh:
+        fh.write("new\n")
+    assert path.read_text() == "new\n"
+    assert os.listdir(tmp_path) == ["out.txt"]

@@ -334,3 +334,8 @@ def test_config_validation():
         TrainConfig(mu=0)
     with pytest.raises(ValueError):
         TrainConfig(K=10, warmup_iters=10)
+    # the checks ThresholdState and the schema make, at construction
+    for bad in (dict(K=10.0), dict(mu=True), dict(seed=-1), dict(lam=1.5), dict(clamp=(0.9, 0.5)),
+                dict(w_u=float("nan")), dict(lr0="0.1"), dict(hidden_dims=(64, 0)), dict(hidden_dims=[64])):
+        with pytest.raises(ValueError):
+            TrainConfig(**bad)
