@@ -19,6 +19,8 @@ from typing import Union
 
 import numpy as np
 
+from .synthdata import is_finite_number
+
 
 # -- scheme identifiers ------------------------------------------------------
 
@@ -96,6 +98,8 @@ def check_statistics_params(lam: float, clamp: tuple[float, float] | None) -> No
     if not 0.0 < lam < 1.0:
         raise ValueError("lambda must lie in (0, 1)")
     if clamp is not None:
+        if not (isinstance(clamp, (tuple, list)) and len(clamp) == 2 and all(map(is_finite_number, clamp))):
+            raise ValueError(f"clamp must be null or a pair of finite numbers, got {clamp!r}")
         lo, hi = clamp
         if not 0.0 <= lo <= hi <= 1.0:
             raise ValueError("clamp interval must satisfy 0 <= lo <= hi <= 1")

@@ -7,7 +7,7 @@ or gen_gaussian_clusters. Exit codes: 0 success, 1 runtime failure, 2 usage
 or config error; a config error leaves no output directory. Every output
 file is written atomically (temp file + rename), so artifacts are either
 complete or absent. FREEMATCH_LAB_THREADS (an integer >= 1; default the CPU
-count) caps ablation workers; each runs its BLAS on one thread.
+count) caps ablation workers; every training run uses one BLAS thread.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -336,27 +335,6 @@ def ablation_jobs(suite: str, seeds: list[int]) -> list[dict]:
     return jobs
 
 
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-@contextmanager
-def _one_blas_thread():
-    """Set the BLAS thread variables to 1 inside the block, then restore the
-    caller's values. A worker spawned inside loads its BLAS under them, so
-    the pool runs one BLAS thread per worker instead of oversubscribing the
-    cores; this process's BLAS is already loaded and keeps its threads."""
-    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
-    try:
-        yield
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-
-
 def _run_name(job: dict) -> str:
     return f"{job['variant']} seed {job['seed']}"
 
@@ -391,7 +369,7 @@ def run_ablation(suite: str, seeds: list[int]) -> dict[str, dict]:
         rows = _collect(jobs, map(_ablation_job, jobs))
     else:
         spawn = multiprocessing.get_context("spawn")
-        with _one_blas_thread(), ProcessPoolExecutor(max_workers=n_workers, mp_context=spawn) as pool:
+        with ProcessPoolExecutor(max_workers=n_workers, mp_context=spawn) as pool:
             futures = [pool.submit(_ablation_job, job) for job in jobs]
             try:
                 rows = _collect(jobs, (f.result() for f in futures))

@@ -12,6 +12,8 @@ belongs to the learner.
 from __future__ import annotations
 
 import csv
+import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
@@ -23,6 +25,27 @@ from .atomic import atomic_open
 _MOON_OFFSET = np.array([1.0, 0.25])
 
 
+def is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_finite_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def check_fields(annotations: dict, values: dict, lows: dict, keys: dict = {}) -> None:
+    """Values annotated `int` (as source text) must be integers, `float` finite
+    numbers, and each in `lows` at least its bound; errors name `keys.get(name, name)`."""
+    for name, value in values.items():
+        kind = annotations.get(name)
+        if kind == "int" and not is_int(value) or kind == "float" and not is_finite_number(value):
+            noun = "an integer" if kind == "int" else "a finite number"
+            raise ValueError(f"{keys.get(name, name)} must be {noun}, got {value!r}")
+    for name, low in lows.items():
+        if values[name] < low:
+            raise ValueError(f"{keys.get(name, name)} must be >= {low}")
+
+
 @dataclass(frozen=True)
 class TwoMoonSpec:
     n_unlabeled: int = 1000
@@ -31,8 +54,7 @@ class TwoMoonSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.labels_per_class < 1:
-            raise ValueError("labels_per_class must be >= 1")
+        check_fields(type(self).__annotations__, vars(self), {"labels_per_class": 1, "seed": 0})
         if self.n_unlabeled < 2 * self.labels_per_class:
             raise ValueError("n_unlabeled must be >= 2 * labels_per_class")
         if self.noise_sigma < 0:
@@ -161,9 +183,11 @@ def gen_gaussian_clusters(
     n_test_per_class: int = 500,
 ) -> DatasetBundle:
     """Balanced isotropic clusters around the given means."""
+    lows = {"n_per_class": 1, "labels_per_class": 1, "n_test_per_class": 1, "seed": 0}
+    check_fields(gen_gaussian_clusters.__annotations__, locals(), lows)  # locals(): the parameters (and lows)
     means_arr = np.asarray(means, dtype=np.float64)
-    if C < 2 or len(means_arr) != C:
-        raise ValueError("need C >= 2 means")
+    if C < 2 or means_arr.ndim != 2 or len(means_arr) != C:
+        raise ValueError("need C >= 2 means, one point each")
     if len(np.unique(means_arr, axis=0)) != C:
         raise ValueError("class means must be distinct")
     if sigma < 0:

@@ -8,17 +8,21 @@ rate; parameter-EMA update; metrics. During warm-up the unsupervised and
 fairness terms are zeroed while the threshold statistics keep updating, so
 SSL starts from an informed state.
 
-The loop is single-threaded and fully seed-deterministic; independent runs
-may execute in parallel processes with no shared state.
+The loop is single-threaded and fully seed-deterministic: `run` puts NumPy's
+OpenBLAS on one thread and restores the count when it returns or raises. The
+count is process-wide, so independent runs go in separate processes.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
 import json
-import math
-import numbers
 import os
+import pathlib
+import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -28,19 +32,11 @@ from . import ndcore as nd
 from .atomic import atomic_open
 from .augment import AugmentSpec, strong, weak
 from .ssl_losses import FairnessVariant, consistency_loss, fairness_loss, supervised_loss, total_loss
-from .synthdata import DatasetBundle, LabeledBatch, PointSet, UnlabeledBatch, batch_iter
+from .synthdata import DatasetBundle, LabeledBatch, PointSet, UnlabeledBatch, batch_iter, check_fields, is_int
 
 
 # field name -> config key, where they differ
 _CONFIG_KEYS = {"lam": "lambda"}
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_finite_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -63,17 +59,9 @@ class TrainConfig:
     augment: AugmentSpec = field(default_factory=AugmentSpec)
 
     def __post_init__(self):
-        for f in fields(self):  # f.type is the annotation's source text
-            key, value = _CONFIG_KEYS.get(f.name, f.name), getattr(self, f.name)
-            if f.type == "int" and not _is_int(value):
-                raise ValueError(f"{key} must be an integer, got {value!r}")
-            if f.type == "float" and not _is_finite_number(value):
-                raise ValueError(f"{key} must be a finite number, got {value!r}")
-        if not isinstance(self.hidden_dims, tuple) or not all(_is_int(h) and h >= 1 for h in self.hidden_dims):
+        check_fields(type(self).__annotations__, vars(self), dict(K=1, mu=1, B=1, eval_every=1, seed=0), _CONFIG_KEYS)
+        if not isinstance(self.hidden_dims, tuple) or not all(is_int(h) and h >= 1 for h in self.hidden_dims):
             raise ValueError(f"hidden_dims must be a list of integers >= 1, got {self.hidden_dims!r}")
-        for name, low in (("K", 1), ("mu", 1), ("B", 1), ("eval_every", 1), ("seed", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}")
         if not 0 <= self.warmup_iters < self.K:
             raise ValueError("warmup_iters must lie in [0, K)")
         at.check_statistics_params(self.lam, self.clamp)
@@ -226,8 +214,39 @@ def _build(config: TrainConfig, data: DatasetBundle):
     return model, opt, ema, state, lab_iter, unlab_iter, aug_rng
 
 
+@functools.cache
+def _openblas_threads():
+    """(set, get) for the thread count of the OpenBLAS that NumPy loaded, found
+    through the process's memory map (Linux), or None. Looked up once per process."""
+    maps = pathlib.Path("/proc/self/maps")  # absent off Linux
+    words = maps.read_text().split() if maps.exists() else []
+    for path in dict.fromkeys(w for w in words if "openblas" in w and os.path.exists(w)):
+        lib = ctypes.CDLL(path)
+        # NumPy >= 2 wheels, NumPy 1.x wheels, a plain OpenBLAS
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            setter, getter = (getattr(lib, name.format(verb), None) for verb in ("set", "get"))
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype, getter.argtypes, getter.restype = [ctypes.c_int], None, [], ctypes.c_int
+                return setter, getter
+    print("freematch-lab: no OpenBLAS thread setter found; training keeps the BLAS threads it has", file=sys.stderr)
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread, then restore the caller's count."""
+    setter, getter = _openblas_threads() or (lambda n: None, lambda: None)
+    saved = getter()
+    setter(1)
+    try:
+        yield
+    finally:
+        setter(saved)
+
+
+@_one_blas_thread()
 def run(config: TrainConfig, data: DatasetBundle, out_dir: str | None = None) -> RunResult:
-    """Train for K iterations; optionally write trace.csv and a checkpoint."""
+    """Train for K iterations on one BLAS thread; optionally write trace.csv and a checkpoint."""
     model, opt, ema, state, lab_iter, unlab_iter, aug_rng = _build(config, data)
     trace: list[MetricsRecord] = []
     best_error = float("inf")

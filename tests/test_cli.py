@@ -6,7 +6,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
-from freematch_lab import cli
+from freematch_lab import cli, trainer
 from freematch_lab.trainer import TrainConfig, TrainingAborted, config_from_dict, config_to_dict, run
 
 
@@ -93,20 +93,28 @@ def _shipped_config(tmp_path, **train_overrides):
 
 
 @pytest.mark.parametrize(
-    "override, message",
+    "section, override, message",
     [
-        ({"lambda": 1.5}, "lambda must lie in (0, 1)"),
-        ({"clamp": [0.95, 0.9]}, "clamp interval must satisfy 0 <= lo <= hi <= 1"),
-        ({"B": 5000}, "batch size 5000 exceeds labeled split size 2"),
-        ({"mu": 2.5}, "mu must be an integer, got 2.5"),
-        ({"mu": 600}, "batch size 1200 exceeds unlabeled split size 1000"),
+        ("train", {"lambda": 1.5}, "lambda must lie in (0, 1)"),
+        ("train", {"clamp": [0.95, 0.9]}, "clamp interval must satisfy 0 <= lo <= hi <= 1"),
+        ("train", {"B": 5000}, "batch size 5000 exceeds labeled split size 2"),
+        ("train", {"mu": 2.5}, "mu must be an integer, got 2.5"),
+        ("train", {"mu": 600}, "batch size 1200 exceeds unlabeled split size 1000"),
+        ("train", {"clamp": 0.5}, "clamp must be null or a pair of finite numbers, got 0.5"),
+        ("dataset", {"n_unlabeled": "1000"}, "n_unlabeled must be an integer, got '1000'"),
+        ("dataset", {"n_unlabeled": 1.5}, "n_unlabeled must be an integer, got 1.5"),
+        ("dataset", {"seed": -1}, "seed must be >= 0"),
     ],
-    ids=["lambda", "clamp", "B", "mu", "mu_B"],
+    ids=["lambda", "clamp", "B", "mu", "mu_B", "clamp_scalar", "n_unlabeled_str", "n_unlabeled_float", "dataset_seed"],
 )
-def test_bad_train_value_is_a_config_error(tmp_path, capsys, override, message):
+def test_bad_train_value_is_a_config_error(tmp_path, capsys, section, override, message):
     """Caught when the config is parsed: no traceback, no output directory."""
+    cfg = _shipped_config(tmp_path)
+    doc = json.loads(cfg.read_text())
+    doc[section].update(override)
+    cfg.write_text(json.dumps(doc))
     out = tmp_path / "out"
-    assert cli.main(["train", "--config", str(_shipped_config(tmp_path, **override)), "--out", str(out)]) == 2
+    assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
 
@@ -319,10 +327,24 @@ def test_ablate_deterministic_csv(tmp_path, fast_protocol):
 # from this module, so they take every setting from the job itself.
 
 
-def _blas_env_job(job: dict) -> tuple[str, int, float, float]:
-    """Reports, as its final error, whether the worker saw one BLAS thread."""
-    one = all(os.environ.get(v) == "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"))
-    return job["variant"], job["seed"], float(one), 0.0
+def _blas_threads_job(job: dict) -> tuple[str, int, float, float]:
+    """Trains a tiny run and reports, as its final error, the largest OpenBLAS
+    thread count its steps saw, and as its best error the smallest."""
+    getter = trainer._openblas_threads()[1]
+    seen = []
+    step = trainer.train_step
+
+    def recording_step(*args):
+        seen.append(getter())
+        return step(*args)
+
+    trainer.train_step = recording_step
+    try:
+        run(TrainConfig(K=3, mu=2, B=2, eval_every=3, hidden_dims=(4,), seed=job["seed"]),
+            cli.canonical_two_moon_data(job["seed"]))
+    finally:
+        trainer.train_step = step
+    return job["variant"], job["seed"], float(max(seen)), float(min(seen))
 
 
 def _diverging_job(job: dict) -> tuple[str, int, float, float]:
@@ -356,20 +378,33 @@ def _assert_names_lost_runs(message: str) -> None:
 
 
 def test_ablation_pool_workers_run_one_blas_thread(monkeypatch):
-    monkeypatch.setattr(cli, "_ablation_job", _blas_env_job)
+    if trainer._openblas_threads() is None:
+        pytest.skip("no OpenBLAS with a known thread-count setter is loaded in this process")
+    setter, getter = trainer._openblas_threads()
+    monkeypatch.setattr(cli, "_ablation_job", _blas_threads_job)
+    # the workers inherit this, and their runs still train on one thread
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     monkeypatch.setenv("FREEMATCH_LAB_THREADS", "2")
-    summary = cli.run_ablation("fairness", [0, 1])
-    assert {v: e["mean_error"] for v, e in summary.items()} == {"none": 1.0, "uniform_prior": 1.0, "saf": 1.0}
-    # the caller's environment is back as it was
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
-    assert "OMP_NUM_THREADS" not in os.environ and "MKL_NUM_THREADS" not in os.environ
-    # the serial path runs in this process and leaves the variables alone
-    monkeypatch.setenv("FREEMATCH_LAB_THREADS", "1")
-    summary = cli.run_ablation("fairness", [0])
-    assert all(e["mean_error"] == 0.0 for e in summary.values())
+    original = getter()
+    try:
+        setter(2)
+        summary = cli.run_ablation("fairness", [0, 1])
+        assert {v: (e["mean_error"], e["mean_best_error"]) for v, e in summary.items()} == dict.fromkeys(
+            ["none", "uniform_prior", "saf"], (1.0, 1.0)
+        )
+        # the caller's environment and thread count are as they were
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+        assert "OMP_NUM_THREADS" not in os.environ and "MKL_NUM_THREADS" not in os.environ
+        assert getter() == 2
+        # the serial path trains in this process, on one thread too
+        monkeypatch.setenv("FREEMATCH_LAB_THREADS", "1")
+        summary = cli.run_ablation("fairness", [0])
+        assert all(e["mean_error"] == e["mean_best_error"] == 1.0 for e in summary.values())
+        assert getter() == 2
+    finally:
+        setter(original)
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -74,6 +74,10 @@ def test_two_moons_spec_validation():
         TwoMoonSpec(n_unlabeled=1, labels_per_class=1)
     with pytest.raises(ValueError):
         TwoMoonSpec(noise_sigma=-0.1)
+    for bad in (dict(n_unlabeled="1000"), dict(n_unlabeled=1.5), dict(labels_per_class=True), dict(seed=-1),
+                dict(noise_sigma=float("nan")), dict(noise_sigma="0.1")):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            TwoMoonSpec(**bad)
 
 
 def test_clusters_sigma_zero_collapses_to_means():
@@ -95,6 +99,14 @@ def test_clusters_separated_closest_mean_oracle():
 def test_clusters_duplicate_means_rejected():
     with pytest.raises(ValueError):
         gen_gaussian_clusters(2, 10, [[0.0, 0.0], [0.0, 0.0]], sigma=1.0, seed=0)
+
+
+def test_clusters_bad_arguments_rejected():
+    good = dict(C=2, n_per_class=10, means=[[0.0, 0.0], [1.0, 1.0]], sigma=1.0, seed=0)
+    for bad in (dict(C=2.0), dict(n_per_class="10"), dict(sigma=float("inf")), dict(seed=-1), dict(seed=1.5),
+                dict(labels_per_class=0), dict(n_test_per_class=0), dict(means=[1.0, 2.0])):
+        with pytest.raises(ValueError, match="means" if "means" in bad else next(iter(bad))):
+            gen_gaussian_clusters(**{**good, **bad})
 
 
 def test_clusters_determinism():

@@ -1,11 +1,15 @@
 import copy
+import ctypes
+import functools
 import json
 import pickle
+import types
 
 import numpy as np
 import pytest
 
 from freematch_lab import ndcore as nd
+from freematch_lab import trainer
 from freematch_lab.adaptive_threshold import Fixed, Sat
 from freematch_lab.augment import weak
 from freematch_lab.ssl_losses import FairnessVariant, supervised_loss
@@ -238,6 +242,54 @@ def test_run_trace_deterministic(tmp_path):
     run(cfg, data, out_dir=str(tmp_path / "a"))
     run(cfg, data, out_dir=str(tmp_path / "b"))
     assert (tmp_path / "a" / "trace.csv").read_bytes() == (tmp_path / "b" / "trace.csv").read_bytes()
+
+
+def _openblas_or_skip():
+    threads = trainer._openblas_threads()
+    if threads is None:
+        pytest.skip("no OpenBLAS with a known thread-count setter is loaded in this process")
+    return threads
+
+
+def test_run_trains_on_one_blas_thread_and_restores_the_count(monkeypatch):
+    setter, getter = _openblas_or_skip()
+    seen = []
+    step = trainer.train_step
+
+    def recording_step(*args):
+        seen.append(getter())
+        return step(*args)
+
+    monkeypatch.setattr(trainer, "train_step", recording_step)
+    original = getter()
+    try:
+        setter(2)
+        run(_small_config(K=3), _cluster_data())
+        assert seen == [1, 1, 1]
+        assert getter() == 2
+        # a run that raises restores the count as well
+        seen.clear()
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingAborted):
+            run(_small_config(K=5, lr0=1e200), _cluster_data())
+        assert seen and set(seen) == {1}
+        assert getter() == 2
+    finally:
+        setter(original)
+
+
+def test_run_without_a_blas_setter_writes_the_same_artifacts(tmp_path, monkeypatch, capsys):
+    data, cfg = _cluster_data(), _small_config(K=6)
+    run(cfg, data, out_dir=str(tmp_path / "normal"))
+    capsys.readouterr()
+    # a fresh probe that finds no library with a known setter
+    monkeypatch.setattr(trainer, "ctypes", types.SimpleNamespace(CDLL=lambda path: object(), c_int=ctypes.c_int))
+    monkeypatch.setattr(trainer, "_openblas_threads", functools.cache(trainer._openblas_threads.__wrapped__))
+    run(cfg, data, out_dir=str(tmp_path / "unset"))
+    run(cfg, data)
+    err = capsys.readouterr().err
+    assert err == "freematch-lab: no OpenBLAS thread setter found; training keeps the BLAS threads it has\n"
+    for name in ("trace.csv", "checkpoint.bin"):
+        assert (tmp_path / "unset" / name).read_bytes() == (tmp_path / "normal" / name).read_bytes()
 
 
 def test_run_two_moon_protocol_smoke():
