@@ -19,7 +19,7 @@ from typing import Union
 
 import numpy as np
 
-from .synthdata import is_finite_number
+from .synthdata import is_finite_pair
 
 
 # -- scheme identifiers ------------------------------------------------------
@@ -98,7 +98,7 @@ def check_statistics_params(lam: float, clamp: tuple[float, float] | None) -> No
     if not 0.0 < lam < 1.0:
         raise ValueError("lambda must lie in (0, 1)")
     if clamp is not None:
-        if not (isinstance(clamp, (tuple, list)) and len(clamp) == 2 and all(map(is_finite_number, clamp))):
+        if not is_finite_pair(clamp):
             raise ValueError(f"clamp must be null or a pair of finite numbers, got {clamp!r}")
         lo, hi = clamp
         if not 0.0 <= lo <= hi <= 1.0:

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .synthdata import check_fields
+
 
 @dataclass(frozen=True)
 class AugmentSpec:
@@ -21,14 +23,12 @@ class AugmentSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(type(self).__annotations__, vars(self), {})
         if not 0 <= self.weak_sigma <= self.strong_sigma:
             raise ValueError("need 0 <= weak_sigma <= strong_sigma")
         lo, hi = self.strong_scale_range
         if not lo <= 1.0 <= hi:
             raise ValueError("strong_scale_range must contain 1")
-
-    def rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
 
 
 def weak(x: np.ndarray, spec: AugmentSpec, rng: np.random.Generator) -> np.ndarray:

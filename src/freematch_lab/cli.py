@@ -6,8 +6,11 @@ fields of TrainConfig (`lambda` for `lam`) and the parameters of TwoMoonSpec
 or gen_gaussian_clusters. Exit codes: 0 success, 1 runtime failure, 2 usage
 or config error; a config error leaves no output directory. Every output
 file is written atomically (temp file + rename), so artifacts are either
-complete or absent. FREEMATCH_LAB_THREADS (an integer >= 1; default the CPU
-count) caps ablation workers; every training run uses one BLAS thread.
+complete or absent. `augment.seed` is accepted and ignored: augmentation
+noise comes from the run's `seed`. Every ablation run trains on the config
+the parent built, in a worker of one spawn pool, whose size
+FREEMATCH_LAB_THREADS (an integer >= 1; default the CPU count) caps. Every
+training run uses one BLAS thread.
 """
 
 from __future__ import annotations
@@ -24,14 +27,14 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 
 from . import ndcore as nd
-from .adaptive_threshold import Cpl, Fixed, GlobalOnly, LocalOnly, Sat, scheme_from_dict, scheme_to_dict
+from .adaptive_threshold import Cpl, Fixed, GlobalOnly, LocalOnly, Sat
 from .atomic import atomic_open
 from .augment import AugmentSpec
 from .ssl_losses import FairnessVariant
 from .svgplot import boundary_chart, line_chart
 from .synthdata import (DatasetBundle, MixtureSpec, TwoMoonSpec, check_batch_size, gen_gaussian_clusters,
                         gen_two_moons, to_csv)
-from .theory import PseudoLabelDist, mc_agreement_z, sweep
+from .theory import sweep
 from .trainer import RunResult, TrainConfig, TrainingAborted, config_from_dict, run
 
 
@@ -241,18 +244,10 @@ def cmd_theory(grid_path: str | None, out_dir: str, mc_samples: int, seed: int) 
         )
         for name, res in results:
             for row in res.rows:
-                mc_cols = [""] * 6
-                if row.mc is not None:
-                    m = row.mc
-                    mc_cols = [
-                        f"{m.dist.p_pos:.12g}", f"{m.se_pos:.12g}",
-                        f"{m.dist.p_neg:.12g}", f"{m.se_neg:.12g}",
-                        f"{m.dist.p_mask:.12g}", f"{m.se_mask:.12g}",
-                    ]
-                writer.writerow(
-                    [name, res.varying, f"{row.param:.12g}", f"{row.p_pos:.12g}", f"{row.p_neg:.12g}",
-                     f"{row.p_mask:.12g}", f"{row.imbalance:.12g}", *mc_cols]
-                )
+                d, m = row.dist, row.mc
+                mc = [] if m is None else [m.dist.p_pos, m.se_pos, m.dist.p_neg, m.se_neg, m.dist.p_mask, m.se_mask]
+                values = [row.param, d.p_pos, d.p_neg, d.p_mask, d.imbalance, *mc]
+                writer.writerow([name, res.varying, *(f"{v:.12g}" for v in values), *[""] * (6 - len(mc))])
 
     lines = []
     all_pass = True
@@ -272,8 +267,7 @@ def cmd_theory(grid_path: str | None, out_dir: str, mc_samples: int, seed: int) 
         rerolled = []
         for name, res in results:
             for row in res.rows:
-                d = PseudoLabelDist(row.p_pos, row.p_neg, row.p_mask)
-                worst = max(worst, mc_agreement_z(d, row.mc))
+                worst = max(worst, row.z)
                 n_checked += 3
                 if row.rerolled:
                     rerolled.append(f"{name} {res.varying}={row.param:.12g}")
@@ -293,62 +287,42 @@ def cmd_theory(grid_path: str | None, out_dir: str, mc_samples: int, seed: int) 
 
 # -- ablate command -----------------------------------------------------------------
 
-THRESHOLD_SUITE = [
-    ("fixed(0.95)", Fixed(0.95)),
-    ("global_only", GlobalOnly()),
-    ("local_only(0.95)", LocalOnly(0.95)),
-    ("sat", Sat()),
-    ("cpl(0.95)", Cpl(0.95)),
-]
-
-FAIRNESS_SUITE = [
-    ("none", FairnessVariant.NONE, 0.0),
-    ("uniform_prior", FairnessVariant.UNIFORM_PRIOR, 0.01),
-    ("saf", FairnessVariant.SAF, 0.01),
-]
-
-
-def _ablation_job(job: dict) -> tuple[str, int, float, float]:
-    scheme = scheme_from_dict(job["scheme"])
-    config = canonical_two_moon_config(scheme, FairnessVariant(job["fairness"]), job["w_f"], job["seed"])
-    data = canonical_two_moon_data(job["seed"])
-    result = run(config, data)
-    return job["variant"], job["seed"], result.final_error, result.best_error
+# per run: variant label, scheme, fairness variant, w_f
+ABLATION_SUITES = {
+    "thresholds": [
+        ("fixed(0.95)", Fixed(0.95), FairnessVariant.NONE, 0.0),
+        ("global_only", GlobalOnly(), FairnessVariant.NONE, 0.0),
+        ("local_only(0.95)", LocalOnly(0.95), FairnessVariant.NONE, 0.0),
+        ("sat", Sat(), FairnessVariant.NONE, 0.0),
+        ("cpl(0.95)", Cpl(0.95), FairnessVariant.NONE, 0.0),
+    ],
+    "fairness": [
+        ("none", Sat(), FairnessVariant.NONE, 0.0),
+        ("uniform_prior", Sat(), FairnessVariant.UNIFORM_PRIOR, 0.01),
+        ("saf", Sat(), FairnessVariant.SAF, 0.01),
+    ],
+}
 
 
-def ablation_jobs(suite: str, seeds: list[int]) -> list[dict]:
-    jobs = []
-    if suite == "thresholds":
-        for label, scheme in THRESHOLD_SUITE:
-            for seed in seeds:
-                jobs.append(
-                    {"variant": label, "scheme": scheme_to_dict(scheme), "fairness": "none", "w_f": 0.0, "seed": seed}
-                )
-    elif suite == "fairness":
-        for label, variant, w_f in FAIRNESS_SUITE:
-            for seed in seeds:
-                jobs.append(
-                    {"variant": label, "scheme": scheme_to_dict(Sat()), "fairness": variant.value, "w_f": w_f, "seed": seed}
-                )
-    else:
+def _ablation_job(job: tuple[str, TrainConfig]) -> tuple[str, int, float, float]:
+    variant, config = job
+    result = run(config, canonical_two_moon_data(config.seed))
+    return variant, config.seed, result.final_error, result.best_error
+
+
+def ablation_jobs(suite: str, seeds: list[int]) -> list[tuple[str, TrainConfig]]:
+    """(variant, config) per run, variant-major."""
+    if suite not in ABLATION_SUITES:
         raise ValueError(f"unknown suite {suite!r} (expected 'thresholds' or 'fairness')")
-    return jobs
+    return [
+        (label, canonical_two_moon_config(scheme, fairness, w_f, seed))
+        for label, scheme, fairness, w_f in ABLATION_SUITES[suite]
+        for seed in seeds
+    ]
 
 
-def _run_name(job: dict) -> str:
-    return f"{job['variant']} seed {job['seed']}"
-
-
-def _collect(jobs: list[dict], results) -> list[tuple[str, int, float, float]]:
-    """Job rows in job order. An aborted run is raised again with its variant
-    and seed in the message; reading stops there."""
-    rows = []
-    for job in jobs:
-        try:
-            rows.append(next(results))
-        except TrainingAborted as exc:
-            raise TrainingAborted(exc.record, f"ablation run {_run_name(job)}: {exc}") from exc
-    return rows
+def _run_name(job: tuple[str, TrainConfig]) -> str:
+    return f"{job[0]} seed {job[1].seed}"
 
 
 def _worker_count() -> int:
@@ -362,24 +336,27 @@ def _worker_count() -> int:
 
 
 def run_ablation(suite: str, seeds: list[int]) -> dict[str, dict]:
-    """Run the suite across seeds; returns per-variant summary statistics."""
+    """Per-variant summary statistics of the suite across seeds. Every run
+    trains in a spawned worker, so a calling script needs a `__main__` guard."""
     jobs = ablation_jobs(suite, seeds)
     n_workers = max(1, min(_worker_count(), len(jobs)))
-    if n_workers == 1:
-        rows = _collect(jobs, map(_ablation_job, jobs))
-    else:
-        spawn = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=n_workers, mp_context=spawn) as pool:
-            futures = [pool.submit(_ablation_job, job) for job in jobs]
-            try:
-                rows = _collect(jobs, (f.result() for f in futures))
-            except BrokenProcessPool as exc:
-                # a dead worker fails every job not yet done, its own among them
-                lost = ", ".join(_run_name(job) for job, f in zip(jobs, futures) if f.exception() is not None)
-                raise BrokenProcessPool(f"a pool worker died; runs without a result: {lost} ({exc})") from exc
-            finally:
-                for f in futures:
-                    f.cancel()  # after an abort, the jobs not yet started do not run
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=n_workers, mp_context=spawn) as pool:
+        futures = [pool.submit(_ablation_job, job) for job in jobs]
+        rows = []
+        try:
+            for job, future in zip(jobs, futures):
+                try:
+                    rows.append(future.result())
+                except TrainingAborted as exc:  # stop at the first aborted run and name it
+                    raise TrainingAborted(exc.record, f"ablation run {_run_name(job)}: {exc}") from exc
+        except BrokenProcessPool as exc:
+            # a dead worker fails every job not yet done, its own among them
+            lost = ", ".join(_run_name(job) for job, f in zip(jobs, futures) if f.exception() is not None)
+            raise BrokenProcessPool(f"a pool worker died; runs without a result: {lost} ({exc})") from exc
+        finally:
+            for f in futures:
+                f.cancel()  # after an abort, the jobs not yet started do not run
     rows.sort(key=lambda r: (r[0], r[1]))  # order-independent aggregation
     summary: dict[str, dict] = {}
     for variant, seed, final_error, best_error in rows:
@@ -415,7 +392,7 @@ def cmd_ablate(suite: str, n_seeds: int, out_dir: str) -> int:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
     os.makedirs(out_dir, exist_ok=True)
-    order = [label for label, *_ in (THRESHOLD_SUITE if suite == "thresholds" else FAIRNESS_SUITE)]
+    order = [label for label, *_ in ABLATION_SUITES[suite]]
     csv_path = os.path.join(out_dir, "ablation.csv")
     with atomic_open(csv_path, newline="") as fh:
         writer = csv.writer(fh)

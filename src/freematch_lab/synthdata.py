@@ -33,14 +33,26 @@ def is_finite_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
+def is_finite_pair(value) -> bool:
+    return isinstance(value, (tuple, list)) and len(value) == 2 and all(map(is_finite_number, value))
+
+
+# annotation (as source text) -> (what a value must be, its test)
+_FIELD_KINDS = {
+    "int": ("an integer", is_int),
+    "float": ("a finite number", is_finite_number),
+    "tuple[float, float]": ("a pair of finite numbers", is_finite_pair),
+}
+
+
 def check_fields(annotations: dict, values: dict, lows: dict, keys: dict = {}) -> None:
-    """Values annotated `int` (as source text) must be integers, `float` finite
-    numbers, and each in `lows` at least its bound; errors name `keys.get(name, name)`."""
+    """Values annotated `int` must be integers, `float` finite numbers,
+    `tuple[float, float]` pairs of them, and each in `lows` at least its
+    bound; errors name `keys.get(name, name)`."""
     for name, value in values.items():
-        kind = annotations.get(name)
-        if kind == "int" and not is_int(value) or kind == "float" and not is_finite_number(value):
-            noun = "an integer" if kind == "int" else "a finite number"
-            raise ValueError(f"{keys.get(name, name)} must be {noun}, got {value!r}")
+        kind = _FIELD_KINDS.get(annotations.get(name))
+        if kind and not kind[1](value):
+            raise ValueError(f"{keys.get(name, name)} must be {kind[0]}, got {value!r}")
     for name, low in lows.items():
         if values[name] < low:
             raise ValueError(f"{keys.get(name, name)} must be >= {low}")
@@ -75,6 +87,7 @@ class MixtureSpec:
     tau: float = 0.95
 
     def __post_init__(self):
+        check_fields(type(self).__annotations__, vars(self), {})
         if self.mu1 == self.mu2:
             raise ValueError("class means must differ")
         if self.mu1 > self.mu2:
@@ -97,28 +110,6 @@ class MixtureSpec:
     @property
     def delta(self) -> float:
         return self.mu2 - self.mu1
-
-
-@dataclass(frozen=True)
-class LabeledBatch:
-    points: np.ndarray  # [B, d]
-    labels: np.ndarray  # [B] int class ids
-
-    def __post_init__(self):
-        if self.points.ndim != 2 or len(self.points) == 0:
-            raise ValueError("batch must be a non-empty [B, d] array")
-        if len(self.labels) != len(self.points) or (self.labels < 0).any():
-            raise ValueError("labels must match the batch and be non-negative")
-
-
-@dataclass(frozen=True)
-class UnlabeledBatch:
-    points: np.ndarray  # [B, d]
-    true_labels: np.ndarray | None = None  # diagnostics only, hidden from the learner
-
-    def __post_init__(self):
-        if self.points.ndim != 2 or len(self.points) == 0:
-            raise ValueError("batch must be a non-empty [B, d] array")
 
 
 @dataclass(frozen=True)
@@ -185,8 +176,11 @@ def gen_gaussian_clusters(
     """Balanced isotropic clusters around the given means."""
     lows = {"n_per_class": 1, "labels_per_class": 1, "n_test_per_class": 1, "seed": 0}
     check_fields(gen_gaussian_clusters.__annotations__, locals(), lows)  # locals(): the parameters (and lows)
+    rows = isinstance(means, (list, tuple)) and all(isinstance(m, (list, tuple)) for m in means)
+    if not (rows and all(is_finite_number(x) for m in means for x in m) and len(set(map(len, means))) == 1):
+        raise ValueError(f"means must be a list of equal-length lists of finite numbers, got {means!r}")
     means_arr = np.asarray(means, dtype=np.float64)
-    if C < 2 or means_arr.ndim != 2 or len(means_arr) != C:
+    if C < 2 or len(means_arr) != C:
         raise ValueError("need C >= 2 means, one point each")
     if len(np.unique(means_arr, axis=0)) != C:
         raise ValueError("class means must be distinct")
@@ -273,7 +267,7 @@ def check_batch_size(B: int, n: int, split: str = "dataset") -> None:
         raise ValueError(f"batch size {B} exceeds {split} size {n}")
 
 
-def batch_iter(dataset: PointSet, B: int, seed: int) -> Iterator[LabeledBatch]:
+def batch_iter(dataset: PointSet, B: int, seed: int) -> Iterator[PointSet]:
     """Cycle through the dataset forever with a fresh shuffle per epoch.
 
     Batches are always exactly B items; a tail shorter than B is dropped
@@ -286,7 +280,7 @@ def batch_iter(dataset: PointSet, B: int, seed: int) -> Iterator[LabeledBatch]:
         perm = rng.permutation(n)
         for start in range(0, n - B + 1, B):
             idx = perm[start : start + B]
-            yield LabeledBatch(dataset.points[idx], dataset.labels[idx])
+            yield PointSet(dataset.points[idx], dataset.labels[idx])
 
 
 def to_csv(bundle: DatasetBundle, path) -> None:

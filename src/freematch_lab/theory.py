@@ -147,11 +147,9 @@ def mc_dist(spec: MixtureSpec, n: int, seed: int) -> McResult:
 @dataclass(frozen=True)
 class SweepRow:
     param: float
-    p_pos: float
-    p_neg: float
-    p_mask: float
-    imbalance: float
+    dist: PseudoLabelDist  # analytic
     mc: McResult | None = None
+    z: float | None = None  # mc_agreement_z of the kept draw
     rerolled: bool = False  # the first MC draw had z > 3 and was redrawn once
 
 
@@ -201,21 +199,23 @@ def sweep(
     for i, v in enumerate(vals):
         spec = _spec_for(base, varying, v)
         d = analytic_dist(spec)
-        mc = None
+        mc = z = None
         rerolled = False
         if mc_samples > 0:
             mc = mc_dist(spec, mc_samples, seed=seed + i)
-            rerolled = mc_agreement_z(d, mc) > 3.0
+            z = mc_agreement_z(d, mc)
+            rerolled = z > 3.0
             if rerolled:
                 # a 3-sigma excursion is expected a few times per thousand
                 # entries; one deterministic reroll resolves statistical flukes
                 mc = mc_dist(spec, mc_samples, seed=seed + i + 7919)
-        rows.append(SweepRow(v, d.p_pos, d.p_neg, d.p_mask, d.imbalance, mc, rerolled))
+                z = mc_agreement_z(d, mc)
+        rows.append(SweepRow(v, d, mc, z, rerolled))
 
     # orient the series so the parameter increases
     ordered = rows if ascending else rows[::-1]
-    masks = [r.p_mask for r in ordered]
-    imbs = [r.imbalance for r in ordered]
+    masks = [r.dist.p_mask for r in ordered]
+    imbs = [r.dist.imbalance for r in ordered]
     verdicts: dict[str, bool] = {}
     if varying == "tau":
         verdicts["p_mask_strictly_increasing_in_tau"] = all(b > a for a, b in zip(masks, masks[1:]))

@@ -32,7 +32,7 @@ from . import ndcore as nd
 from .atomic import atomic_open
 from .augment import AugmentSpec, strong, weak
 from .ssl_losses import FairnessVariant, consistency_loss, fairness_loss, supervised_loss, total_loss
-from .synthdata import DatasetBundle, LabeledBatch, PointSet, UnlabeledBatch, batch_iter, check_fields, is_int
+from .synthdata import DatasetBundle, PointSet, batch_iter, check_fields, is_int
 
 
 # field name -> config key, where they differ
@@ -126,12 +126,13 @@ def train_step(
     opt: nd.OptimState,
     ema: nd.ParamEma,
     state: at.ThresholdState,
-    labeled: LabeledBatch,
-    unlabeled: UnlabeledBatch,
+    labeled: PointSet,
+    unlabeled: PointSet,
     config: TrainConfig,
     aug_rng: np.random.Generator,
 ) -> MetricsRecord:
-    """One full update; advances opt.k and state.t."""
+    """One full update; advances opt.k and state.t. The unlabeled batch's
+    labels are read only for the pseudo_label_acc diagnostic."""
     k = opt.k
     in_warmup = k < config.warmup_iters
     if labeled.points.shape[1] != model.in_dim or unlabeled.points.shape[1] != model.in_dim:
@@ -185,8 +186,8 @@ def train_step(
         mean_class_threshold=float(thresholds.mean()),
         sampling_rate=sampling_rate,
     )
-    if unlabeled.true_labels is not None and keep.any():
-        record.pseudo_label_acc = float((hard[keep] == unlabeled.true_labels[keep]).mean())
+    if keep.any():
+        record.pseudo_label_acc = float((hard[keep] == unlabeled.labels[keep]).mean())
     if not np.isfinite(record.total):
         raise TrainingAborted(record, f"non-finite loss at iteration {k}")
 
@@ -251,10 +252,7 @@ def run(config: TrainConfig, data: DatasetBundle, out_dir: str | None = None) ->
     trace: list[MetricsRecord] = []
     best_error = float("inf")
     for k in range(config.K):
-        lb = next(lab_iter)
-        ub_src = next(unlab_iter)
-        ub = UnlabeledBatch(ub_src.points, true_labels=ub_src.labels)
-        record = train_step(model, opt, ema, state, lb, ub, config, aug_rng)
+        record = train_step(model, opt, ema, state, next(lab_iter), next(unlab_iter), config, aug_rng)
         if (k + 1) % config.eval_every == 0 or k == config.K - 1:
             ev = evaluate(nd.ema_model(ema), data.test)
             record.error_rate = ev.error_rate

@@ -104,8 +104,12 @@ def _shipped_config(tmp_path, **train_overrides):
         ("dataset", {"n_unlabeled": "1000"}, "n_unlabeled must be an integer, got '1000'"),
         ("dataset", {"n_unlabeled": 1.5}, "n_unlabeled must be an integer, got 1.5"),
         ("dataset", {"seed": -1}, "seed must be >= 0"),
+        ("train", {"augment": {"weak_sigma": "0.05"}}, "weak_sigma must be a finite number, got '0.05'"),
+        ("train", {"augment": {"strong_scale_range": 0.5}}, "strong_scale_range must be a pair of finite numbers, got 0.5"),
+        ("train", {"augment": {"seed": 1.5}}, "seed must be an integer, got 1.5"),
     ],
-    ids=["lambda", "clamp", "B", "mu", "mu_B", "clamp_scalar", "n_unlabeled_str", "n_unlabeled_float", "dataset_seed"],
+    ids=["lambda", "clamp", "B", "mu", "mu_B", "clamp_scalar", "n_unlabeled_str", "n_unlabeled_float", "dataset_seed",
+         "weak_sigma_str", "scale_range_scalar", "augment_seed_float"],
 )
 def test_bad_train_value_is_a_config_error(tmp_path, capsys, section, override, message):
     """Caught when the config is parsed: no traceback, no output directory."""
@@ -226,8 +230,8 @@ def test_theory_reports_rerolled_points(tmp_path, monkeypatch, capsys):
         calls.append(mc)
         return 99.0 if len(calls) == 2 else real_z(dist, mc)
 
-    # sweep's own z check sees the forced excursion; the verdict line is computed
-    # from cli's unpatched mc_agreement_z on the rerolled draw
+    # sweep's own z check sees the forced excursion; the verdict line takes the
+    # z that sweep computed for the rerolled draw (a real one: only call 2 is forced)
     monkeypatch.setattr(theory, "mc_agreement_z", z_flags_second_draw)
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({
@@ -241,6 +245,21 @@ def test_theory_reports_rerolled_points(tmp_path, monkeypatch, capsys):
     assert line.startswith("PASS mc_agreement")
     assert line.endswith("; 1 rerolled: mini tau=0.7)")
     assert line in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [({"tau": "0.8"}, "tau must be a finite number, got '0.8'"), ({"beta": True}, "beta must be a finite number, got True")],
+    ids=["tau_str", "beta_bool"],
+)
+def test_theory_bad_base_value_is_a_config_error(tmp_path, capsys, override, message):
+    base = {"mu1": -1.0, "mu2": 1.0, "sigma1": 1.0, "sigma2": 1.0, "beta": 1.0, "tau": 0.8, **override}
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"sweeps": [{"name": "bad", "varying": "delta", "base": base, "values": [1.0, 2.0]}]}))
+    out = tmp_path / "o"
+    assert cli.main(["theory", "--grid", str(grid), "--out", str(out), "--mc-samples", "0"]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
 
 
 def test_theory_analytic_only_flag(tmp_path):
@@ -323,13 +342,24 @@ def test_ablate_deterministic_csv(tmp_path, fast_protocol):
     assert (tmp_path / "x" / "ablation.csv").read_bytes() == (tmp_path / "y" / "ablation.csv").read_bytes()
 
 
+def test_pooled_ablation_trains_the_config_the_parent_built(fast_protocol, monkeypatch):
+    """The protocol patched in this process reaches spawned workers, whatever their number."""
+    monkeypatch.setenv("FREEMATCH_LAB_THREADS", "2")
+    pooled = cli.run_ablation("fairness", [0])
+    monkeypatch.setenv("FREEMATCH_LAB_THREADS", "1")
+    assert cli.run_ablation("fairness", [0]) == pooled
+    config = cli.ablation_jobs("fairness", [0])[0][1]
+    assert (config.K, config.mu, config.eval_every) == (30, 8, 15)
+
+
 # Stand-ins for cli._ablation_job. Pool workers are spawned and import them
 # from this module, so they take every setting from the job itself.
 
 
-def _blas_threads_job(job: dict) -> tuple[str, int, float, float]:
+def _blas_threads_job(job: tuple[str, TrainConfig]) -> tuple[str, int, float, float]:
     """Trains a tiny run and reports, as its final error, the largest OpenBLAS
     thread count its steps saw, and as its best error the smallest."""
+    variant, config = job
     getter = trainer._openblas_threads()[1]
     seen = []
     step = trainer.train_step
@@ -340,30 +370,32 @@ def _blas_threads_job(job: dict) -> tuple[str, int, float, float]:
 
     trainer.train_step = recording_step
     try:
-        run(TrainConfig(K=3, mu=2, B=2, eval_every=3, hidden_dims=(4,), seed=job["seed"]),
-            cli.canonical_two_moon_data(job["seed"]))
+        run(TrainConfig(K=3, mu=2, B=2, eval_every=3, hidden_dims=(4,), seed=config.seed),
+            cli.canonical_two_moon_data(config.seed))
     finally:
         trainer.train_step = step
-    return job["variant"], job["seed"], float(max(seen)), float(min(seen))
+    return variant, config.seed, float(max(seen)), float(min(seen))
 
 
-def _diverging_job(job: dict) -> tuple[str, int, float, float]:
+def _diverging_job(job: tuple[str, TrainConfig]) -> tuple[str, int, float, float]:
     """'sat' at seed 1 trains at a learning rate that overflows the weights in
     its first step; every other job returns at once."""
-    if (job["variant"], job["seed"]) != ("sat", 1):
-        return job["variant"], job["seed"], 0.5, 0.5
+    variant, config = job
+    if (variant, config.seed) != ("sat", 1):
+        return variant, config.seed, 0.5, 0.5
     config = TrainConfig(lr0=1e200, K=20, mu=2, B=2, eval_every=10, hidden_dims=(8,), seed=1)
     with np.errstate(over="ignore", invalid="ignore"):
         run(config, cli.canonical_two_moon_data(1))
     raise AssertionError("training did not diverge")
 
 
-def _crashing_job(job: dict) -> tuple[str, int, float, float]:
+def _crashing_job(job: tuple[str, TrainConfig]) -> tuple[str, int, float, float]:
     """The worker running 'sat' at seed 1 dies at once, as if killed; every
     other job returns at once."""
-    if (job["variant"], job["seed"]) == ("sat", 1):
+    variant, config = job
+    if (variant, config.seed) == ("sat", 1):
         os._exit(1)
-    return job["variant"], job["seed"], 0.5, 0.5
+    return variant, config.seed, 0.5, 0.5
 
 
 def _assert_names_lost_runs(message: str) -> None:
@@ -372,7 +404,7 @@ def _assert_names_lost_runs(message: str) -> None:
     match = re.search(r"a pool worker died; runs without a result: (.+?) \(", message)
     assert match, message
     lost = match.group(1).split(", ")
-    names = [f"{j['variant']} seed {j['seed']}" for j in cli.ablation_jobs("thresholds", [0, 1])]
+    names = [f"{variant} seed {config.seed}" for variant, config in cli.ablation_jobs("thresholds", [0, 1])]
     assert "sat seed 1" in lost
     assert lost == [name for name in names if name in lost]
 
@@ -398,7 +430,7 @@ def test_ablation_pool_workers_run_one_blas_thread(monkeypatch):
         assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
         assert "OMP_NUM_THREADS" not in os.environ and "MKL_NUM_THREADS" not in os.environ
         assert getter() == 2
-        # the serial path trains in this process, on one thread too
+        # a pool of one trains on one thread too
         monkeypatch.setenv("FREEMATCH_LAB_THREADS", "1")
         summary = cli.run_ablation("fairness", [0])
         assert all(e["mean_error"] == e["mean_best_error"] == 1.0 for e in summary.values())

@@ -210,7 +210,7 @@ def test_sweep_tau_utilization_verdict():
 def test_sweep_delta_verdict():
     res = sweep(SPEC, "delta", [0.5, 1.0, 2.0, 4.0])
     assert res.verdicts["p_mask_strictly_decreasing_in_delta"]
-    masks = [r.p_mask for r in res.rows]
+    masks = [r.dist.p_mask for r in res.rows]
     assert all(b < a for a, b in zip(masks, masks[1:]))
 
 
@@ -234,4 +234,4 @@ def test_sweep_attaches_mc_columns():
     res = sweep(SPEC, "tau", [0.6, 0.8], mc_samples=20_000, seed=9)
     for row in res.rows:
         assert row.mc is not None
-        assert abs(row.mc.dist.p_mask - row.p_mask) <= 5 * max(row.mc.se_mask, 1e-4)
+        assert abs(row.mc.dist.p_mask - row.dist.p_mask) <= 5 * max(row.mc.se_mask, 1e-4)

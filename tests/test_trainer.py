@@ -13,7 +13,7 @@ from freematch_lab import trainer
 from freematch_lab.adaptive_threshold import Fixed, Sat
 from freematch_lab.augment import weak
 from freematch_lab.ssl_losses import FairnessVariant, supervised_loss
-from freematch_lab.synthdata import PointSet, TwoMoonSpec, UnlabeledBatch, gen_gaussian_clusters, gen_two_moons
+from freematch_lab.synthdata import PointSet, TwoMoonSpec, gen_gaussian_clusters, gen_two_moons
 from freematch_lab.trainer import (
     MetricsRecord,
     TrainConfig,
@@ -53,8 +53,7 @@ def _small_config(**overrides):
 def _step_once(cfg, data):
     model, opt, ema, state, lab_iter, unlab_iter, aug_rng = _build(cfg, data)
     lb = next(lab_iter)
-    ub_src = next(unlab_iter)
-    ub = UnlabeledBatch(ub_src.points, true_labels=ub_src.labels)
+    ub = next(unlab_iter)
     return model, opt, ema, state, lb, ub, aug_rng
 
 
@@ -112,11 +111,7 @@ def test_ten_step_golden_trace_replays():
     cfg = _small_config()
     model, opt, ema, state, lab_iter, unlab_iter, aug_rng = _build(cfg, data)
     for expected in GOLDEN:
-        lb = next(lab_iter)
-        ub_src = next(unlab_iter)
-        rec = train_step(
-            model, opt, ema, state, lb, UnlabeledBatch(ub_src.points, true_labels=ub_src.labels), cfg, aug_rng
-        )
+        rec = train_step(model, opt, ema, state, next(lab_iter), next(unlab_iter), cfg, aug_rng)
         got = (rec.l_s, rec.l_u, rec.l_f, rec.tau_global)
         for g, e in zip(got, expected):
             assert g == pytest.approx(e, rel=1e-9)
@@ -171,9 +166,9 @@ def test_warmup_parameters_independent_of_unlabeled_values():
         lb_a, ub_a = next(lab_a), next(unlab_a)
         lb_b, ub_b = next(lab_b), next(unlab_b)
         # perturb the unlabeled values seen by run b
-        ub_b_pts = ub_b.points + 17.0
-        train_step(model_a, opt_a, ema_a, state_a, lb_a, UnlabeledBatch(ub_a.points), cfg, rng_a)
-        train_step(model_b, opt_b, ema_b, state_b, lb_b, UnlabeledBatch(ub_b_pts), cfg, rng_b)
+        ub_b = PointSet(ub_b.points + 17.0, ub_b.labels)
+        train_step(model_a, opt_a, ema_a, state_a, lb_a, ub_a, cfg, rng_a)
+        train_step(model_b, opt_b, ema_b, state_b, lb_b, ub_b, cfg, rng_b)
     for p, q in zip(model_a.parameters(), model_b.parameters()):
         assert np.array_equal(p.data, q.data)
     # but the threshold statistics did keep updating
