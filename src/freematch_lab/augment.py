@@ -23,7 +23,7 @@ class AugmentSpec:
     seed: int = 0
 
     def __post_init__(self):
-        check_fields(type(self).__annotations__, vars(self), {})
+        check_fields(type(self).__annotations__, vars(self), {}, {name: f"augment.{name}" for name in vars(self)})
         if not 0 <= self.weak_sigma <= self.strong_sigma:
             raise ValueError("need 0 <= weak_sigma <= strong_sigma")
         lo, hi = self.strong_scale_range

@@ -35,7 +35,7 @@ from .svgplot import boundary_chart, line_chart
 from .synthdata import (DatasetBundle, MixtureSpec, TwoMoonSpec, check_batch_size, gen_gaussian_clusters,
                         gen_two_moons, to_csv)
 from .theory import sweep
-from .trainer import RunResult, TrainConfig, TrainingAborted, config_from_dict, run
+from .trainer import RunResult, TrainConfig, TrainingAborted, config_from_dict, predict, run
 
 
 # -- canonical two-moon protocol ------------------------------------------------
@@ -108,9 +108,7 @@ def _emit_plots(result: RunResult, data: DatasetBundle, out_dir: str) -> None:
     ys = np.linspace(y0, y1, n)
     gx, gy = np.meshgrid(xs, ys)
     grid = np.column_stack([gx.ravel(), gy.ravel()])
-    model = nd.ema_model(result.ema)
-    with nd.no_grad():
-        pred = nd.forward(model, grid).data.argmax(axis=1).reshape(n, n)
+    pred = predict(nd.ema_model(result.ema), grid).reshape(n, n)
     boundary_chart(
         "decision boundary (EMA model)",
         pred,

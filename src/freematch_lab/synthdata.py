@@ -173,12 +173,11 @@ def gen_gaussian_clusters(
     labels_per_class: int = 1,
     n_test_per_class: int = 500,
 ) -> DatasetBundle:
-    """Balanced isotropic clusters around the given means."""
+    """Balanced isotropic clusters around the given 2-D means."""
     lows = {"n_per_class": 1, "labels_per_class": 1, "n_test_per_class": 1, "seed": 0}
     check_fields(gen_gaussian_clusters.__annotations__, locals(), lows)  # locals(): the parameters (and lows)
-    rows = isinstance(means, (list, tuple)) and all(isinstance(m, (list, tuple)) for m in means)
-    if not (rows and all(is_finite_number(x) for m in means for x in m) and len(set(map(len, means))) == 1):
-        raise ValueError(f"means must be a list of equal-length lists of finite numbers, got {means!r}")
+    if not (isinstance(means, (list, tuple)) and all(map(is_finite_pair, means))):
+        raise ValueError(f"means must be a list of [x, y] pairs of finite numbers, got {means!r}")
     means_arr = np.asarray(means, dtype=np.float64)
     if C < 2 or len(means_arr) != C:
         raise ValueError("need C >= 2 means, one point each")

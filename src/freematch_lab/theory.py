@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 # sample_mixture stays bound here: perfbench's tracer wraps it on this module
-from .synthdata import MixtureSpec, mixture_blocks, sample_mixture  # noqa: F401
+from .synthdata import MixtureSpec, is_finite_number, mixture_blocks, sample_mixture  # noqa: F401
 
 # samples per Monte-Carlo block: small enough that a block's arrays stay in
 # cache, large enough that the per-block Python overhead is negligible
@@ -187,6 +187,8 @@ def sweep(
     point whose first draw disagrees by z > 3 is drawn once more on a new seed
     and marked `rerolled`.
     """
+    if isinstance(values, str) or not np.iterable(values) or not all(map(is_finite_number, values)):
+        raise ValueError(f"values must be a list of finite numbers, got {values!r}")
     vals = [float(v) for v in values]
     if len(vals) < 2:
         raise ValueError("need at least two grid points")

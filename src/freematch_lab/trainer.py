@@ -8,6 +8,10 @@ rate; parameter-EMA update; metrics. During warm-up the unsupervised and
 fairness terms are zeroed while the threshold statistics keep updating, so
 SSL starts from an informed state.
 
+Inference has one path, `predict`: evaluation and the decision-boundary raster
+run the model in blocks of a few thousand rows, so their memory does not grow
+with the number of points.
+
 The loop is single-threaded and fully seed-deterministic: `run` puts NumPy's
 OpenBLAS on one thread and restores the count when it returns or raises. The
 count is process-wide, so independent runs go in separate processes.
@@ -110,12 +114,25 @@ class RunResult:
     config: TrainConfig
 
 
+# rows per inference forward: a test set of at most this many rows is one call
+_PREDICT_ROWS = 4096
+
+
+def predict(model: nd.MlpModel, points: np.ndarray) -> np.ndarray:
+    """Class ids of `points`: the argmax of a no-grad forward over consecutive
+    blocks of at most _PREDICT_ROWS rows, so memory does not grow with the row
+    count. BLAS may round a row differently with the block's row count, so past
+    one block an exact near-tie can be labeled differently than by one
+    whole-batch call."""
+    with nd.no_grad():
+        return np.concatenate([nd.forward(model, points[i : i + _PREDICT_ROWS]).data.argmax(axis=1)
+                               for i in range(0, len(points), _PREDICT_ROWS)])
+
+
 def evaluate(model: nd.MlpModel, test: PointSet) -> EvalResult:
     """Error rate and confusion matrix (rows = true class)."""
     C = model.out_dim
-    with nd.no_grad():
-        logits = nd.forward(model, test.points).data
-    pred = logits.argmax(axis=1)
+    pred = predict(model, test.points)
     confusion = np.zeros((C, C), dtype=np.int64)
     np.add.at(confusion, (test.labels, pred), 1)
     return EvalResult(float((pred != test.labels).mean()), confusion)

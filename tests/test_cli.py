@@ -1,12 +1,16 @@
+import dataclasses
 import json
 import os
 import re
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
 from freematch_lab import cli, trainer
+from freematch_lab.adaptive_threshold import Sat
+from freematch_lab.ssl_losses import FairnessVariant
 from freematch_lab.trainer import TrainConfig, TrainingAborted, config_from_dict, config_to_dict, run
 
 
@@ -78,6 +82,36 @@ def test_train_unknown_keys_rejected(tmp_path):
     assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "o2")]) == 2
 
 
+def test_train_rejects_3d_cluster_means(tmp_path, capsys):
+    """The lab is 2-D: 3-D means fail when the config is parsed, not after training."""
+    doc = json.loads(_small_experiment(tmp_path).read_text())
+    doc["dataset"].update(C=3, means=[[0, 0, 0], [3, 0, 0], [0, 3, 0]])
+    cfg = tmp_path / "exp3d.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: means must be")
+    assert not out.exists()
+
+
+def test_emit_plots_memory_does_not_grow_with_the_raster(tmp_path):
+    """The 200x200 raster is predicted in blocks: NumPy reports its buffers to
+    tracemalloc, and one whole-raster forward would peak near 40 MB. The run is
+    the canonical protocol cut to 100 steps; the raster's cost does not depend on K."""
+    data = cli.canonical_two_moon_data(0)
+    config = dataclasses.replace(cli.canonical_two_moon_config(Sat(), FairnessVariant.SAF, 0.01, seed=0), K=100)
+    result = run(config, data)
+    tracemalloc.start()
+    try:
+        cli._emit_plots(result, data, str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    assert (tmp_path / "boundary.svg").exists()
+
+
 def test_train_requires_output_dir(tmp_path):
     cfg = _small_experiment(tmp_path)
     assert cli.main(["train", "--config", str(cfg)]) == 2
@@ -104,9 +138,9 @@ def _shipped_config(tmp_path, **train_overrides):
         ("dataset", {"n_unlabeled": "1000"}, "n_unlabeled must be an integer, got '1000'"),
         ("dataset", {"n_unlabeled": 1.5}, "n_unlabeled must be an integer, got 1.5"),
         ("dataset", {"seed": -1}, "seed must be >= 0"),
-        ("train", {"augment": {"weak_sigma": "0.05"}}, "weak_sigma must be a finite number, got '0.05'"),
-        ("train", {"augment": {"strong_scale_range": 0.5}}, "strong_scale_range must be a pair of finite numbers, got 0.5"),
-        ("train", {"augment": {"seed": 1.5}}, "seed must be an integer, got 1.5"),
+        ("train", {"augment": {"weak_sigma": "0.05"}}, "augment.weak_sigma must be a finite number, got '0.05'"),
+        ("train", {"augment": {"strong_scale_range": 0.5}}, "augment.strong_scale_range must be a pair of finite numbers, got 0.5"),
+        ("train", {"augment": {"seed": 1.5}}, "augment.seed must be an integer, got 1.5"),
     ],
     ids=["lambda", "clamp", "B", "mu", "mu_B", "clamp_scalar", "n_unlabeled_str", "n_unlabeled_float", "dataset_seed",
          "weak_sigma_str", "scale_range_scalar", "augment_seed_float"],
@@ -259,6 +293,18 @@ def test_theory_bad_base_value_is_a_config_error(tmp_path, capsys, override, mes
     out = tmp_path / "o"
     assert cli.main(["theory", "--grid", str(grid), "--out", str(out), "--mc-samples", "0"]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("values", [["0.6", True, 2], [0.5, 1.0, None], [1.0, float("nan")], 2.0, "0.5"],
+                         ids=["mixed", "null", "nan", "scalar", "string"])
+def test_theory_bad_sweep_values_are_a_config_error(tmp_path, capsys, values):
+    base = {"mu1": -1.0, "mu2": 1.0, "sigma1": 1.0, "sigma2": 1.0, "beta": 1.0, "tau": 0.8}
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"sweeps": [{"name": "bad", "varying": "beta", "base": base, "values": values}]}))
+    out = tmp_path / "o"
+    assert cli.main(["theory", "--grid", str(grid), "--out", str(out), "--mc-samples", "0"]) == 2
+    assert capsys.readouterr().err == f"config error: values must be a list of finite numbers, got {values!r}\n"
     assert not out.exists()
 
 

@@ -104,7 +104,8 @@ def test_clusters_duplicate_means_rejected():
 def test_clusters_bad_arguments_rejected():
     good = dict(C=2, n_per_class=10, means=[[0.0, 0.0], [1.0, 1.0]], sigma=1.0, seed=0)
     for bad in (dict(C=2.0), dict(n_per_class="10"), dict(sigma=float("inf")), dict(seed=-1), dict(seed=1.5),
-                dict(labels_per_class=0), dict(n_test_per_class=0), dict(means=[1.0, 2.0]), dict(means=[[0, "a"], [1, 1]])):
+                dict(labels_per_class=0), dict(n_test_per_class=0), dict(means=[1.0, 2.0]), dict(means=[[0, "a"], [1, 1]]),
+                dict(means=[[0, 0, 0], [3, 0, 0]])):
         with pytest.raises(ValueError, match="means" if "means" in bad else next(iter(bad))):
             gen_gaussian_clusters(**{**good, **bad})
 

@@ -217,6 +217,46 @@ def test_evaluate_uniform_random_model_error():
     assert np.array_equal(res.confusion.sum(axis=1), np.full(C, n // C))
 
 
+def _whole_batch_labels(model, points):
+    with nd.no_grad():
+        return nd.forward(model, points).data.argmax(axis=1)
+
+
+def test_predict_blocks_match_the_whole_batch():
+    """2 * 4096 + 1 rows: two full blocks and a one-row tail."""
+    rng = np.random.default_rng(5)
+    points = rng.normal(scale=2.0, size=(2 * trainer._PREDICT_ROWS + 1, 2))
+    model = nd.MlpModel.init([2, 16, 16, 3], seed=np.random.default_rng(6))
+    pred = trainer.predict(model, points)
+    assert pred.shape == (len(points),)
+    assert np.array_equal(pred, _whole_batch_labels(model, points))
+
+
+def _ring_clusters():
+    """9 clusters on a circle with 500 test points each: 4,500 test rows."""
+    C = 9
+    means = [[3.0 * np.cos(a), 3.0 * np.sin(a)] for a in np.linspace(0, 2 * np.pi, C, endpoint=False)]
+    return gen_gaussian_clusters(C, 20, means, sigma=0.8, seed=4)
+
+
+@pytest.mark.parametrize("make_data", [_cluster_data, _ring_clusters], ids=["one_block", "two_blocks"])
+def test_evaluate_goes_through_predict(monkeypatch, make_data):
+    """Same EvalResult as one whole-batch forward."""
+    data = make_data()
+    C = data.n_classes
+    model = nd.MlpModel.init([2, 16, C], seed=np.random.default_rng(8))
+    calls = []
+    predict = trainer.predict
+    monkeypatch.setattr(trainer, "predict", lambda *args: calls.append(len(args[1])) or predict(*args))
+    res = evaluate(model, data.test)
+    assert calls == [len(data.test)]
+    pred = _whole_batch_labels(model, data.test.points)
+    confusion = np.zeros((C, C), dtype=np.int64)
+    np.add.at(confusion, (data.test.labels, pred), 1)
+    assert res.error_rate == float((pred != data.test.labels).mean())
+    assert np.array_equal(res.confusion, confusion)
+
+
 # -- run -------------------------------------------------------------------------
 
 
