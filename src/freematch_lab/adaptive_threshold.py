@@ -54,8 +54,13 @@ class Sat:
 
 @dataclass(frozen=True)
 class Cpl(_TauScheme):
-    """Curriculum variant: tau * M(beta(c)) with beta(c) the per-class share
-    of confident samples counted so far (running counts, never reset)."""
+    """Curriculum variant: tau * M(beta(c)), beta(c) = counts(c) / max counts.
+
+    Not FlexMatch's CPL (arXiv 2110.08263), which counts each unlabeled sample's
+    latest prediction once: these counts are cumulative and never reset, so each
+    step's confident argmaxes are added again; there is no warm-up denominator,
+    so one confident sample lifts its class straight to tau; and the default M
+    is the identity, not FlexMatch's convex x / (2 - x)."""
 
     mapping: str = "identity"  # or "convex" for x / (2 - x)
 
@@ -138,7 +143,7 @@ class ThresholdState:
 
 
 def to_record(state: ThresholdState) -> dict:
-    """Flat key-value form for checkpointing and CSV traces."""
+    """Flat key-value form for checkpointing."""
     rec = {
         "tau_global": state.tau_global,
         "p_local": state.p_local.tolist(),
@@ -151,17 +156,6 @@ def to_record(state: ThresholdState) -> dict:
     if state.clamp is not None:
         rec["clamp"] = list(state.clamp)
     return rec
-
-
-def from_record(rec: dict) -> ThresholdState:
-    clamp = tuple(rec["clamp"]) if "clamp" in rec else None
-    state = ThresholdState(C=int(rec["C"]), lam=float(rec["lambda"]), clamp=clamp)
-    state.tau_global = float(rec["tau_global"])
-    state.p_local = np.asarray(rec["p_local"], dtype=np.float64)
-    state.hist = np.asarray(rec["hist"], dtype=np.float64)
-    state.cpl_counts = np.asarray(rec.get("cpl_counts", np.zeros(state.C)), dtype=np.float64)
-    state.t = int(rec["t"])
-    return state
 
 
 def _check_probs(state: ThresholdState, weak_probs: np.ndarray) -> np.ndarray:

@@ -27,8 +27,8 @@ class AugmentSpec:
         if not 0 <= self.weak_sigma <= self.strong_sigma:
             raise ValueError("need 0 <= weak_sigma <= strong_sigma")
         lo, hi = self.strong_scale_range
-        if not lo <= 1.0 <= hi:
-            raise ValueError("strong_scale_range must contain 1")
+        if not 0 < lo <= 1.0 <= hi:
+            raise ValueError("augment.strong_scale_range must satisfy 0 < lo <= 1 <= hi")
 
 
 def weak(x: np.ndarray, spec: AugmentSpec, rng: np.random.Generator) -> np.ndarray:

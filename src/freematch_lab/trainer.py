@@ -63,7 +63,12 @@ class TrainConfig:
     augment: AugmentSpec = field(default_factory=AugmentSpec)
 
     def __post_init__(self):
-        check_fields(type(self).__annotations__, vars(self), dict(K=1, mu=1, B=1, eval_every=1, seed=0), _CONFIG_KEYS)
+        lows = dict(K=1, mu=1, B=1, eval_every=1, seed=0, w_u=0, w_f=0, momentum=0)
+        check_fields(type(self).__annotations__, vars(self), lows, _CONFIG_KEYS)
+        if not self.lr0 > 0:
+            raise ValueError("lr0 must be > 0")
+        if not self.momentum < 1:
+            raise ValueError("momentum must be < 1")
         if not isinstance(self.hidden_dims, tuple) or not all(is_int(h) and h >= 1 for h in self.hidden_dims):
             raise ValueError(f"hidden_dims must be a list of integers >= 1, got {self.hidden_dims!r}")
         if not 0 <= self.warmup_iters < self.K:
@@ -339,7 +344,8 @@ CHECKPOINT_FORMAT_VERSION = 1
 
 
 def save_checkpoint(result: RunResult, path_prefix: str) -> None:
-    """Flat float64 binary of model + EMA parameters with a JSON manifest."""
+    """Little-endian float64 binary of the model then the EMA parameters, with a
+    JSON manifest: an output record that the lab never reads back."""
     params = [p.data for p in result.model.parameters()]
     blobs = params + list(result.ema.shadow)
     flat = np.concatenate([b.reshape(-1) for b in blobs])
@@ -357,46 +363,3 @@ def save_checkpoint(result: RunResult, path_prefix: str) -> None:
     with atomic_open(f"{path_prefix}.json") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def load_checkpoint(path_prefix: str) -> tuple[nd.MlpModel, nd.MlpModel, at.ThresholdState, dict]:
-    """Returns (model, ema model, threshold state, manifest).
-
-    Raises ValueError when the manifest's format version is missing or not
-    CHECKPOINT_FORMAT_VERSION, or when the `.bin` does not hold exactly the
-    float count the manifest's shapes need.
-    """
-    json_path = f"{path_prefix}.json"
-    with open(json_path) as fh:
-        manifest = json.load(fh)
-    version = manifest.get("format_version")
-    if version != CHECKPOINT_FORMAT_VERSION:
-        raise ValueError(
-            f"checkpoint {json_path}: format version {version!r}, expected {CHECKPOINT_FORMAT_VERSION}"
-        )
-    bin_path = f"{path_prefix}.bin"
-    flat = np.fromfile(bin_path, dtype="<f8")
-    shapes = manifest["param_shapes"] + manifest["ema_shapes"]
-    sizes = [int(np.prod(shape)) for shape in shapes]
-    if flat.size != sum(sizes):
-        raise ValueError(
-            f"checkpoint {bin_path}: the manifest's shapes need {sum(sizes)} float64 values, "
-            f"found {flat.size}"
-        )
-    arrays = []
-    offset = 0
-    for shape, size in zip(shapes, sizes):
-        arrays.append(flat[offset : offset + size].reshape(shape))
-        offset += size
-    n_params = len(manifest["param_shapes"])
-    model_params, ema_params = arrays[:n_params], arrays[n_params:]
-
-    def as_model(blobs):
-        layers = [
-            (nd.Tensor(w.copy(), requires_grad=True), nd.Tensor(b.copy(), requires_grad=True))
-            for w, b in zip(blobs[0::2], blobs[1::2])
-        ]
-        return nd.MlpModel(layers)
-
-    state = at.from_record(manifest["threshold_state"])
-    return as_model(model_params), as_model(ema_params), state, manifest

@@ -1,0 +1,47 @@
+"""No API that only its own test calls: every module-level function and class in
+src/freematch_lab is referenced by the lab itself or by perfbench."""
+
+import ast
+import pathlib
+import re
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+# referenced only by tests, on purpose
+ALLOWED = {
+    "theory.confidence": "the sigmoid that the closed form's band edges are checked against",
+    "ndcore.log_softmax": "the general op that weighted_nll is pinned bit-identical to, and that criterion 5 differentiates",
+}
+
+
+def _names(node: ast.AST) -> set[str]:
+    """Names that `node` references: Name and Attribute nodes, import aliases,
+    and string constants spelling a dotted identifier (perfbench's tracer
+    patches attributes by string)."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.update({n.name.split(".")[-1], n.asname} - {None})
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and re.fullmatch(r"[\w.]+", n.value):
+            out.update(n.value.split("."))
+    return out
+
+
+def test_every_src_definition_is_referenced_outside_tests():
+    modules = {p.stem: ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "freematch_lab").glob("*.py"))}
+    perfbench = set().union(*(_names(ast.parse(p.read_text())) for p in (ROOT / "perfbench").glob("*.py")))
+    unreferenced = []
+    for mod, tree in modules.items():
+        elsewhere = perfbench.union(*(_names(t) for m, t in modules.items() if m != mod))
+        stmt_names = [_names(stmt) for stmt in tree.body]
+        for i, stmt in enumerate(tree.body):
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = set().union(*(names for j, names in enumerate(stmt_names) if j != i))
+                if stmt.name not in elsewhere | own:
+                    unreferenced.append(f"{mod}.{stmt.name}")
+    assert sorted(set(unreferenced) - set(ALLOWED)) == []
+    assert sorted(ALLOWED) == sorted(set(unreferenced) & set(ALLOWED)), "an allowlisted name is now referenced"

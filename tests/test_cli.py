@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from freematch_lab import cli, trainer
-from freematch_lab.adaptive_threshold import Sat
+from freematch_lab.adaptive_threshold import Fixed, Sat
 from freematch_lab.ssl_losses import FairnessVariant
 from freematch_lab.trainer import TrainConfig, TrainingAborted, config_from_dict, config_to_dict, run
 
@@ -141,9 +141,18 @@ def _shipped_config(tmp_path, **train_overrides):
         ("train", {"augment": {"weak_sigma": "0.05"}}, "augment.weak_sigma must be a finite number, got '0.05'"),
         ("train", {"augment": {"strong_scale_range": 0.5}}, "augment.strong_scale_range must be a pair of finite numbers, got 0.5"),
         ("train", {"augment": {"seed": 1.5}}, "augment.seed must be an integer, got 1.5"),
+        ("train", {"lr0": -0.05}, "lr0 must be > 0"),
+        ("train", {"lr0": 0}, "lr0 must be > 0"),
+        ("train", {"momentum": 1.5}, "momentum must be < 1"),
+        ("train", {"momentum": -0.5}, "momentum must be >= 0"),
+        ("train", {"w_u": -1}, "w_u must be >= 0"),
+        ("train", {"w_f": -1}, "w_f must be >= 0"),
+        ("train", {"augment": {"strong_scale_range": [-5, 1.1]}},
+         "augment.strong_scale_range must satisfy 0 < lo <= 1 <= hi"),
     ],
     ids=["lambda", "clamp", "B", "mu", "mu_B", "clamp_scalar", "n_unlabeled_str", "n_unlabeled_float", "dataset_seed",
-         "weak_sigma_str", "scale_range_scalar", "augment_seed_float"],
+         "weak_sigma_str", "scale_range_scalar", "augment_seed_float", "lr0_negative", "lr0_zero", "momentum_above_1",
+         "momentum_negative", "w_u_negative", "w_f_negative", "scale_range_negative"],
 )
 def test_bad_train_value_is_a_config_error(tmp_path, capsys, section, override, message):
     """Caught when the config is parsed: no traceback, no output directory."""
@@ -155,6 +164,23 @@ def test_bad_train_value_is_a_config_error(tmp_path, capsys, section, override, 
     assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name, scheme, fairness, w_f",
+    [("two_moon_freematch.json", Sat(), FairnessVariant.SAF, 0.01),
+     ("two_moon_fixed.json", Fixed(0.95), FairnessVariant.NONE, 0.0)],
+)
+def test_shipped_configs_are_the_canonical_protocol(name, scheme, fairness, w_f):
+    """The ablation's in-code protocol and the shipped configs must not drift apart."""
+    with open(os.path.join(CONFIGS_DIR, name)) as fh:
+        data, config, _ = cli.parse_experiment_config(json.load(fh))
+    assert config == cli.canonical_two_moon_config(scheme, fairness, w_f, seed=0)
+    canonical = cli.canonical_two_moon_data(0)
+    assert data.n_classes == canonical.n_classes
+    for split in ("labeled", "unlabeled", "test"):
+        assert np.array_equal(getattr(data, split).points, getattr(canonical, split).points)
+        assert np.array_equal(getattr(data, split).labels, getattr(canonical, split).labels)
 
 
 @pytest.mark.parametrize("section", ["top", "train", "augment", "scheme", "two_moons", "clusters"])

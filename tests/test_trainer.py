@@ -10,8 +10,8 @@ import pytest
 
 from freematch_lab import ndcore as nd
 from freematch_lab import trainer
-from freematch_lab.adaptive_threshold import Fixed, Sat
-from freematch_lab.augment import weak
+from freematch_lab.adaptive_threshold import Fixed, Sat, to_record
+from freematch_lab.augment import AugmentSpec, weak
 from freematch_lab.ssl_losses import FairnessVariant, supervised_loss
 from freematch_lab.synthdata import PointSet, TwoMoonSpec, gen_gaussian_clusters, gen_two_moons
 from freematch_lab.trainer import (
@@ -22,7 +22,6 @@ from freematch_lab.trainer import (
     config_from_dict,
     config_to_dict,
     evaluate,
-    load_checkpoint,
     run,
     save_checkpoint,
     train_step,
@@ -355,55 +354,26 @@ def test_trace_csv_columns(tmp_path):
     assert lines[1].split(",")[8] == ""  # off-cadence eval column stays blank
 
 
-def test_checkpoint_roundtrip(tmp_path):
-    data = _cluster_data()
-    cfg = _small_config(K=6, clamp=(0.6, 0.95))
-    result = run(cfg, data)
-    prefix = str(tmp_path / "ck")
-    save_checkpoint(result, prefix)
-    model, ema_m, state, manifest = load_checkpoint(prefix)
-    x = data.test.points[:16]
-    with nd.no_grad():
-        assert np.array_equal(nd.forward(model, x).data, nd.forward(result.model, x).data)
-        assert np.array_equal(nd.forward(ema_m, x).data, nd.forward(nd.ema_model(result.ema), x).data)
-    assert state.tau_global == result.state.tau_global
-    assert state.clamp == (0.6, 0.95)
-    assert manifest["config"]["K"] == 6
-
-
-@pytest.mark.parametrize("extra", [-3, 2], ids=["truncated", "over_long"])
-def test_checkpoint_size_mismatch_names_the_file(tmp_path, extra):
-    result = run(_small_config(K=2), _cluster_data())
-    prefix = str(tmp_path / "ck")
-    save_checkpoint(result, prefix)
-    flat = np.fromfile(f"{prefix}.bin", dtype="<f8")
-    expected = flat.size
-    resized = flat[:extra] if extra < 0 else np.concatenate([flat, np.zeros(extra)])
-    resized.astype("<f8").tofile(f"{prefix}.bin")
-    with pytest.raises(ValueError) as exc:
-        load_checkpoint(prefix)
-    msg = str(exc.value)
-    assert f"{prefix}.bin" in msg
-    assert f"need {expected} " in msg and f"found {expected + extra}" in msg
-
-
-@pytest.mark.parametrize("version", [None, 2], ids=["missing", "different"])
-def test_checkpoint_format_version_mismatch_names_the_manifest(tmp_path, version):
-    result = run(_small_config(K=2), _cluster_data())
+def test_checkpoint_files_hold_the_run(tmp_path):
+    """The checkpoint is read here with plain NumPy and JSON: little-endian
+    float64 parameters then EMA shadow, in manifest shape order."""
+    config = _small_config(K=6, clamp=(0.6, 0.95))
+    result = run(config, _cluster_data())
     prefix = str(tmp_path / "ck")
     save_checkpoint(result, prefix)
     manifest = json.loads((tmp_path / "ck.json").read_text())
     assert manifest["format_version"] == 1
-    if version is None:
-        del manifest["format_version"]
-    else:
-        manifest["format_version"] = version
-    (tmp_path / "ck.json").write_text(json.dumps(manifest))
-    with pytest.raises(ValueError) as exc:
-        load_checkpoint(prefix)
-    msg = str(exc.value)
-    assert f"{prefix}.json" in msg
-    assert f"format version {version!r}, expected 1" in msg
+    shapes = manifest["param_shapes"] + manifest["ema_shapes"]
+    sizes = [int(np.prod(shape)) for shape in shapes]
+    flat = np.fromfile(prefix + ".bin", "<f8")
+    assert flat.size == sum(sizes)
+    arrays = [chunk.reshape(shape) for chunk, shape in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
+    expected = [p.data for p in result.model.parameters()] + list(result.ema.shadow)
+    assert len(arrays) == len(expected)
+    assert all(np.array_equal(a, e) for a, e in zip(arrays, expected))
+    assert manifest["threshold_state"] == json.loads(json.dumps(to_record(result.state)))
+    assert manifest["threshold_state"]["clamp"] == [0.6, 0.95]
+    assert manifest["config"] == json.loads(json.dumps(config_to_dict(config)))
 
 
 def test_config_dict_roundtrip():
@@ -426,3 +396,7 @@ def test_config_validation():
                 dict(w_u=float("nan")), dict(lr0="0.1"), dict(hidden_dims=(64, 0)), dict(hidden_dims=[64])):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
+    # the edges of the optimizer, loss-weight and scale ranges stay valid
+    for edge in (dict(w_u=0.0), dict(w_f=0.0), dict(momentum=0.0), dict(lr0=1e200),
+                 dict(augment=AugmentSpec(strong_scale_range=(1.0, 1.0)))):
+        TrainConfig(**edge)
