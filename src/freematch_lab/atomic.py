@@ -1,7 +1,9 @@
-"""Atomic file output: an artifact is either complete or absent."""
+"""Atomic file output: an artifact is either complete or absent. Every CSV
+table goes through `write_csv`, so all of them share one cell rule."""
 
 from __future__ import annotations
 
+import csv
 import os
 from contextlib import contextmanager
 
@@ -19,3 +21,12 @@ def atomic_open(path: str, mode: str = "w", **kwargs):
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def write_csv(path: str, header: list[str], rows) -> None:
+    """Write a header row, then `rows`, atomically. A cell that is None is
+    empty, text is written as is and a number as `%.12g`."""
+    with atomic_open(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(["" if v is None else v if isinstance(v, str) else f"{v:.12g}" for v in row] for row in rows)

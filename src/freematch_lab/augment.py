@@ -25,7 +25,7 @@ class AugmentSpec:
     def __post_init__(self):
         check_fields(type(self).__annotations__, vars(self), {}, {name: f"augment.{name}" for name in vars(self)})
         if not 0 <= self.weak_sigma <= self.strong_sigma:
-            raise ValueError("need 0 <= weak_sigma <= strong_sigma")
+            raise ValueError("need 0 <= augment.weak_sigma <= augment.strong_sigma")
         lo, hi = self.strong_scale_range
         if not 0 < lo <= 1.0 <= hi:
             raise ValueError("augment.strong_scale_range must satisfy 0 < lo <= 1 <= hi")

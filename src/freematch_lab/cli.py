@@ -16,7 +16,6 @@ training run uses one BLAS thread.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import multiprocessing
 import os
@@ -27,8 +26,9 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 
 from . import ndcore as nd
+from . import trainer
 from .adaptive_threshold import Cpl, Fixed, GlobalOnly, LocalOnly, Sat
-from .atomic import atomic_open
+from .atomic import atomic_open, write_csv
 from .augment import AugmentSpec
 from .ssl_losses import FairnessVariant
 from .svgplot import boundary_chart, line_chart
@@ -148,10 +148,13 @@ def cmd_train(config_path: str, out_override: str | None) -> int:
         return 2
     os.makedirs(out_dir, exist_ok=True)
     try:
-        result = run(config, data, out_dir=out_dir)
+        result = run(config, data)
     except TrainingAborted as exc:
         print(f"run aborted: {exc}", file=sys.stderr)
         return 1
+    # looked up on the module, where perfbench's tracer patches them
+    trainer.write_trace_csv(result.trace, os.path.join(out_dir, "trace.csv"))
+    trainer.save_checkpoint(result, os.path.join(out_dir, "checkpoint"))
     to_csv(data, os.path.join(out_dir, "dataset.csv"))
     _emit_plots(result, data, out_dir)
     print(
@@ -206,15 +209,22 @@ REQUIRED_VERDICTS = [
 def _load_sweep_file(path: str) -> list[dict]:
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("sweep grid must be an object")
     _reject_unknown(doc, {"sweeps"}, "sweep grid")
     sweeps = doc.get("sweeps")
     if not isinstance(sweeps, list) or not sweeps:
         raise ValueError("sweep grid needs a non-empty 'sweeps' list")
     for entry in sweeps:
+        if not isinstance(entry, dict):
+            raise ValueError(f"sweep entry must be an object, got {entry!r}")
         _reject_unknown(entry, {"name", "varying", "base", "values"}, "sweep entry")
         for key in ("name", "varying", "base", "values"):
             if key not in entry:
                 raise ValueError(f"sweep entry missing {key!r}")
+        for key, kind, what in (("name", str, "a string"), ("base", dict, "an object")):
+            if not isinstance(entry[key], kind):
+                raise ValueError(f"sweep entry {key!r} must be {what}, got {entry[key]!r}")
     return sweeps
 
 
@@ -234,18 +244,15 @@ def cmd_theory(grid_path: str | None, out_dir: str, mc_samples: int, seed: int) 
         return 2
 
     os.makedirs(out_dir, exist_ok=True)
-    with atomic_open(os.path.join(out_dir, "theorem_sweep.csv"), newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["sweep", "varying", "param", "p_pos", "p_neg", "p_mask", "imbalance",
-             "mc_p_pos", "mc_se_pos", "mc_p_neg", "mc_se_neg", "mc_p_mask", "mc_se_mask"]
-        )
-        for name, res in results:
-            for row in res.rows:
-                d, m = row.dist, row.mc
-                mc = [] if m is None else [m.dist.p_pos, m.se_pos, m.dist.p_neg, m.se_neg, m.dist.p_mask, m.se_mask]
-                values = [row.param, d.p_pos, d.p_neg, d.p_mask, d.imbalance, *mc]
-                writer.writerow([name, res.varying, *(f"{v:.12g}" for v in values), *[""] * (6 - len(mc))])
+    rows = []
+    for name, res in results:
+        for row in res.rows:
+            d, m = row.dist, row.mc
+            mc = [None] * 6 if m is None else [m.dist.p_pos, m.se_pos, m.dist.p_neg, m.se_neg, m.dist.p_mask, m.se_mask]
+            rows.append([name, res.varying, row.param, d.p_pos, d.p_neg, d.p_mask, d.imbalance, *mc])
+    write_csv(os.path.join(out_dir, "theorem_sweep.csv"),
+              ["sweep", "varying", "param", "p_pos", "p_neg", "p_mask", "imbalance",
+               "mc_p_pos", "mc_se_pos", "mc_p_neg", "mc_se_neg", "mc_p_mask", "mc_se_mask"], rows)
 
     lines = []
     all_pass = True
@@ -390,17 +397,11 @@ def cmd_ablate(suite: str, n_seeds: int, out_dir: str) -> int:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
     os.makedirs(out_dir, exist_ok=True)
-    order = [label for label, *_ in ABLATION_SUITES[suite]]
     csv_path = os.path.join(out_dir, "ablation.csv")
-    with atomic_open(csv_path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variant", "n_seeds", "mean_error", "std_error", "mean_best_error"])
-        for label in order:
-            e = summary[label]
-            std = "" if e["std_error"] is None else f"{e['std_error']:.12g}"
-            writer.writerow([label, len(e["seeds"]), f"{e['mean_error']:.12g}", std, f"{e['mean_best_error']:.12g}"])
-    for label in order:
-        e = summary[label]
+    entries = [(label, summary[label]) for label, *_ in ABLATION_SUITES[suite]]
+    write_csv(csv_path, ["variant", "n_seeds", "mean_error", "std_error", "mean_best_error"],
+              ([label, len(e["seeds"]), e["mean_error"], e["std_error"], e["mean_best_error"]] for label, e in entries))
+    for label, e in entries:
         std = "n/a" if e["std_error"] is None else f"{e['std_error']:.4f}"
         print(f"{label:18s} mean_error={e['mean_error']:.4f} std={std} (n={len(e['seeds'])})")
     print(f"wrote {csv_path}")

@@ -11,7 +11,6 @@ belongs to the learner.
 
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
@@ -20,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import write_csv
 
 _MOON_OFFSET = np.array([1.0, 0.25])
 
@@ -284,9 +283,6 @@ def batch_iter(dataset: PointSet, B: int, seed: int) -> Iterator[PointSet]:
 
 def to_csv(bundle: DatasetBundle, path) -> None:
     """Serialize all splits as rows of (x0, x1, label, split); atomic write."""
-    with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x0", "x1", "label", "split"])
-        for split, ps in (("labeled", bundle.labeled), ("unlabeled", bundle.unlabeled), ("test", bundle.test)):
-            for (x0, x1), y in zip(ps.points, ps.labels):
-                writer.writerow([f"{x0:.12g}", f"{x1:.12g}", int(y), split])
+    splits = (("labeled", bundle.labeled), ("unlabeled", bundle.unlabeled), ("test", bundle.test))
+    write_csv(path, ["x0", "x1", "label", "split"],
+              ([x0, x1, y, split] for split, ps in splits for (x0, x1), y in zip(ps.points, ps.labels)))

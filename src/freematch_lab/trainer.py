@@ -14,15 +14,17 @@ with the number of points.
 
 The loop is single-threaded and fully seed-deterministic: `run` puts NumPy's
 OpenBLAS on one thread and restores the count when it returns or raises. The
-count is process-wide, so independent runs go in separate processes.
+count is process-wide, so independent runs go in separate processes. `run`
+returns a `RunResult` and writes no file: see `write_trace_csv` and
+`save_checkpoint`.
 """
 
 from __future__ import annotations
 
-import csv
 import ctypes
 import functools
 import json
+import operator
 import os
 import pathlib
 import sys
@@ -33,7 +35,7 @@ import numpy as np
 
 from . import adaptive_threshold as at
 from . import ndcore as nd
-from .atomic import atomic_open
+from .atomic import atomic_open, write_csv
 from .augment import AugmentSpec, strong, weak
 from .ssl_losses import FairnessVariant, consistency_loss, fairness_loss, supervised_loss, total_loss
 from .synthdata import DatasetBundle, PointSet, batch_iter, check_fields, is_int
@@ -224,6 +226,10 @@ def train_step(
 
 
 def _build(config: TrainConfig, data: DatasetBundle):
+    """A run's model, optimizer, EMA, threshold state and streams. Known defect
+    (ROADMAP item 7, pinned in test_trainer.py): at dataset.seed == train.seed
+    these streams are the dataset generator's own SeedSequence children; on two
+    moons, model init draws the unlabeled stream. README lists all three."""
     ss = np.random.SeedSequence(config.seed)
     s_model, s_lab, s_unlab, s_aug = ss.spawn(4)
     d_in = data.labeled.points.shape[1]
@@ -268,8 +274,8 @@ def _one_blas_thread():
 
 
 @_one_blas_thread()
-def run(config: TrainConfig, data: DatasetBundle, out_dir: str | None = None) -> RunResult:
-    """Train for K iterations on one BLAS thread; optionally write trace.csv and a checkpoint."""
+def run(config: TrainConfig, data: DatasetBundle) -> RunResult:
+    """Train for K iterations on one BLAS thread."""
     model, opt, ema, state, lab_iter, unlab_iter, aug_rng = _build(config, data)
     trace: list[MetricsRecord] = []
     best_error = float("inf")
@@ -280,32 +286,15 @@ def run(config: TrainConfig, data: DatasetBundle, out_dir: str | None = None) ->
             record.error_rate = ev.error_rate
             best_error = min(best_error, ev.error_rate)
         trace.append(record)
-    final_error = trace[-1].error_rate
-    result = RunResult(final_error, best_error, trace, model, ema, state, config)
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        write_trace_csv(trace, os.path.join(out_dir, "trace.csv"))
-        save_checkpoint(result, os.path.join(out_dir, "checkpoint"))
-    return result
+    return RunResult(trace[-1].error_rate, best_error, trace, model, ema, state, config)
 
 
 # -- artifacts ---------------------------------------------------------------------
 
-# the MetricsRecord fields in order, `iteration` written as `iter`
-TRACE_COLUMNS = ["iter", *(f.name for f in fields(MetricsRecord)[1:])]
-
-
-def _fmt(v: float | None) -> str:
-    return "" if v is None else f"{v:.12g}"
-
-
 def write_trace_csv(trace: list[MetricsRecord], path: str) -> None:
+    """One column per MetricsRecord field in order, `iteration` headed `iter`."""
     names = [f.name for f in fields(MetricsRecord)]
-    with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for r in trace:
-            writer.writerow([_fmt(getattr(r, name)) for name in names])
+    write_csv(path, ["iter", *names[1:]], map(operator.attrgetter(*names), trace))
 
 
 def config_to_dict(config: TrainConfig) -> dict:

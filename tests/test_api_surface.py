@@ -1,5 +1,6 @@
 """No API that only its own test calls: every module-level function and class in
-src/freematch_lab is referenced by the lab itself or by perfbench."""
+src/freematch_lab is referenced by the lab itself or by perfbench. And one CSV
+writer: only atomic.py imports `csv`."""
 
 import ast
 import pathlib
@@ -45,3 +46,19 @@ def test_every_src_definition_is_referenced_outside_tests():
                     unreferenced.append(f"{mod}.{stmt.name}")
     assert sorted(set(unreferenced) - set(ALLOWED)) == []
     assert sorted(ALLOWED) == sorted(set(unreferenced) & set(ALLOWED)), "an allowlisted name is now referenced"
+
+
+def test_only_atomic_imports_csv():
+    """Every table goes through atomic.write_csv, so no other module needs `csv`."""
+    importers = []
+    for path in sorted((ROOT / "src" / "freematch_lab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                continue
+            if "csv" in modules:
+                importers.append(path.name)
+    assert importers == ["atomic.py"]

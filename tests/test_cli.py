@@ -149,10 +149,12 @@ def _shipped_config(tmp_path, **train_overrides):
         ("train", {"w_f": -1}, "w_f must be >= 0"),
         ("train", {"augment": {"strong_scale_range": [-5, 1.1]}},
          "augment.strong_scale_range must satisfy 0 < lo <= 1 <= hi"),
+        ("train", {"augment": {"weak_sigma": 0.5, "strong_sigma": 0.2}},
+         "need 0 <= augment.weak_sigma <= augment.strong_sigma"),
     ],
     ids=["lambda", "clamp", "B", "mu", "mu_B", "clamp_scalar", "n_unlabeled_str", "n_unlabeled_float", "dataset_seed",
          "weak_sigma_str", "scale_range_scalar", "augment_seed_float", "lr0_negative", "lr0_zero", "momentum_above_1",
-         "momentum_negative", "w_u_negative", "w_f_negative", "scale_range_negative"],
+         "momentum_negative", "w_u_negative", "w_f_negative", "scale_range_negative", "weak_above_strong"],
 )
 def test_bad_train_value_is_a_config_error(tmp_path, capsys, section, override, message):
     """Caught when the config is parsed: no traceback, no output directory."""
@@ -331,6 +333,32 @@ def test_theory_bad_sweep_values_are_a_config_error(tmp_path, capsys, values):
     out = tmp_path / "o"
     assert cli.main(["theory", "--grid", str(grid), "--out", str(out), "--mc-samples", "0"]) == 2
     assert capsys.readouterr().err == f"config error: values must be a list of finite numbers, got {values!r}\n"
+    assert not out.exists()
+
+
+_GRID_BASE = {"mu1": -1.0, "mu2": 1.0, "sigma1": 1.0, "sigma2": 1.0, "beta": 1.0, "tau": 0.8}
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        (["sweeps"], "sweep grid must be an object"),
+        ({"sweeps": ["mini"]}, "sweep entry must be an object, got 'mini'"),
+        ({"sweeps": [{"name": ["x"], "varying": "tau", "base": _GRID_BASE, "values": [0.6, 0.7]}]},
+         "sweep entry 'name' must be a string, got ['x']"),
+        ({"sweeps": [{"name": 3, "varying": "tau", "base": _GRID_BASE, "values": [0.6, 0.7]}]},
+         "sweep entry 'name' must be a string, got 3"),
+        ({"sweeps": [{"name": "mini", "varying": "tau", "base": [0.8], "values": [0.6, 0.7]}]},
+         "sweep entry 'base' must be an object, got [0.8]"),
+    ],
+    ids=["grid_list", "entry_string", "name_list", "name_number", "base_list"],
+)
+def test_theory_bad_grid_shape_is_a_config_error(tmp_path, capsys, grid, message):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(grid))
+    out = tmp_path / "o"
+    assert cli.main(["theory", "--grid", str(path), "--out", str(out), "--mc-samples", "0"]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
 
 

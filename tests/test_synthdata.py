@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from freematch_lab.atomic import atomic_open
+from freematch_lab.atomic import atomic_open, write_csv
 from freematch_lab.synthdata import (
     MixtureSpec,
     PointSet,
@@ -202,3 +202,11 @@ def test_atomic_open_leaves_the_old_file_when_the_write_fails(tmp_path):
         fh.write("new\n")
     assert path.read_text() == "new\n"
     assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_write_csv_cell_rule(tmp_path):
+    """None is empty, text is written as is, a number as %.12g."""
+    path = tmp_path / "t.csv"
+    write_csv(str(path), ["a", "b"], [[None, "x y"], [np.int64(1), 0.1], [-0.0, 1 / 3]])
+    assert path.read_bytes() == b"a,b\r\n,x y\r\n1,0.1\r\n-0,0.333333333333\r\n"
+    assert os.listdir(tmp_path) == ["t.csv"]

@@ -13,7 +13,7 @@ from freematch_lab import trainer
 from freematch_lab.adaptive_threshold import Fixed, Sat, to_record
 from freematch_lab.augment import AugmentSpec, weak
 from freematch_lab.ssl_losses import FairnessVariant, supervised_loss
-from freematch_lab.synthdata import PointSet, TwoMoonSpec, gen_gaussian_clusters, gen_two_moons
+from freematch_lab.synthdata import PointSet, TwoMoonSpec, batch_iter, gen_gaussian_clusters, gen_two_moons
 from freematch_lab.trainer import (
     MetricsRecord,
     TrainConfig,
@@ -175,6 +175,37 @@ def test_warmup_parameters_independent_of_unlabeled_values():
     assert state_b.tau_global != state_a.tau_global
 
 
+def _batches(it, n=5):
+    return [(b.points.tolist(), b.labels.tolist()) for b in (next(it) for _ in range(n))]
+
+
+def test_training_streams_are_the_dataset_streams_when_the_seeds_match():
+    """A known defect, pinned so that its fix must flip this test (ROADMAP item
+    7). With dataset.seed == train.seed, the children of _build's
+    SeedSequence(seed).spawn(4) are the dataset generator's own spawned
+    children: gen_two_moons draws (unlabeled, test) from spawn(2), and
+    gen_gaussian_clusters (labeled, unlabeled, test) from spawn(3)."""
+    seed = 3
+    moons = gen_two_moons(TwoMoonSpec(n_unlabeled=1000, labels_per_class=8, noise_sigma=0.0, seed=seed))
+    model, _, _, _, lab_iter, _, _ = _build(TrainConfig(seed=seed, B=4), moons)
+    # model init draws the unlabeled stream: the 2x64 layer-1 weights are an
+    # affine image of the first 128 unlabeled class-0 angles
+    w = model.layers[0][0].data.ravel()
+    limit = np.sqrt(6.0 / (2 + 64))
+    x, y = moons.unlabeled.points[: w.size].T
+    assert np.allclose((w + limit) / (2 * limit), np.arctan2(y, x) / np.pi, rtol=0, atol=1e-12)
+    # labeled batches draw the test-split stream
+    _, moon_test = np.random.SeedSequence(seed).spawn(2)
+    assert _batches(lab_iter) == _batches(batch_iter(moons.labeled, 4, seed=moon_test))
+
+    clusters = gen_gaussian_clusters(2, 100, [[-3.0, 0.0], [3.0, 0.0]], sigma=0.6, seed=seed, labels_per_class=8)
+    _, _, _, _, lab_iter, unlab_iter, _ = _build(TrainConfig(seed=seed, B=4, mu=2), clusters)
+    _, cluster_unlab, cluster_test = np.random.SeedSequence(seed).spawn(3)
+    # labeled batches draw the unlabeled-point stream, unlabeled batches the test-point stream
+    assert _batches(lab_iter) == _batches(batch_iter(clusters.labeled, 4, seed=cluster_unlab))
+    assert _batches(unlab_iter) == _batches(batch_iter(clusters.unlabeled, 8, seed=cluster_test))
+
+
 def test_warmup_zeroes_unsupervised_terms():
     data = _cluster_data()
     cfg = _small_config(warmup_iters=5)
@@ -259,22 +290,31 @@ def test_evaluate_goes_through_predict(monkeypatch, make_data):
 # -- run -------------------------------------------------------------------------
 
 
-def test_run_records_one_row_per_iteration(tmp_path):
+def _run_and_write(cfg, data, out_dir):
+    """`run`, then the two files that the train command writes from its result."""
+    out_dir.mkdir()
+    result = run(cfg, data)
+    write_trace_csv(result.trace, str(out_dir / "trace.csv"))
+    save_checkpoint(result, str(out_dir / "checkpoint"))
+    return result
+
+
+def test_run_records_one_row_per_iteration(tmp_path, monkeypatch):
     data = _cluster_data()
     cfg = _small_config(K=12, eval_every=5)
-    result = run(cfg, data, out_dir=str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    result = run(cfg, data)
     assert len(result.trace) == 12
     assert result.trace[-1].error_rate is not None
     assert result.final_error <= 1.0 and result.best_error <= result.final_error + 1e-12
-    assert (tmp_path / "trace.csv").exists()
-    assert (tmp_path / "checkpoint.bin").exists() and (tmp_path / "checkpoint.json").exists()
+    assert list(tmp_path.iterdir()) == []  # run returns its result and writes no file
 
 
 def test_run_trace_deterministic(tmp_path):
     data = _cluster_data()
     cfg = _small_config(K=8)
-    run(cfg, data, out_dir=str(tmp_path / "a"))
-    run(cfg, data, out_dir=str(tmp_path / "b"))
+    _run_and_write(cfg, data, tmp_path / "a")
+    _run_and_write(cfg, data, tmp_path / "b")
     assert (tmp_path / "a" / "trace.csv").read_bytes() == (tmp_path / "b" / "trace.csv").read_bytes()
 
 
@@ -313,12 +353,12 @@ def test_run_trains_on_one_blas_thread_and_restores_the_count(monkeypatch):
 
 def test_run_without_a_blas_setter_writes_the_same_artifacts(tmp_path, monkeypatch, capsys):
     data, cfg = _cluster_data(), _small_config(K=6)
-    run(cfg, data, out_dir=str(tmp_path / "normal"))
+    _run_and_write(cfg, data, tmp_path / "normal")
     capsys.readouterr()
     # a fresh probe that finds no library with a known setter
     monkeypatch.setattr(trainer, "ctypes", types.SimpleNamespace(CDLL=lambda path: object(), c_int=ctypes.c_int))
     monkeypatch.setattr(trainer, "_openblas_threads", functools.cache(trainer._openblas_threads.__wrapped__))
-    run(cfg, data, out_dir=str(tmp_path / "unset"))
+    _run_and_write(cfg, data, tmp_path / "unset")
     run(cfg, data)
     err = capsys.readouterr().err
     assert err == "freematch-lab: no OpenBLAS thread setter found; training keeps the BLAS threads it has\n"
