@@ -146,12 +146,12 @@ def cmd_train(config_path: str, out_override: str | None) -> int:
     if out_dir is None:
         print("config error: no output directory (set out_dir or pass --out)", file=sys.stderr)
         return 2
-    os.makedirs(out_dir, exist_ok=True)
     try:
         result = run(config, data)
     except TrainingAborted as exc:
         print(f"run aborted: {exc}", file=sys.stderr)
         return 1
+    os.makedirs(out_dir, exist_ok=True)
     # looked up on the module, where perfbench's tracer patches them
     trainer.write_trace_csv(result.trace, os.path.join(out_dir, "trace.csv"))
     trainer.save_checkpoint(result, os.path.join(out_dir, "checkpoint"))
@@ -354,7 +354,7 @@ def run_ablation(suite: str, seeds: list[int]) -> dict[str, dict]:
                 try:
                     rows.append(future.result())
                 except TrainingAborted as exc:  # stop at the first aborted run and name it
-                    raise TrainingAborted(exc.record, f"ablation run {_run_name(job)}: {exc}") from exc
+                    raise TrainingAborted(exc.record, f"ablation run {_run_name(job)}: {exc}", exc.last_good) from exc
         except BrokenProcessPool as exc:
             # a dead worker fails every job not yet done, its own among them
             lost = ", ".join(_run_name(job) for job, f in zip(jobs, futures) if f.exception() is not None)

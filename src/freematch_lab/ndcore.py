@@ -2,9 +2,10 @@
 momentum, cosine learning-rate decay, and a parameter-space EMA used for
 evaluation.
 
-Everything is define-by-run: each training step rebuilds a fresh graph, and
-``backward()`` on a scalar root fills ``.grad`` on every reachable leaf.
-Single-threaded mutation; tensor values are safe to share read-only.
+Training records no graph: ``mlp_forward`` and ``mlp_backward`` do, op for op,
+what ``forward``'s graph and its backward do. The define-by-run tape, where
+``backward()`` on a scalar root fills ``.grad`` on every reachable leaf, is the
+gradient tests' reference. Single-threaded mutation; values are shared read-only.
 
 Gradients are never copied: a ``.grad`` array may be the very array another
 tensor holds as its ``.grad`` (an add hands one upstream array to both
@@ -242,18 +243,33 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
+def array_of(x) -> np.ndarray:
+    """The values of a Tensor, or a plain array as it is."""
+    return x.data if isinstance(x, Tensor) else x
+
+
+def scalar_head(x, value, pullback, g):
+    """A scalar loss of ``x`` in closed form: ``value``, and ``pullback(g)``, the
+    gradient of ``g * value`` (None: a constant). For a Tensor, one graph node
+    whose backward calls ``pullback``; for an array, ``(value, pullback(g))``."""
+    if not isinstance(x, Tensor):
+        return value, None if pullback is None else pullback(g)
+    if pullback is None:
+        return Tensor(value)
+    return Tensor._make(value, (x,), lambda g: x._accum(pullback(g)))
+
+
 def softmax(logits):
     """Row-stabilized softmax; accepts a Tensor (graph op) or a plain array."""
     if not isinstance(logits, Tensor):
         return _softmax_data(np.asarray(logits, dtype=np.float64))
     out_data = _softmax_data(logits.data)
+    return Tensor._make(out_data, (logits,), lambda g: logits._accum(softmax_backward(out_data, g)))
 
-    def bwd(g):
-        if logits.requires_grad:
-            inner = (g * out_data).sum(axis=-1, keepdims=True)
-            logits._accum(out_data * (g - inner))
 
-    return Tensor._make(out_data, (logits,), bwd)
+def softmax_backward(probs: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """d/dlogits from softmax's output ``probs`` and upstream gradient ``g``."""
+    return probs * (g - (g * probs).sum(axis=-1, keepdims=True))
 
 
 def _softmax_data(z: np.ndarray) -> np.ndarray:
@@ -287,19 +303,17 @@ def log_softmax(logits: Tensor) -> Tensor:
     return Tensor._make(out_data, (logits,), bwd)
 
 
-def weighted_nll(logits: Tensor, weights: np.ndarray) -> Tensor:
-    """``-(log_softmax(logits) * weights).sum()`` as a single graph op, with
+def weighted_nll(logits, weights: np.ndarray, g=1.0):
+    """``-(log_softmax(logits) * weights).sum()`` as one ``scalar_head``, with
     the same operations in the same order; ``weights`` is a constant array."""
     weights = np.asarray(weights, dtype=np.float64)
-    log_probs = _log_softmax_data(logits.data)
-    out_data = -(log_probs * weights).sum()
+    log_probs = _log_softmax_data(array_of(logits))
 
-    def bwd(g):
-        if logits.requires_grad:
-            gw = -g * weights
-            logits._accum(gw - np.exp(log_probs) * gw.sum(axis=-1, keepdims=True))
+    def pullback(g):
+        gw = -g * weights
+        return gw - np.exp(log_probs) * gw.sum(axis=-1, keepdims=True)
 
-    return Tensor._make(out_data, (logits,), bwd)
+    return scalar_head(logits, -(log_probs * weights).sum(), pullback, g)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
@@ -311,22 +325,29 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
         raise ValueError(f"linear dimension mismatch: {x.data.shape} @ {w.data.shape}")
     if b.data.shape != w.data.shape[1:]:
         raise ValueError(f"bias shape {b.data.shape} does not match weight {w.data.shape}")
-    out_data = x.data @ w.data
-    out_data += b.data
-    if relu:
-        np.maximum(out_data, 0.0, out=out_data)
+    out_data = _linear_data(x.data, w.data, b.data, relu)
 
     def bwd(g):
-        if relu:
-            g = g * (out_data > 0.0)
-        if b.requires_grad:
-            b._accum(g.sum(axis=0))
-        if w.requires_grad:
-            w._accum(x.data.T @ g)
-        if x.requires_grad:
-            x._accum(g @ w.data.T)
+        for t, grad in zip((x, w, b), _linear_backward(x.data, w.data, out_data, g, relu, x.requires_grad)):
+            if t.requires_grad:
+                t._accum(grad)
 
     return Tensor._make(out_data, (x, w, b), bwd)
+
+
+def _linear_data(x: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool) -> np.ndarray:
+    out = x @ w
+    out += b
+    if relu:
+        np.maximum(out, 0.0, out=out)
+    return out
+
+
+def _linear_backward(x, w, out, g, relu: bool, need_x: bool):
+    """(d/dx or None, d/dw, d/db) of ``linear``, given its output and upstream ``g``."""
+    if relu:
+        g = g * (out > 0.0)
+    return (g @ w.T if need_x else None), x.T @ g, g.sum(axis=0)
 
 
 # -- model ----------------------------------------------------------------------
@@ -388,6 +409,26 @@ def forward(model: MlpModel, x) -> Tensor:
     for i, (w, b) in enumerate(model.layers):
         h = linear(h, w, b, relu=i != last)
     return h
+
+
+def mlp_forward(model: MlpModel, x: np.ndarray) -> list[np.ndarray]:
+    """``forward``'s values without a graph: the batch and every layer's
+    output, logits last, as ``mlp_backward`` takes them."""
+    acts = [np.asarray(x, dtype=np.float64)]
+    for i, (w, b) in enumerate(model.layers):
+        acts.append(_linear_data(acts[-1], w.data, b.data, i != len(model.layers) - 1))
+    return acts
+
+
+def mlp_backward(model: MlpModel, acts: list[np.ndarray], g: np.ndarray) -> None:
+    """Add d(root)/d(parameter) into each parameter's ``.grad``, given
+    ``mlp_forward``'s activations and ``g`` = d(root)/d(logits)."""
+    last = len(model.layers) - 1
+    for i in range(last, -1, -1):
+        w, b = model.layers[i]
+        g, grad_w, grad_b = _linear_backward(acts[i], w.data, acts[i + 1], g, i != last, i > 0)
+        w._accum(grad_w)
+        b._accum(grad_b)
 
 
 # -- optimizer -------------------------------------------------------------------

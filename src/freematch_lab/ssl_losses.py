@@ -2,11 +2,12 @@
 data, threshold-masked consistency loss on unlabeled data, and the class
 fairness regularizers (none / uniform-prior / self-adaptive).
 
-Weak-branch probabilities enter as plain arrays so no gradient can flow
-through them; only the strong branch participates in backward. The
-self-adaptive fairness term is the histogram-normalized cross-entropy
-between the EMA statistics ratio and the masked batch ratio, implemented
-sign-literally:
+Each head takes a Tensor (one graph node, for the gradient tests) or a plain
+array with ``g``, its weight in the total loss (the training step), and then
+returns ``(value, gradient of g * value)`` in closed form. Only the strong
+branch gets a gradient; weak-branch probabilities are constants. The
+self-adaptive fairness term is the histogram-normalized cross-entropy between
+the EMA statistics ratio and the masked batch ratio, implemented sign-literally:
 
     L_f = -H(SumNorm(p_local / hist), SumNorm(p_bar / h_bar))
 
@@ -28,7 +29,7 @@ from enum import Enum
 import numpy as np
 
 from .adaptive_threshold import ThresholdState, mask
-from .ndcore import Tensor, as_tensor, weighted_nll
+from .ndcore import array_of, scalar_head, weighted_nll
 
 _HIST_FLOOR = 1e-9
 _LOG_GUARD = 1e-12  # keeps log finite if soft mass underflows to exact zero
@@ -40,69 +41,73 @@ class FairnessVariant(str, Enum):
     SAF = "saf"
 
 
-def supervised_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
+def supervised_loss(logits, labels: np.ndarray, g=1.0):
     """Mean cross-entropy of softmax(logits) against one-hot labels."""
     labels = np.asarray(labels)
-    B, C = logits.data.shape
+    B, C = array_of(logits).shape
     if labels.shape != (B,) or (labels < 0).any() or (labels >= C).any():
         raise ValueError("labels must be valid class ids, one per row")
     onehot = np.zeros((B, C))
     onehot[np.arange(B), labels] = 1.0 / B
-    return weighted_nll(logits, onehot)
+    return weighted_nll(logits, onehot, g)
 
 
-def consistency_loss(
-    weak_probs: np.ndarray, strong_logits: Tensor, thresholds: np.ndarray
-) -> tuple[Tensor, np.ndarray]:
+def consistency_loss(weak_probs: np.ndarray, strong_logits, thresholds: np.ndarray, g=1.0):
     """Masked cross-entropy of strong predictions against weak hard labels.
 
     The denominator is the full batch size; masked-out samples contribute
     zero. Returns the scalar loss and the inclusion mask.
     """
     keep, hard = mask(weak_probs, thresholds)
-    B, C = strong_logits.data.shape
+    B, C = array_of(strong_logits).shape
     if weak_probs.shape != (B, C):
         raise ValueError("weak and strong batches must have identical shapes")
     if not keep.any():
-        return as_tensor(0.0), keep
+        return scalar_head(strong_logits, 0.0, None, g), keep
     weights = np.zeros((B, C))
     weights[np.arange(B), hard] = keep.astype(np.float64) / B
-    return weighted_nll(strong_logits, weights), keep
+    return weighted_nll(strong_logits, weights, g), keep
 
 
 def _sum_norm(x):
     return x / x.sum()
 
 
-def fairness_loss(
-    variant: FairnessVariant,
-    state: ThresholdState,
-    weak_probs: np.ndarray,
-    strong_probs: Tensor,
-    thresholds: np.ndarray,
-) -> Tensor:
-    """Class fairness term; returns 0 when disabled or nothing is masked in."""
+def fairness_loss(variant: FairnessVariant, state: ThresholdState, weak_probs: np.ndarray, strong_probs,
+                  thresholds: np.ndarray, g=1.0):
+    """Class fairness term; 0 when disabled or nothing is masked in. Both
+    variants are (log(r) * target).sum(): the uniform prior with r = p_bar and a
+    uniform target, SAF with r = SumNorm(p_bar / h_bar). Value and gradient take
+    the same floating-point operations as composing the Tensor ops."""
     variant = FairnessVariant(variant)
-    if variant is FairnessVariant.NONE:
-        return as_tensor(0.0)
-    keep, _ = mask(weak_probs, thresholds)
+    keep = None if variant is FairnessVariant.NONE else mask(weak_probs, thresholds)[0]
+    if keep is None or not keep.any():
+        return scalar_head(strong_probs, 0.0, None, g)
     n_in = int(keep.sum())
-    if n_in == 0:
-        return as_tensor(0.0)
-    B, C = strong_probs.data.shape
+    probs = array_of(strong_probs)
+    B, C = probs.shape
     keep_col = keep.astype(np.float64)[:, None]
+    uniform = variant is FairnessVariant.UNIFORM_PRIOR
+    scale = 1.0 / (n_in if uniform else B)
+    p_bar = (probs * keep_col).sum(axis=0) * scale + _LOG_GUARD
+    if uniform:
+        target, r = np.full(C, 1.0 / C), p_bar
+    else:
+        # self-adaptive: normalize soft mass and hard counts per class
+        h_bar = np.bincount(probs.argmax(axis=1)[keep], minlength=C).astype(np.float64) / n_in
+        target = _sum_norm(state.p_local / np.maximum(state.hist, _HIST_FLOOR))
+        h_floor = np.maximum(h_bar, _HIST_FLOOR)
+        ratio = p_bar / h_floor
+        r = _sum_norm(ratio)
 
-    if variant is FairnessVariant.UNIFORM_PRIOR:
-        p_bar = (strong_probs * keep_col).sum(axis=0) * (1.0 / n_in) + _LOG_GUARD
-        return (p_bar.log() * np.full(C, 1.0 / C)).sum()
+    def pullback(g):
+        d = g * target / r
+        if not uniform:  # back through SumNorm and the division by h_floor
+            s = ratio.sum()
+            d = (d / s + (-d * ratio / (s * s)).sum()) / h_floor
+        return d * scale * keep_col
 
-    # self-adaptive: normalize soft mass and hard counts per class
-    p_bar = (strong_probs * keep_col).sum(axis=0) * (1.0 / B) + _LOG_GUARD
-    strong_hard = strong_probs.data.argmax(axis=1)
-    h_bar = np.bincount(strong_hard[keep], minlength=C).astype(np.float64) / n_in
-    target = _sum_norm(state.p_local / np.maximum(state.hist, _HIST_FLOOR))
-    batch_ratio = _sum_norm(p_bar / np.maximum(h_bar, _HIST_FLOOR))
-    return (batch_ratio.log() * target).sum()
+    return scalar_head(strong_probs, (np.log(r) * target).sum(), pullback, g)
 
 
 def total_loss(l_s, l_u, l_f, w_u: float = 1.0, w_f: float = 0.0):

@@ -126,6 +126,16 @@ def _shipped_config(tmp_path, **train_overrides):
     return path
 
 
+def test_aborted_train_leaves_no_output_dir(tmp_path, capsys):
+    """The directory is made only once training has returned, as on a config error."""
+    cfg = _shipped_config(tmp_path, lr0=1e200, K=50)
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("run aborted: aborted at iteration 1: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "section, override, message",
     [
@@ -547,6 +557,7 @@ def test_ablation_abort_names_variant_and_seed(monkeypatch, workers):
         cli.run_ablation("thresholds", [0, 1])
     assert str(exc_info.value).startswith("ablation run sat seed 1: aborted at iteration 1")
     assert exc_info.value.record.iteration == 1
+    assert exc_info.value.last_good.iteration == 0
 
 
 def test_ablate_command_reports_aborted_pool_run(tmp_path, monkeypatch, capsys):

@@ -15,6 +15,8 @@ from freematch_lab.ndcore import (
     forward,
     linear,
     log_softmax,
+    mlp_backward,
+    mlp_forward,
     no_grad,
     sgd_step,
     softmax,
@@ -270,6 +272,12 @@ def test_graph_forward_matches_general_ops_bit_for_bit():
     want = _value_and_grads((h * upstream).sum(), leaves)
     for g, e in zip(got, want):
         assert np.array_equal(g, e)
+    # the tape-free pair: the same logits, and the same parameter gradients
+    acts = mlp_forward(model, x.data)
+    assert np.array_equal(acts[-1], forward(model, x).data)
+    mlp_backward(model, acts, upstream)
+    for p, e in zip(model.parameters(), want[2:]):
+        assert np.array_equal(p.grad, e)
 
 
 def test_no_grad_forward_matches_graph_forward_bit_for_bit():
@@ -291,6 +299,9 @@ def test_weighted_nll_matches_log_softmax_mul_sum_bit_for_bit():
     want = _value_and_grads(-(log_softmax(z) * weights).sum() * 0.7, [z])
     for g, e in zip(got, want):
         assert np.array_equal(g, e)
+    # an array with upstream weight 0.7 gives (value, gradient) in closed form
+    value, grad = weighted_nll(z.data, weights, 0.7)
+    assert value == -(log_softmax(z) * weights).sum().data and np.array_equal(grad, want[1])
 
 
 def test_weighted_nll_rejects_non_finite_logits():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freematch_lab.adaptive_threshold import Sat, ThresholdState, mask, per_class_thresholds
-from freematch_lab.ndcore import Tensor, no_grad, softmax
+from freematch_lab.ndcore import Tensor, no_grad, softmax, softmax_backward
 from freematch_lab.ssl_losses import (
     FairnessVariant,
     _sum_norm,
@@ -218,6 +218,60 @@ def test_fairness_gradient_flows_only_through_soft_mass():
     assert keep.any() and not keep.all()
     assert np.abs(strong.grad[~keep]).max() == 0.0
     assert np.abs(strong.grad[keep]).max() > 0.0
+
+
+def tensor_op_fairness(variant, state, weak, strong_probs, th):
+    """The fairness term composed of general Tensor ops (masked sum, scale, +,
+    /, SumNorm, log, weighted sum): the reference that fairness_loss's single
+    node must match bit for bit, in value and gradient."""
+    keep, _ = mask(weak, th)
+    n_in = int(keep.sum())
+    if variant is FairnessVariant.NONE or n_in == 0:
+        return Tensor(0.0)
+    B, C = strong_probs.data.shape
+    keep_col = keep.astype(np.float64)[:, None]
+    if variant is FairnessVariant.UNIFORM_PRIOR:
+        p_bar = (strong_probs * keep_col).sum(axis=0) * (1.0 / n_in) + 1e-12
+        return (p_bar.log() * np.full(C, 1.0 / C)).sum()
+    p_bar = (strong_probs * keep_col).sum(axis=0) * (1.0 / B) + 1e-12
+    h_bar = np.bincount(strong_probs.data.argmax(axis=1)[keep], minlength=C).astype(np.float64) / n_in
+    target = _sum_norm(state.p_local / np.maximum(state.hist, 1e-9))
+    batch_ratio = _sum_norm(p_bar / np.maximum(h_bar, 1e-9))
+    return (batch_ratio.log() * target).sum()
+
+
+def _fairness_case(name):
+    """(state, weak probs, strong logits, thresholds) for one bit-identity case."""
+    rng = np.random.default_rng(7)
+    if name == "empty_class":
+        # every row kept, no strong argmax in class 2: h_bar[2] is floored at 1e-9
+        strong = np.array([[0.7, 0.2, 0.1], [0.6, 0.3, 0.1], [0.2, 0.7, 0.1], [0.3, 0.6, 0.1]])
+        weak = np.array([[0.8, 0.1, 0.1], [0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.2, 0.7, 0.1]])
+        return _state_with(np.full(3, 1 / 3), np.full(3, 1 / 3)), weak, np.log(strong), np.zeros(3)
+    B, C = (12, 2) if name == "two_class" else (24, 4)
+    weak = _rand_probs(rng, B, C)
+    th = np.full(C, np.median(weak.max(axis=1)))  # keeps about half the rows
+    return _state_with(_rand_probs(rng, 1, C)[0], _rand_probs(rng, 1, C)[0]), weak, rng.normal(size=(B, C)), th
+
+
+@pytest.mark.parametrize("case", ["split", "two_class", "empty_class"])
+@pytest.mark.parametrize("variant", [FairnessVariant.SAF, FairnessVariant.UNIFORM_PRIOR])
+def test_fairness_node_matches_the_tensor_op_chain_bit_for_bit(variant, case):
+    state, weak, logits, th = _fairness_case(case)
+    results = []
+    for build in (fairness_loss, tensor_op_fairness):
+        z = Tensor(logits.copy(), requires_grad=True)
+        out = build(variant, state, weak, softmax(z), th)
+        (out * 0.01).backward()  # upstream weight w_f, as the total loss feeds it
+        results.append((float(out), z.grad))
+    (node_value, node_grad), (chain_value, chain_grad) = results
+    assert node_value == chain_value and np.array_equal(node_grad, chain_grad)
+    if case == "empty_class" and variant is FairnessVariant.SAF:
+        assert node_value < -10 * math.log(3)  # the floored histogram's spike
+    # the array form, as the training step calls it, returns the same value and gradient
+    probs = softmax(logits)
+    value, d_probs = fairness_loss(variant, state, weak, probs, th, 0.01)
+    assert value == chain_value and np.array_equal(softmax_backward(probs, d_probs), chain_grad)
 
 
 @settings(max_examples=50, deadline=None)

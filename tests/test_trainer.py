@@ -1,5 +1,6 @@
 import copy
 import ctypes
+import dataclasses
 import functools
 import json
 import pickle
@@ -8,11 +9,15 @@ import types
 import numpy as np
 import pytest
 
+from test_ssl_losses import tensor_op_fairness
+
+from freematch_lab import adaptive_threshold as at
+from freematch_lab import cli
 from freematch_lab import ndcore as nd
 from freematch_lab import trainer
 from freematch_lab.adaptive_threshold import Fixed, Sat, to_record
-from freematch_lab.augment import AugmentSpec, weak
-from freematch_lab.ssl_losses import FairnessVariant, supervised_loss
+from freematch_lab.augment import AugmentSpec, strong, weak
+from freematch_lab.ssl_losses import FairnessVariant, consistency_loss, supervised_loss, total_loss
 from freematch_lab.synthdata import PointSet, TwoMoonSpec, batch_iter, gen_gaussian_clusters, gen_two_moons
 from freematch_lab.trainer import (
     MetricsRecord,
@@ -91,6 +96,82 @@ def test_single_step_near_zero_lambda_tracks_batch():
     assert rec.tau_global == pytest.approx(q.max(axis=1).mean(), abs=1e-9)
 
 
+def _tape_step(model, opt, ema, state, labeled, unlabeled, config, aug_rng):
+    """train_step on the autodiff tape: graph forwards, the Tensor forms of the
+    heads, the fairness term as general Tensor ops, and
+    total_loss(...).backward()."""
+    k = opt.k
+    xl = weak(labeled.points, config.augment, aug_rng)
+    l_s = supervised_loss(nd.forward(model, xl), labeled.labels)
+    uw = weak(unlabeled.points, config.augment, aug_rng)
+    with nd.no_grad():
+        q = nd.softmax(nd.forward(model, uw)).data
+    at.update_global(state, q)
+    at.update_local(state, q)
+    at.update_hist(state, q.argmax(axis=1))
+    if isinstance(config.scheme, at.Cpl):
+        at.update_cpl_counts(state, q, config.scheme.tau)
+    thresholds = at.per_class_thresholds(state, config.scheme)
+    keep, hard = at.mask(q, thresholds)
+    us = strong(unlabeled.points, config.augment, aug_rng)
+    l_u = l_f = nd.as_tensor(0.0)
+    if k >= config.warmup_iters:
+        strong_logits = nd.forward(model, us)
+        l_u, _ = consistency_loss(q, strong_logits, thresholds)
+        l_f = tensor_op_fairness(config.fairness, state, q, nd.softmax(strong_logits), thresholds)
+    record = MetricsRecord(k, float(l_s), float(l_u), float(l_f),
+                           float(l_s) + config.w_u * float(l_u) + config.w_f * float(l_f),
+                           state.tau_global, float(thresholds.mean()), float(keep.mean()))
+    if keep.any():
+        record.pseudo_label_acc = float((hard[keep] == unlabeled.labels[keep]).mean())
+    total_loss(l_s, l_u, l_f, config.w_u, config.w_f).backward()
+    nd.sgd_step(model.parameters(), opt, nd.cosine_lr(config.lr0, k, config.K))
+    opt.k += 1
+    nd.ema_update(ema, model.parameters())
+    state.advance()
+    return record
+
+
+def _ablation_configs():
+    """Every ablation variant, plus SAT+SAF with a 3-step warm-up and w_u = 0.5
+    (w_u is 1 in every variant)."""
+    configs = [pytest.param(label, cli.canonical_two_moon_config(scheme, fairness, w_f, seed=1), id=label)
+               for suite in cli.ABLATION_SUITES.values() for label, scheme, fairness, w_f in suite]
+    warmup = dataclasses.replace(configs[-1].values[1], warmup_iters=3, w_u=0.5)
+    return configs + [pytest.param("warmup", warmup, id="warmup")]
+
+
+@pytest.mark.parametrize("label, config", _ablation_configs())
+def test_train_step_is_bit_identical_to_the_tape(monkeypatch, label, config):
+    """60 steps of train_step and of _tape_step from the same state: every
+    record, parameter gradient, parameter and EMA shadow is equal."""
+    grads = []
+    sgd_step = nd.sgd_step
+
+    def recording_sgd_step(params, *args):
+        grads.append([p.grad for p in params])
+        sgd_step(params, *args)
+
+    monkeypatch.setattr(nd, "sgd_step", recording_sgd_step)
+    data = cli.canonical_two_moon_data(1)
+    runs = [_build(config, data) for _ in range(2)]
+    records = [[], []]
+    for _ in range(60):
+        for step, (model, opt, ema, state, lab_iter, unlab_iter, aug_rng), out in zip(
+                (train_step, _tape_step), runs, records):
+            out.append(step(model, opt, ema, state, next(lab_iter), next(unlab_iter), config, aug_rng))
+        assert records[0][-1] == records[1][-1]
+        new, tape = grads[-2:]
+        assert len(new) == len(tape) and all(np.array_equal(a, b) for a, b in zip(new, tape))
+    (model_a, _, ema_a, *_), (model_b, _, ema_b, *_) = runs
+    assert all(np.array_equal(a.data, b.data) for a, b in zip(model_a.parameters(), model_b.parameters()))
+    assert all(np.array_equal(a, b) for a, b in zip(ema_a.shadow, ema_b.shadow))
+    if label == "fixed(0.95)":
+        assert records[0][0].sampling_rate == 0.0  # a step that keeps no row: only the labeled branch has a gradient
+    if label == "warmup":
+        assert [r.l_u for r in records[0][:3]] == [0.0] * 3 and records[0][3].l_u > 0
+
+
 GOLDEN = [
     (1.1905882389995821, 0.4058942813642894, -0.72267524426907404, 0.50017602337168754),
     (1.0660155717247057, 0.43891358752538473, -0.70082534868333213, 0.50031582150724085),
@@ -149,11 +230,26 @@ def test_training_aborts_on_weight_blowup():
 
 def test_training_aborted_survives_pickling():
     record = MetricsRecord(3, 0.5, float("inf"), 0.0, float("inf"), 0.6, 0.7, 0.25)
-    exc = TrainingAborted(record, "non-finite loss at iteration 3")
+    last_good = MetricsRecord(2, 0.5, 0.4, 0.0, 0.9, 0.6, 0.7, 0.25, pseudo_label_acc=1.0)
+    exc = TrainingAborted(record, "non-finite loss at iteration 3", last_good)
     back = pickle.loads(pickle.dumps(exc))
     assert type(back) is TrainingAborted
     assert str(back) == "non-finite loss at iteration 3"
-    assert back.record == record
+    assert back.record == record and back.last_good == last_good
+    assert pickle.loads(pickle.dumps(TrainingAborted(record, "x"))).last_good is None
+
+
+def test_run_attaches_the_last_good_record(monkeypatch):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingAborted) as exc_info:
+        run(_small_config(K=5, lr0=1e200), _cluster_data())
+    aborted = exc_info.value
+    assert aborted.record.iteration == 1 and aborted.last_good.iteration == 0
+    assert np.isfinite(aborted.last_good.total)
+    # a step-0 abort has no good record before it
+    monkeypatch.setattr(trainer, "weak", lambda points, spec, rng: np.full_like(points, np.inf))
+    with np.errstate(invalid="ignore"), pytest.raises(TrainingAborted) as exc_info:
+        run(_small_config(K=5), _cluster_data())
+    assert exc_info.value.record.iteration == 0 and exc_info.value.last_good is None
 
 
 def test_warmup_parameters_independent_of_unlabeled_values():
