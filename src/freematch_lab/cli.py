@@ -17,11 +17,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
@@ -106,9 +103,16 @@ def _emit_plots(result: RunResult, data: DatasetBundle, out_dir: str) -> None:
     n = 200
     xs = np.linspace(x0, x1, n)
     ys = np.linspace(y0, y1, n)
-    gx, gy = np.meshgrid(xs, ys)
-    grid = np.column_stack([gx.ravel(), gy.ravel()])
-    pred = predict(nd.ema_model(result.ema), grid).reshape(n, n)
+    # predicted a band of raster rows at a time, the most that fit in the test
+    # set's size (at least one row), so no raster forward is larger than the
+    # test-set evaluation the run has already done
+    band = max(1, len(data.test) // n)
+    model = nd.ema_model(result.ema)
+    pred = np.empty((n, n), dtype=np.intp)
+    for i in range(0, n, band):
+        rows = ys[i : i + band]
+        band_points = np.column_stack([np.tile(xs, len(rows)), np.repeat(rows, n)])
+        pred[i : i + band] = predict(model, band_points).reshape(len(rows), n)
     boundary_chart(
         "decision boundary (EMA model)",
         pred,
@@ -343,6 +347,11 @@ def _worker_count() -> int:
 def run_ablation(suite: str, seeds: list[int]) -> dict[str, dict]:
     """Per-variant summary statistics of the suite across seeds. Every run
     trains in a spawned worker, so a calling script needs a `__main__` guard."""
+    # the pool is imported here, not at module level, so train and theory never load it
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     jobs = ablation_jobs(suite, seeds)
     n_workers = max(1, min(_worker_count(), len(jobs)))
     spawn = multiprocessing.get_context("spawn")
@@ -378,6 +387,8 @@ def run_ablation(suite: str, seeds: list[int]) -> dict[str, dict]:
 
 
 def cmd_ablate(suite: str, n_seeds: int, out_dir: str) -> int:
+    from concurrent.futures.process import BrokenProcessPool  # loaded only for ablate, as in run_ablation
+
     try:
         ablation_jobs(suite, [0])
         _worker_count()

@@ -287,17 +287,19 @@ def run(config: TrainConfig, data: DatasetBundle) -> RunResult:
     model, opt, ema, state, lab_iter, unlab_iter, aug_rng = _build(config, data)
     trace: list[MetricsRecord] = []
     best_error = float("inf")
-    for k in range(config.K):
-        try:
-            record = train_step(model, opt, ema, state, next(lab_iter), next(unlab_iter), config, aug_rng)
-        except TrainingAborted as exc:
-            exc.last_good = trace[-1] if trace else None
-            raise
-        if (k + 1) % config.eval_every == 0 or k == config.K - 1:
-            ev = evaluate(nd.ema_model(ema), data.test)
-            record.error_rate = ev.error_rate
-            best_error = min(best_error, ev.error_rate)
-        trace.append(record)
+    # a blow-up surfaces as TrainingAborted from the finite checks, not as NumPy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(config.K):
+            try:
+                record = train_step(model, opt, ema, state, next(lab_iter), next(unlab_iter), config, aug_rng)
+            except TrainingAborted as exc:
+                exc.last_good = trace[-1] if trace else None
+                raise
+            if (k + 1) % config.eval_every == 0 or k == config.K - 1:
+                ev = evaluate(nd.ema_model(ema), data.test)
+                record.error_rate = ev.error_rate
+                best_error = min(best_error, ev.error_rate)
+            trace.append(record)
     return RunResult(trace[-1].error_rate, best_error, trace, model, ema, state, config)
 
 

@@ -349,7 +349,7 @@ def _whole_batch_labels(model, points):
 
 
 def test_predict_blocks_match_the_whole_batch():
-    """2 * 4096 + 1 rows: two full blocks and a one-row tail."""
+    """Two full blocks of _PREDICT_ROWS rows and a one-row tail."""
     rng = np.random.default_rng(5)
     points = rng.normal(scale=2.0, size=(2 * trainer._PREDICT_ROWS + 1, 2))
     model = nd.MlpModel.init([2, 16, 16, 3], seed=np.random.default_rng(6))
