@@ -448,6 +448,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.mc_samples < 0:
             print("config error: --mc-samples must be >= 0", file=sys.stderr)
             return 2
+        if args.seed < 0:
+            print("config error: --seed must be >= 0", file=sys.stderr)
+            return 2
         return cmd_theory(args.grid, args.out, args.mc_samples, args.seed)
     return cmd_ablate(args.suite, args.seeds, args.out)
 

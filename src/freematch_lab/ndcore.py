@@ -1,46 +1,29 @@
-"""Dense float64 tensors with reverse-mode autodiff, a ReLU MLP, SGD with
+"""A ReLU MLP on float64 arrays, trained with closed-form gradients: SGD with
 momentum, cosine learning-rate decay, and a parameter-space EMA used for
-evaluation.
+evaluation. The training and inference functions take and return arrays.
 
-Training records no graph: ``mlp_forward`` and ``mlp_backward`` do, op for op,
-what ``forward``'s graph and its backward do. The define-by-run tape, where
-``backward()`` on a scalar root fills ``.grad`` on every reachable leaf, is the
-gradient tests' reference. Single-threaded mutation; values are shared read-only.
+``mlp_forward`` keeps every layer's output, and ``mlp_backward`` carries the
+logit gradient back through them into each parameter's ``.grad``; ``forward``
+runs the same layers keeping only the current one, for inference.
+
+The parameters are ``Tensor`` leaves. ``Tensor`` is also a small define-by-run
+autodiff tape, where ``backward()`` on a scalar root fills ``.grad`` on every
+reachable leaf: the gradient tests' reference. Single-threaded mutation;
+values are shared read-only.
 
 Gradients are never copied: a ``.grad`` array may be the very array another
 tensor holds as its ``.grad`` (an add hands one upstream array to both
 operands), or a read-only broadcast view (the backward of ``sum``). Treat
 ``.grad`` as read-only and never change it in place; accumulation always
 builds a new array.
-
-The MLP runs on two fused ops: ``linear`` (``x @ w + b``, optionally ReLU,
-one graph node per layer) and ``weighted_nll`` (``-(log_softmax(z) * W).sum()``
-as one node). Each performs the same floating-point operations, in the same
-order, as the general ops it replaces, so results are bit-identical to
-composing ``@``, ``+``, ``relu``, ``log_softmax`` and ``sum``.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-
-_grad_enabled = True
-
-
-@contextmanager
-def no_grad():
-    """Disable graph recording inside the block (weak-branch forwards)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = prev
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -59,10 +42,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class Tensor:
     """A float64 array plus an optional gradient accumulator.
 
-    Operations record parents and a backward closure while gradients are
-    enabled and at least one operand requires them. Leaves created by the
-    caller with ``requires_grad=True`` receive ``d(root)/d(leaf)`` after
-    ``backward()`` runs on a scalar root.
+    Operations record parents and a backward closure when at least one
+    operand requires gradients. Leaves created by the caller with
+    ``requires_grad=True`` receive ``d(root)/d(leaf)`` after ``backward()``
+    runs on a scalar root.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_bwd")
@@ -89,7 +72,7 @@ class Tensor:
 
     @staticmethod
     def _make(data: np.ndarray, parents: tuple["Tensor", ...], bwd) -> "Tensor":
-        if _grad_enabled and any(p.requires_grad for p in parents):
+        if any(p.requires_grad for p in parents):
             out = Tensor(data, requires_grad=True)
             out._parents = parents
             out._bwd = bwd
@@ -243,28 +226,12 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
-def array_of(x) -> np.ndarray:
-    """The values of a Tensor, or a plain array as it is."""
-    return x.data if isinstance(x, Tensor) else x
-
-
-def scalar_head(x, value, pullback, g):
-    """A scalar loss of ``x`` in closed form: ``value``, and ``pullback(g)``, the
-    gradient of ``g * value`` (None: a constant). For a Tensor, one graph node
-    whose backward calls ``pullback``; for an array, ``(value, pullback(g))``."""
-    if not isinstance(x, Tensor):
-        return value, None if pullback is None else pullback(g)
-    if pullback is None:
-        return Tensor(value)
-    return Tensor._make(value, (x,), lambda g: x._accum(pullback(g)))
-
-
-def softmax(logits):
-    """Row-stabilized softmax; accepts a Tensor (graph op) or a plain array."""
-    if not isinstance(logits, Tensor):
-        return _softmax_data(np.asarray(logits, dtype=np.float64))
-    out_data = _softmax_data(logits.data)
-    return Tensor._make(out_data, (logits,), lambda g: logits._accum(softmax_backward(out_data, g)))
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-stabilized softmax."""
+    if not np.isfinite(logits).all():
+        raise ValueError("softmax requires finite inputs")
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax_backward(probs: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -272,67 +239,15 @@ def softmax_backward(probs: np.ndarray, g: np.ndarray) -> np.ndarray:
     return probs * (g - (g * probs).sum(axis=-1, keepdims=True))
 
 
-def _softmax_data(z: np.ndarray) -> np.ndarray:
-    """Row-stabilized softmax of a plain array; shared by both branches of
-    ``softmax`` so a Tensor and its array give bit-identical values."""
-    if not np.isfinite(z).all():
-        raise ValueError("softmax requires finite inputs")
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _log_softmax_data(z: np.ndarray) -> np.ndarray:
-    """Row-stabilized log-softmax of a plain array; shared by the graph ops
-    below so their values stay bit-identical."""
-    if not np.isfinite(z).all():
+def weighted_nll(logits: np.ndarray, weights: np.ndarray, g=1.0):
+    """``-(log_softmax(logits) * weights).sum()`` for a constant ``weights``
+    array, and the gradient of ``g`` times it with respect to ``logits``."""
+    if not np.isfinite(logits).all():
         raise ValueError("log_softmax requires finite inputs")
-    shifted = z - z.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    return shifted - lse
-
-
-def log_softmax(logits: Tensor) -> Tensor:
-    """Row-stabilized log-softmax as a single graph op."""
-    out_data = _log_softmax_data(logits.data)
-    probs = np.exp(out_data)
-
-    def bwd(g):
-        if logits.requires_grad:
-            logits._accum(g - probs * g.sum(axis=-1, keepdims=True))
-
-    return Tensor._make(out_data, (logits,), bwd)
-
-
-def weighted_nll(logits, weights: np.ndarray, g=1.0):
-    """``-(log_softmax(logits) * weights).sum()`` as one ``scalar_head``, with
-    the same operations in the same order; ``weights`` is a constant array."""
-    weights = np.asarray(weights, dtype=np.float64)
-    log_probs = _log_softmax_data(array_of(logits))
-
-    def pullback(g):
-        gw = -g * weights
-        return gw - np.exp(log_probs) * gw.sum(axis=-1, keepdims=True)
-
-    return scalar_head(logits, -(log_probs * weights).sum(), pullback, g)
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
-    """``x @ w + b``, then ReLU if asked, as a single graph op. Bit-identical
-    to ``(x @ w + b).relu()`` in value and gradients: the forward adds ``b``
-    and clamps in place, and the backward masks by ``out > 0``, which holds
-    exactly where the pre-activation is positive."""
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
-        raise ValueError(f"linear dimension mismatch: {x.data.shape} @ {w.data.shape}")
-    if b.data.shape != w.data.shape[1:]:
-        raise ValueError(f"bias shape {b.data.shape} does not match weight {w.data.shape}")
-    out_data = _linear_data(x.data, w.data, b.data, relu)
-
-    def bwd(g):
-        for t, grad in zip((x, w, b), _linear_backward(x.data, w.data, out_data, g, relu, x.requires_grad)):
-            if t.requires_grad:
-                t._accum(grad)
-
-    return Tensor._make(out_data, (x, w, b), bwd)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    gw = -g * weights
+    return -(log_probs * weights).sum(), gw - np.exp(log_probs) * gw.sum(axis=-1, keepdims=True)
 
 
 def _linear_data(x: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool) -> np.ndarray:
@@ -344,7 +259,9 @@ def _linear_data(x: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool) -> np.
 
 
 def _linear_backward(x, w, out, g, relu: bool, need_x: bool):
-    """(d/dx or None, d/dw, d/db) of ``linear``, given its output and upstream ``g``."""
+    """(d/dx or None, d/dw, d/db) of ``_linear_data``, given its output and
+    upstream ``g``. Under ReLU, ``g`` is masked by ``out > 0``, which holds
+    exactly where the pre-activation is positive."""
     if relu:
         g = g * (out > 0.0)
     return (g @ w.T if need_x else None), x.T @ g, g.sum(axis=0)
@@ -395,25 +312,22 @@ class MlpModel:
         return [t for pair in self.layers for t in pair]
 
 
-def forward(model: MlpModel, x) -> Tensor:
-    """Run the MLP on a [B, d] batch, returning [B, C] logits. Each layer is
-    one ``linear`` node; under ``no_grad`` no graph is recorded."""
-    h = as_tensor(x)
-    if h.data.ndim != 2:
+def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
+    """The MLP's [B, C] logits for a [B, d] batch, keeping only the current
+    layer's output."""
+    h = np.asarray(x, dtype=np.float64)
+    if h.ndim != 2:
         raise ValueError("forward expects a 2-D batch")
-    if h.data.shape[1] != model.in_dim:
-        raise ValueError(
-            f"input width {h.data.shape[1]} does not match model width {model.in_dim}"
-        )
-    last = len(model.layers) - 1
+    if h.shape[1] != model.in_dim:
+        raise ValueError(f"input width {h.shape[1]} does not match model width {model.in_dim}")
     for i, (w, b) in enumerate(model.layers):
-        h = linear(h, w, b, relu=i != last)
+        h = _linear_data(h, w.data, b.data, i != len(model.layers) - 1)
     return h
 
 
 def mlp_forward(model: MlpModel, x: np.ndarray) -> list[np.ndarray]:
-    """``forward``'s values without a graph: the batch and every layer's
-    output, logits last, as ``mlp_backward`` takes them."""
+    """``forward``'s layers: the batch and every layer's output, logits last,
+    as ``mlp_backward`` takes them."""
     acts = [np.asarray(x, dtype=np.float64)]
     for i, (w, b) in enumerate(model.layers):
         acts.append(_linear_data(acts[-1], w.data, b.data, i != len(model.layers) - 1))

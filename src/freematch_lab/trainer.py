@@ -1,10 +1,10 @@
 """The semi-supervised training loop.
 
 Each step, in order: supervised loss on the weak-augmented labeled batch; a
-no-gradient weak forward on the unlabeled batch; threshold statistics
-updates; per-class thresholds; masked consistency loss on the strong branch;
-fairness loss; closed-form backward (no autodiff graph, bit-identical to the
-tape's) + SGD step at the cosine learning rate; parameter-EMA update; metrics.
+weak forward on the unlabeled batch; threshold statistics updates; per-class
+thresholds; masked consistency loss on the strong branch; fairness loss;
+closed-form backward (no autodiff graph, bit-identical to the autodiff tape's)
++ SGD step at the cosine learning rate; parameter-EMA update; metrics.
 During warm-up the unsupervised and fairness terms are zeroed while the
 threshold statistics keep updating, so SSL starts from an informed state.
 
@@ -128,14 +128,12 @@ _PREDICT_ROWS = 4096
 
 
 def predict(model: nd.MlpModel, points: np.ndarray) -> np.ndarray:
-    """Class ids of `points`: the argmax of a no-grad forward over consecutive
-    blocks of at most _PREDICT_ROWS rows, so memory does not grow with the row
-    count. BLAS may round a row differently with the block's row count, so past
-    one block an exact near-tie can be labeled differently than by one
-    whole-batch call."""
-    with nd.no_grad():
-        return np.concatenate([nd.forward(model, points[i : i + _PREDICT_ROWS]).data.argmax(axis=1)
-                               for i in range(0, len(points), _PREDICT_ROWS)])
+    """Class ids of `points`: the argmax of a forward over consecutive blocks of
+    at most _PREDICT_ROWS rows, so memory does not grow with the row count. BLAS
+    may round a row differently with the block's row count, so past one block
+    an exact near-tie can be labeled differently than by one whole-batch call."""
+    return np.concatenate([nd.forward(model, points[i : i + _PREDICT_ROWS]).argmax(axis=1)
+                           for i in range(0, len(points), _PREDICT_ROWS)])
 
 
 def evaluate(model: nd.MlpModel, test: PointSet) -> EvalResult:
@@ -171,10 +169,9 @@ def train_step(
         acts_l = nd.mlp_forward(model, xl)
         l_s, grad_l = supervised_loss(acts_l[-1], labeled.labels)
 
-        # (2) weak forward on unlabeled data, no gradient recording
+        # (2) weak forward on unlabeled data: constants, no gradient
         uw = weak(unlabeled.points, config.augment, aug_rng)
-        with nd.no_grad():
-            q = nd.softmax(nd.forward(model, uw).data)
+        q = nd.softmax(nd.forward(model, uw))
 
         # (3) statistics updates precede threshold computation
         at.update_global(state, q)
@@ -235,7 +232,7 @@ def train_step(
 
 def _build(config: TrainConfig, data: DatasetBundle):
     """A run's model, optimizer, EMA, threshold state and streams. Known defect
-    (ROADMAP item 7, pinned in test_trainer.py): at dataset.seed == train.seed
+    (ROADMAP item 8, pinned in test_trainer.py): at dataset.seed == train.seed
     these streams are the dataset generator's own SeedSequence children; on two
     moons, model init draws the unlabeled stream. README lists all three."""
     ss = np.random.SeedSequence(config.seed)

@@ -13,6 +13,8 @@ import time
 import numpy as np
 import pytest
 
+import tape
+
 from freematch_lab import adaptive_threshold as at
 from freematch_lab import cli
 from freematch_lab import ndcore as nd
@@ -155,6 +157,7 @@ def _max_rel_err(ad: np.ndarray, fd: np.ndarray) -> float:
 
 
 def _random_graph(rng):
+    """A random small graph on the test tape, differentiated by its backward."""
     shape = [(2, 3), (3, 4), (1, 5)][rng.integers(0, 3)]
     a = nd.Tensor(rng.uniform(0.2, 1.5, size=shape) * rng.choice([-1.0, 1.0], size=shape), requires_grad=True)
     b = nd.Tensor(rng.uniform(0.2, 1.5, size=shape) * rng.choice([-1.0, 1.0], size=shape), requires_grad=True)
@@ -167,21 +170,24 @@ def _random_graph(rng):
         elif op == 1:
             t = (t * 0.3).exp()
         elif op == 2:
-            t = nd.softmax(t)
+            t = tape.softmax(t)
         elif op == 3:
-            t = nd.log_softmax(t) * 0.1
+            t = tape.log_softmax(t) * 0.1
         elif op == 4:
             t = t / (b * b + 1.0)
         else:
             t = (t * t).sum(axis=0) * 0.25 + (a * 0.5).sum(axis=0)
         return (t * t).sum() * (1.0 / t.data.size)
 
-    return build, [a, b]
+    build().backward()
+    return lambda: float(build()), [a, b]
 
 
 def _composite_loss_case(rng):
     """The full weighted objective as a function of the model parameters,
-    with weak probabilities and thresholds held fixed as constants."""
+    with weak probabilities and thresholds held fixed as constants. Its
+    gradient takes train_step's path: each head's closed form at its weight,
+    then mlp_backward through mlp_forward's layers."""
     model = nd.MlpModel.init([2, 6, 3], seed=int(rng.integers(0, 2**31)))
     xl = rng.normal(size=(4, 2))
     yl = rng.integers(0, 3, size=4)
@@ -193,14 +199,24 @@ def _composite_loss_case(rng):
     state.hist = np.full(3, 1.0 / 3.0)
     th = at.per_class_thresholds(state, at.Sat())
 
-    def build():
-        l_s = supervised_loss(nd.forward(model, xl), yl)
-        strong_logits = nd.forward(model, us)
-        l_u, _ = consistency_loss(q, strong_logits, th)
-        l_f = fairness_loss(FairnessVariant.SAF, state, q, nd.softmax(strong_logits), th)
-        return total_loss(l_s, l_u, l_f, w_u=1.0, w_f=0.05)
+    w_u, w_f = 1.0, 0.05
 
-    return build, model.parameters()
+    def value():
+        l_s, _ = supervised_loss(nd.forward(model, xl), yl)
+        strong_logits = nd.forward(model, us)
+        (l_u, _), _ = consistency_loss(q, strong_logits, th)
+        l_f, _ = fairness_loss(FairnessVariant.SAF, state, q, nd.softmax(strong_logits), th)
+        return float(total_loss(l_s, l_u, l_f, w_u=w_u, w_f=w_f))
+
+    acts_l = nd.mlp_forward(model, xl)
+    nd.mlp_backward(model, acts_l, supervised_loss(acts_l[-1], yl)[1])
+    acts_s = nd.mlp_forward(model, us)
+    (_, grad_s), _ = consistency_loss(q, acts_s[-1], th, w_u)
+    probs = nd.softmax(acts_s[-1])
+    _, grad_f = fairness_loss(FairnessVariant.SAF, state, q, probs, th, w_f)
+    if grad_s is not None:  # then grad_f is too: both heads keep the same rows
+        nd.mlp_backward(model, acts_s, grad_s + nd.softmax_backward(probs, grad_f))
+    return value, model.parameters()
 
 
 def test_criterion_5_gradient_suite():
@@ -208,15 +224,9 @@ def test_criterion_5_gradient_suite():
     worst = 0.0
     n_graphs = 0
     for case in range(100):
-        build, leaves = _composite_loss_case(rng) if case % 25 == 0 else _random_graph(rng)
-        root = build()
-        root.backward()
-        grads = [leaf.grad.copy() for leaf in leaves]
-        for leaf, ad in zip(leaves, grads):
-            def value():
-                with nd.no_grad():
-                    return float(build())
-            err = _max_rel_err(ad, _finite_diff(value, leaf.data))
+        value, leaves = _composite_loss_case(rng) if case % 25 == 0 else _random_graph(rng)
+        for leaf in leaves:
+            err = _max_rel_err(leaf.grad, _finite_diff(value, leaf.data))
             worst = max(worst, err)
             assert err <= 1e-4, f"graph {case}: relative error {err:.2e}"
         n_graphs += 1

@@ -1,6 +1,7 @@
 """No API that only its own test calls: every module-level function and class in
-src/freematch_lab is referenced by the lab itself or by perfbench. And one CSV
-writer: only atomic.py imports `csv`."""
+src/freematch_lab is referenced by the lab itself or by perfbench. One CSV
+writer: only atomic.py imports `csv`. And one calling convention: no function
+in src/ branches on whether it was handed a Tensor."""
 
 import ast
 import pathlib
@@ -11,7 +12,6 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 # referenced only by tests, on purpose
 ALLOWED = {
     "theory.confidence": "the sigmoid that the closed form's band edges are checked against",
-    "ndcore.log_softmax": "the general op that weighted_nll is pinned bit-identical to, and that criterion 5 differentiates",
 }
 
 
@@ -62,3 +62,19 @@ def test_only_atomic_imports_csv():
             if "csv" in modules:
                 importers.append(path.name)
     assert importers == ["atomic.py"]
+
+
+def test_only_as_tensor_checks_for_a_tensor():
+    """Loss heads, softmax and forward take arrays; only ndcore.as_tensor, which
+    the tape's ops call on their operands, asks whether a value is a Tensor."""
+    found = []
+    for path in sorted((ROOT / "src" / "freematch_lab").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+                        and "Tensor" in _names(node.args[1])):
+                    found.append(f"{path.stem}.{fn.name}")
+    assert found == ["ndcore.as_tensor"]

@@ -411,7 +411,7 @@ def test_theory_analytic_only_flag(tmp_path):
     assert row[7] == "" and row[12] == ""
 
 
-def test_theory_invalid_spec_exits_2(tmp_path):
+def test_theory_invalid_spec_exits_2(tmp_path, capsys):
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({
         "sweeps": [{"name": "bad", "varying": "tau",
@@ -419,6 +419,11 @@ def test_theory_invalid_spec_exits_2(tmp_path):
                     "values": [0.6, 0.7]}]
     }))
     assert cli.main(["theory", "--grid", str(grid), "--out", str(tmp_path / "o"), "--mc-samples", "0"]) == 2
+    capsys.readouterr()
+    # a negative seed is refused by name, not with NumPy's SeedSequence message
+    assert cli.main(["theory", "--out", str(tmp_path / "o"), "--mc-samples", "0", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "config error: --seed must be >= 0\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_theory_custom_grid(tmp_path):

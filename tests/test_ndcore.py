@@ -4,20 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tape
+
 from freematch_lab.ndcore import (
     MlpModel,
     OptimState,
     ParamEma,
     Tensor,
+    _linear_backward,
+    _linear_data,
     cosine_lr,
     ema_model,
     ema_update,
     forward,
-    linear,
-    log_softmax,
     mlp_backward,
     mlp_forward,
-    no_grad,
     sgd_step,
     softmax,
     weighted_nll,
@@ -30,14 +31,14 @@ from freematch_lab.ndcore import (
 def test_forward_identity_single_layer():
     model = MlpModel([(Tensor(np.eye(2), requires_grad=True), Tensor(np.zeros(2), requires_grad=True))])
     out = forward(model, np.array([[1.0, 2.0]]))
-    assert np.array_equal(out.data, [[1.0, 2.0]])
+    assert np.array_equal(out, [[1.0, 2.0]])
 
 
 def test_forward_zero_weights_yields_bias():
     b = np.array([0.3, -1.2, 4.0])
     model = MlpModel([(Tensor(np.zeros((2, 3))), Tensor(b))])
     out = forward(model, np.random.default_rng(0).normal(size=(5, 2)))
-    assert np.allclose(out.data, np.tile(b, (5, 1)), atol=0)
+    assert np.allclose(out, np.tile(b, (5, 1)), atol=0)
 
 
 def test_forward_matches_straight_line_recomputation():
@@ -45,7 +46,7 @@ def test_forward_matches_straight_line_recomputation():
     rng = np.random.default_rng(42)
     model = MlpModel.init([2, 64, 64, 64, 2], seed=7)
     x = rng.normal(size=(5, 2))
-    got = forward(model, x).data
+    got = forward(model, x)
 
     h = x
     mats = [(w.data, b.data) for (w, b) in model.layers]
@@ -97,7 +98,6 @@ def test_softmax_rows_sum_to_one_and_permutation_equivariant(row, rnd):
     perm = list(range(len(row)))
     rnd.shuffle(perm)
     assert np.allclose(softmax(x[:, perm]), s[:, perm], atol=1e-12)
-    assert np.array_equal(softmax(Tensor(x)).data, s)
 
 
 # -- backward -------------------------------------------------------------------
@@ -116,7 +116,7 @@ def test_backward_cross_entropy_identity():
     y = np.array([0, 2, 1, 1])
     onehot = np.zeros((4, 3))
     onehot[np.arange(4), y] = 1.0
-    loss = -(log_softmax(z) * onehot).sum()
+    loss = -(tape.log_softmax(z) * onehot).sum()
     loss.backward()
     expected = softmax(z.data) - onehot
     assert np.max(np.abs(z.grad - expected)) <= 1e-12
@@ -157,10 +157,9 @@ def test_backward_mlp_loss_matches_finite_differences():
     onehot[np.arange(6), y] = 1.0 / 6.0
 
     def loss_value() -> float:
-        with no_grad():
-            return float(-(log_softmax(forward(model, x)) * onehot).sum())
+        return float(-(tape.log_softmax(tape.forward(model, x)) * onehot).sum())
 
-    loss = -(log_softmax(forward(model, x)) * onehot).sum()
+    loss = -(tape.log_softmax(tape.forward(model, x)) * onehot).sum()
     loss.backward()
     for p in model.parameters():
         fd = _finite_diff(loss_value, p.data)
@@ -183,9 +182,9 @@ def _random_graph_value_and_leaves(rng):
         elif op == 1:
             t = (t * 0.3).exp()
         elif op == 2:
-            t = softmax(t)
+            t = tape.softmax(t)
         elif op == 3:
-            t = log_softmax(t) * 0.1
+            t = tape.log_softmax(t) * 0.1
         else:
             t = t / (b * b + 1.0)
         return (t * t).sum() * (1.0 / t.data.size)
@@ -201,22 +200,13 @@ def test_gradient_soundness_random_graphs():
         root.backward()
         grads = [leaf.grad.copy() for leaf in leaves]
         for leaf, ad in zip(leaves, grads):
-            def value():
-                with no_grad():
-                    return float(build())
-            fd = _finite_diff(value, leaf.data)
+            fd = _finite_diff(lambda: float(build()), leaf.data)
             assert _grad_close(ad, fd)
 
 
-def test_no_grad_suppresses_recording():
-    x = Tensor(np.ones(3), requires_grad=True)
-    with no_grad():
-        y = (x * 2.0).sum()
-    assert y._bwd is None and not y.requires_grad
-
-
-# -- fused ops against the general tape ---------------------------------------------
-# The fused ops must reproduce the general ops bit for bit: no tolerance.
+# -- the training step's ops against the general tape ---------------------------------
+# The fused layers and closed forms must reproduce the general ops bit for bit:
+# no tolerance.
 
 
 def _leaf(rng, *shape):
@@ -233,61 +223,46 @@ def _value_and_grads(root: Tensor, leaves: list[Tensor]) -> list[np.ndarray]:
 
 @pytest.mark.parametrize("relu", [True, False])
 def test_linear_matches_matmul_add_relu_bit_for_bit(relu):
+    """One fused layer, the unit mlp_forward/mlp_backward chain, including the
+    input gradient that only hidden layers pass down."""
     rng = np.random.default_rng(3)
     x, w, b = _leaf(rng, 97, 64), _leaf(rng, 64, 32), _leaf(rng, 32)
     upstream = rng.normal(size=(97, 32))  # non-uniform, so each gradient path counts
 
-    fused = linear(x, w, b, relu=relu)
+    fused = _linear_data(x.data, w.data, b.data, relu)
     general = x @ w + b
     if relu:
         general = general.relu()
-        assert (fused.data == 0.0).any() and (fused.data > 0.0).any()
-    assert np.array_equal(fused.data, general.data)
-    got = _value_and_grads((fused * upstream).sum(), [x, w, b])
-    want = _value_and_grads((general * upstream).sum(), [x, w, b])
+        assert (fused == 0.0).any() and (fused > 0.0).any()
+    assert np.array_equal(fused, general.data)
+    got = _linear_backward(x.data, w.data, fused, upstream, relu, need_x=True)
+    want = _value_and_grads((general * upstream).sum(), [x, w, b])[1:]
     for g, e in zip(got, want):
         assert np.array_equal(g, e)
-
-
-def test_linear_rejects_mismatched_shapes():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        linear(_leaf(rng, 3, 2), _leaf(rng, 3, 4), _leaf(rng, 4), relu=True)
-    with pytest.raises(ValueError):
-        linear(_leaf(rng, 3, 2), _leaf(rng, 2, 4), _leaf(rng, 3), relu=True)
+    assert _linear_backward(x.data, w.data, fused, upstream, relu, need_x=False)[0] is None
 
 
 def test_graph_forward_matches_general_ops_bit_for_bit():
+    """mlp_forward and mlp_backward, the training step's layers, give the
+    general-op graph's logits and parameter gradients."""
     model = MlpModel.init([2, 64, 64, 64, 2], seed=7)
-    x = Tensor(np.random.default_rng(4).normal(size=(193, 2)), requires_grad=True)
-    upstream = np.random.default_rng(5).normal(size=(193, 2))
-    leaves = [x, *model.parameters()]
-
-    got = _value_and_grads((forward(model, x) * upstream).sum(), leaves)
-    h = x
-    for i, (w, b) in enumerate(model.layers):
-        h = h @ w + b
-        if i != len(model.layers) - 1:
-            h = h.relu()
-    want = _value_and_grads((h * upstream).sum(), leaves)
-    for g, e in zip(got, want):
-        assert np.array_equal(g, e)
-    # the tape-free pair: the same logits, and the same parameter gradients
-    acts = mlp_forward(model, x.data)
-    assert np.array_equal(acts[-1], forward(model, x).data)
+    x = np.random.default_rng(4).normal(size=(193, 2))
+    upstream = np.random.default_rng(5).normal(size=(193, 2))  # non-uniform, so each gradient path counts
+    graph = tape.forward(model, x)
+    want = _value_and_grads((graph * upstream).sum(), model.parameters())
+    acts = mlp_forward(model, x)
+    assert all((a == 0.0).any() and (a > 0.0).any() for a in acts[1:-1])  # every ReLU clamps some units
+    assert np.array_equal(acts[-1], graph.data)
     mlp_backward(model, acts, upstream)
-    for p, e in zip(model.parameters(), want[2:]):
+    for p, e in zip(model.parameters(), want[1:]):
         assert np.array_equal(p.grad, e)
 
 
 def test_no_grad_forward_matches_graph_forward_bit_for_bit():
+    """forward, which records no graph and keeps one layer at a time."""
     model = MlpModel.init([2, 64, 64, 64, 2], seed=7)
     x = np.random.default_rng(4).normal(size=(193, 2))
-    graph = forward(model, x)
-    with no_grad():
-        plain = forward(model, x)
-    assert graph.requires_grad and not plain.requires_grad and plain._bwd is None
-    assert np.array_equal(plain.data, graph.data)
+    assert np.array_equal(forward(model, x), tape.forward(model, x).data)
 
 
 def test_weighted_nll_matches_log_softmax_mul_sum_bit_for_bit():
@@ -295,18 +270,18 @@ def test_weighted_nll_matches_log_softmax_mul_sum_bit_for_bit():
     z = _leaf(rng, 9, 3)
     weights = rng.uniform(size=(9, 3)) / 9.0
     weights[2] = 0.0  # a masked-out row
-    got = _value_and_grads(weighted_nll(z, weights) * 0.7, [z])
-    want = _value_and_grads(-(log_softmax(z) * weights).sum() * 0.7, [z])
+    got = _value_and_grads(tape.head(lambda a, g: weighted_nll(a, weights, g), z) * 0.7, [z])
+    want = _value_and_grads(-(tape.log_softmax(z) * weights).sum() * 0.7, [z])
     for g, e in zip(got, want):
         assert np.array_equal(g, e)
-    # an array with upstream weight 0.7 gives (value, gradient) in closed form
+    # with upstream weight 0.7: (value, gradient) in closed form
     value, grad = weighted_nll(z.data, weights, 0.7)
-    assert value == -(log_softmax(z) * weights).sum().data and np.array_equal(grad, want[1])
+    assert value == -(tape.log_softmax(z) * weights).sum().data and np.array_equal(grad, want[1])
 
 
 def test_weighted_nll_rejects_non_finite_logits():
     with pytest.raises(ValueError):
-        weighted_nll(Tensor(np.array([[np.inf, 0.0]]), requires_grad=True), np.ones((1, 2)))
+        weighted_nll(np.array([[np.inf, 0.0]]), np.ones((1, 2)))
 
 
 def test_shared_gradient_array_gives_the_same_sgd_update_as_copies():
@@ -450,11 +425,11 @@ def test_ema_model_wraps_shadow():
     ema = ParamEma.from_model(model, decay=0.5)
     wrapped = ema_model(ema)
     x = np.random.default_rng(0).normal(size=(4, 2))
-    assert np.allclose(forward(wrapped, x).data, forward(model, x).data, atol=1e-12)
+    assert np.allclose(forward(wrapped, x), forward(model, x), atol=1e-12)
     for p in model.parameters():
         p.data += 1.0
     # shadow unchanged until updated
-    assert not np.allclose(forward(ema_model(ema), x).data, forward(model, x).data)
+    assert not np.allclose(forward(ema_model(ema), x), forward(model, x))
 
 
 def test_ema_rejects_shape_drift():

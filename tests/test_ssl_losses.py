@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tape
+
 from freematch_lab.adaptive_threshold import Sat, ThresholdState, mask, per_class_thresholds
-from freematch_lab.ndcore import Tensor, no_grad, softmax, softmax_backward
+from freematch_lab.ndcore import Tensor, softmax, softmax_backward
 from freematch_lab.ssl_losses import (
     FairnessVariant,
     _sum_norm,
@@ -25,27 +27,24 @@ def _rand_probs(rng, B, C):
 
 
 def test_supervised_perfect_prediction_is_zero():
-    logits = Tensor(np.array([[200.0, 0.0], [0.0, 200.0]]), requires_grad=True)
-    loss = supervised_loss(logits, np.array([0, 1]))
-    assert float(loss) == pytest.approx(0.0, abs=1e-12)
+    loss, _ = supervised_loss(np.array([[200.0, 0.0], [0.0, 200.0]]), np.array([0, 1]))
+    assert loss == pytest.approx(0.0, abs=1e-12)
 
 
 def test_supervised_analytic_value():
-    logits = Tensor(np.log(np.array([[0.2, 0.8]])), requires_grad=True)
-    loss = supervised_loss(logits, np.array([1]))
-    assert float(loss) == pytest.approx(-math.log(0.8), abs=1e-12)
+    loss, _ = supervised_loss(np.log(np.array([[0.2, 0.8]])), np.array([1]))
+    assert loss == pytest.approx(-math.log(0.8), abs=1e-12)
 
 
 @pytest.mark.parametrize("C", [2, 3, 7, 11])
 def test_supervised_uniform_prediction_is_log_C(C):
-    logits = Tensor(np.zeros((5, C)), requires_grad=True)
-    loss = supervised_loss(logits, np.arange(5) % C)
-    assert float(loss) == pytest.approx(math.log(C), abs=1e-14)
+    loss, _ = supervised_loss(np.zeros((5, C)), np.arange(5) % C)
+    assert loss == pytest.approx(math.log(C), abs=1e-14)
 
 
 def test_supervised_rejects_bad_labels():
     with pytest.raises(ValueError):
-        supervised_loss(Tensor(np.zeros((2, 3))), np.array([0, 3]))
+        supervised_loss(np.zeros((2, 3)), np.array([0, 3]))
 
 
 # -- consistency ----------------------------------------------------------------
@@ -53,18 +52,17 @@ def test_supervised_rejects_bad_labels():
 
 def test_consistency_all_masked_out_is_zero():
     weak = np.array([[0.6, 0.4], [0.55, 0.45]])
-    strong = Tensor(np.zeros((2, 2)), requires_grad=True)
-    loss, keep = consistency_loss(weak, strong, np.array([0.95, 0.95]))
-    assert float(loss) == 0.0 and not keep.any()
+    (loss, grad), keep = consistency_loss(weak, np.zeros((2, 2)), np.array([0.95, 0.95]))
+    assert loss == 0.0 and grad is None and not keep.any()
 
 
 def test_consistency_single_masked_in_arithmetic():
     # batch of 2, one passes; strong prob 0.7 on its pseudo class
     weak = np.array([[0.99, 0.01], [0.5, 0.5]])
-    strong = Tensor(np.log(np.array([[0.7, 0.3], [0.5, 0.5]])), requires_grad=True)
-    loss, keep = consistency_loss(weak, strong, np.array([0.95, 0.95]))
+    strong = np.log(np.array([[0.7, 0.3], [0.5, 0.5]]))
+    (loss, _), keep = consistency_loss(weak, strong, np.array([0.95, 0.95]))
     assert keep.tolist() == [True, False]
-    assert float(loss) == pytest.approx(0.5 * -math.log(0.7), abs=1e-12)
+    assert loss == pytest.approx(0.5 * -math.log(0.7), abs=1e-12)
 
 
 def test_consistency_matches_brute_force_summation():
@@ -73,7 +71,7 @@ def test_consistency_matches_brute_force_summation():
     weak = _rand_probs(rng, B, C)
     strong_logits = rng.normal(size=(B, C))
     th = rng.uniform(0.2, 0.6, size=C)
-    loss, keep = consistency_loss(weak, Tensor(strong_logits, requires_grad=True), th)
+    (loss, _), keep = consistency_loss(weak, strong_logits, th)
 
     # straight-line oracle: per-sample cross-entropy, summed, over full B
     sp = softmax(strong_logits)
@@ -82,7 +80,7 @@ def test_consistency_matches_brute_force_summation():
         c = int(weak[b].argmax())
         if weak[b].max() >= th[c]:
             total += -math.log(sp[b, c])
-    assert float(loss) == pytest.approx(total / B, abs=1e-12)
+    assert loss == pytest.approx(total / B, abs=1e-12)
 
 
 def test_consistency_nonnegative_and_zero_at_certainty():
@@ -92,21 +90,19 @@ def test_consistency_nonnegative_and_zero_at_certainty():
     hard = weak.argmax(axis=1)
     confident = np.full((16, 3), -400.0)
     confident[np.arange(16), hard] = 400.0
-    loss, keep = consistency_loss(weak, Tensor(confident, requires_grad=True), th)
+    (loss, _), keep = consistency_loss(weak, confident, th)
     assert keep.all()
-    assert float(loss) == pytest.approx(0.0, abs=1e-12)
-    loss2, _ = consistency_loss(weak, Tensor(rng.normal(size=(16, 3)), requires_grad=True), th)
-    assert float(loss2) > 0
+    assert loss == pytest.approx(0.0, abs=1e-12)
+    (loss2, _), _ = consistency_loss(weak, rng.normal(size=(16, 3)), th)
+    assert loss2 > 0
 
 
 def test_consistency_gradient_only_through_strong():
     rng = np.random.default_rng(2)
     weak = _rand_probs(rng, 8, 3)
-    strong = Tensor(rng.normal(size=(8, 3)), requires_grad=True)
-    loss, keep = consistency_loss(weak, strong, np.full(3, 0.2))
-    loss.backward()
+    (_, grad), keep = consistency_loss(weak, rng.normal(size=(8, 3)), np.full(3, 0.2))
     # masked-out rows receive zero gradient
-    assert np.array_equal(np.nonzero(np.abs(strong.grad).sum(axis=1))[0], np.nonzero(keep)[0])
+    assert np.array_equal(np.nonzero(np.abs(grad).sum(axis=1))[0], np.nonzero(keep)[0])
 
 
 # -- fairness ------------------------------------------------------------------------
@@ -122,25 +118,22 @@ def _state_with(p_local, hist, C=None):
 
 def test_fairness_none_is_zero():
     state = _state_with([0.5, 0.5], [0.5, 0.5])
-    out = fairness_loss(
-        FairnessVariant.NONE, state, np.array([[0.9, 0.1]]), Tensor(np.array([[0.9, 0.1]])), np.zeros(2)
-    )
-    assert float(out) == 0.0
+    out = fairness_loss(FairnessVariant.NONE, state, np.array([[0.9, 0.1]]), np.array([[0.9, 0.1]]), np.zeros(2))
+    assert out == (0.0, None)
 
 
 def test_fairness_balanced_case_is_minus_log_two():
     state = _state_with([0.5, 0.5], [0.5, 0.5])
     weak = np.array([[0.9, 0.1], [0.1, 0.9]])
-    strong_probs = Tensor(np.array([[0.6, 0.4], [0.4, 0.6]]), requires_grad=True)
-    out = fairness_loss(FairnessVariant.SAF, state, weak, strong_probs, np.zeros(2))
-    assert float(out) == pytest.approx(-math.log(2.0), abs=1e-12)
+    out, _ = fairness_loss(FairnessVariant.SAF, state, weak, np.array([[0.6, 0.4], [0.4, 0.6]]), np.zeros(2))
+    assert out == pytest.approx(-math.log(2.0), abs=1e-12)
 
 
 def test_fairness_zero_when_nothing_masked_in():
     state = _state_with([0.5, 0.5], [0.5, 0.5])
     weak = np.array([[0.6, 0.4]])
-    out = fairness_loss(FairnessVariant.SAF, state, weak, Tensor(np.array([[0.6, 0.4]])), np.array([0.99, 0.99]))
-    assert float(out) == 0.0
+    out = fairness_loss(FairnessVariant.SAF, state, weak, np.array([[0.6, 0.4]]), np.array([0.99, 0.99]))
+    assert out == (0.0, None)
 
 
 def test_fairness_saf_matches_straight_line_recomputation():
@@ -150,7 +143,7 @@ def test_fairness_saf_matches_straight_line_recomputation():
     weak = _rand_probs(rng, B, C)
     strong = _rand_probs(rng, B, C)
     th = rng.uniform(0.2, 0.5, size=C)
-    out = fairness_loss(FairnessVariant.SAF, state, weak, Tensor(strong, requires_grad=True), th)
+    out, _ = fairness_loss(FairnessVariant.SAF, state, weak, strong, th)
 
     # independent re-computation of the formula chain
     keep, _ = mask(weak, th)
@@ -162,7 +155,7 @@ def test_fairness_saf_matches_straight_line_recomputation():
     s = p_bar / np.maximum(h_bar, 1e-9)
     s = s / s.sum()
     expected = float((a * np.log(s)).sum())
-    assert float(out) == pytest.approx(expected, abs=1e-10)
+    assert out == pytest.approx(expected, abs=1e-10)
 
 
 def test_fairness_saf_empty_class_uses_the_floored_histogram():
@@ -171,59 +164,63 @@ def test_fairness_saf_empty_class_uses_the_floored_histogram():
     state = _state_with(np.full(C, 1.0 / C), np.full(C, 1.0 / C))
     weak = np.array([[0.8, 0.1, 0.1], [0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.2, 0.7, 0.1]])
     strong = np.array([[0.7, 0.2, 0.1], [0.6, 0.3, 0.1], [0.2, 0.7, 0.1], [0.3, 0.6, 0.1]])
-    out = fairness_loss(FairnessVariant.SAF, state, weak, Tensor(strong, requires_grad=True), np.zeros(C))
+    out, _ = fairness_loss(FairnessVariant.SAF, state, weak, strong, np.zeros(C))
 
     p_bar = strong.sum(axis=0) / B + 1e-12
     h_bar = np.array([2.0, 2.0, 0.0]) / B
     s = p_bar / np.maximum(h_bar, 1e-9)
     s = s / s.sum()
     expected = float((np.log(s) / C).sum())
-    assert float(out) == pytest.approx(expected, rel=1e-12)
+    assert out == pytest.approx(expected, rel=1e-12)
     # the empty class takes almost all of SumNorm(p_bar / h_bar): l_f spikes
     assert s[2] > 1 - 1e-7
-    assert float(out) < -10 * math.log(C)
+    assert out < -10 * math.log(C)
 
 
 def test_fairness_uniform_prior_value_and_masking():
     state = _state_with([0.5, 0.5], [0.5, 0.5])
     weak = np.array([[0.99, 0.01], [0.5, 0.5]])
-    strong_probs = Tensor(np.array([[0.7, 0.3], [0.2, 0.8]]), requires_grad=True)
-    out = fairness_loss(FairnessVariant.UNIFORM_PRIOR, state, weak, strong_probs, np.array([0.95, 0.95]))
+    strong_probs = np.array([[0.7, 0.3], [0.2, 0.8]])
+    out, _ = fairness_loss(FairnessVariant.UNIFORM_PRIOR, state, weak, strong_probs, np.array([0.95, 0.95]))
     # only the first sample is masked in, so p_bar' = [0.7, 0.3]
-    assert float(out) == pytest.approx(0.5 * (math.log(0.7) + math.log(0.3)), abs=1e-10)
+    assert out == pytest.approx(0.5 * (math.log(0.7) + math.log(0.3)), abs=1e-10)
 
 
 def test_fairness_saf_invariant_to_ratio_rescaling():
     rng = np.random.default_rng(4)
     B, C = 16, 3
     weak = _rand_probs(rng, B, C)
-    strong = Tensor(_rand_probs(rng, B, C), requires_grad=True)
+    strong = _rand_probs(rng, B, C)
     th = np.full(C, 0.2)
     p_loc, hist = _rand_probs(rng, 1, C)[0], _rand_probs(rng, 1, C)[0]
-    a = fairness_loss(FairnessVariant.SAF, _state_with(p_loc, hist), weak, strong, th)
-    b = fairness_loss(FairnessVariant.SAF, _state_with(7.3 * p_loc / (7.3 * p_loc).sum(), hist), weak, strong, th)
+    a, _ = fairness_loss(FairnessVariant.SAF, _state_with(p_loc, hist), weak, strong, th)
+    b, _ = fairness_loss(FairnessVariant.SAF, _state_with(7.3 * p_loc / (7.3 * p_loc).sum(), hist), weak, strong, th)
     # common positive rescaling of the numerator vector is absorbed by SumNorm
-    assert float(a) == pytest.approx(float(b), abs=1e-12)
+    assert a == pytest.approx(b, abs=1e-12)
 
 
 def test_fairness_gradient_flows_only_through_soft_mass():
     rng = np.random.default_rng(5)
     weak = _rand_probs(rng, 8, 3)
     th = np.full(3, np.median(weak.max(axis=1)))  # splits the batch
-    strong = Tensor(_rand_probs(rng, 8, 3), requires_grad=True)
+    strong = _rand_probs(rng, 8, 3)
     state = _state_with(_rand_probs(rng, 1, 3)[0], _rand_probs(rng, 1, 3)[0])
-    out = fairness_loss(FairnessVariant.SAF, state, weak, strong, th)
-    out.backward()
+    _, grad = fairness_loss(FairnessVariant.SAF, state, weak, strong, th)
     keep, _ = mask(weak, th)
     assert keep.any() and not keep.all()
-    assert np.abs(strong.grad[~keep]).max() == 0.0
-    assert np.abs(strong.grad[keep]).max() > 0.0
+    assert np.abs(grad[~keep]).max() == 0.0
+    assert np.abs(grad[keep]).max() > 0.0
+
+
+def fairness_node(variant, state, weak, strong_probs, th):
+    """fairness_loss as one node on the test tape."""
+    return tape.head(lambda probs, g: fairness_loss(variant, state, weak, probs, th, g), strong_probs)
 
 
 def tensor_op_fairness(variant, state, weak, strong_probs, th):
     """The fairness term composed of general Tensor ops (masked sum, scale, +,
-    /, SumNorm, log, weighted sum): the reference that fairness_loss's single
-    node must match bit for bit, in value and gradient."""
+    /, SumNorm, log, weighted sum): the reference that fairness_loss's closed
+    form must match bit for bit, in value and gradient."""
     keep, _ = mask(weak, th)
     n_in = int(keep.sum())
     if variant is FairnessVariant.NONE or n_in == 0:
@@ -259,9 +256,9 @@ def _fairness_case(name):
 def test_fairness_node_matches_the_tensor_op_chain_bit_for_bit(variant, case):
     state, weak, logits, th = _fairness_case(case)
     results = []
-    for build in (fairness_loss, tensor_op_fairness):
+    for build in (fairness_node, tensor_op_fairness):
         z = Tensor(logits.copy(), requires_grad=True)
-        out = build(variant, state, weak, softmax(z), th)
+        out = build(variant, state, weak, tape.softmax(z), th)
         (out * 0.01).backward()  # upstream weight w_f, as the total loss feeds it
         results.append((float(out), z.grad))
     (node_value, node_grad), (chain_value, chain_grad) = results
@@ -313,32 +310,33 @@ def test_total_rejects_non_finite():
 
 
 def test_total_loss_gradient_matches_finite_differences():
-    # d(total)/d(strong logits) with weak probs and thresholds held constant
+    # d(total)/d(strong logits) with weak probs and thresholds held constant,
+    # composed as the training step composes it
     rng = np.random.default_rng(6)
     B, C = 6, 3
     weak = _rand_probs(rng, B, C)
     state = _state_with(_rand_probs(rng, 1, C)[0], _rand_probs(rng, 1, C)[0])
     th = per_class_thresholds(state, Sat())
-    strong_logits = Tensor(rng.normal(size=(B, C)), requires_grad=True)
+    x = rng.normal(size=(B, C))
 
-    def build(t: Tensor):
-        l_u, _ = consistency_loss(weak, t, th)
-        l_f = fairness_loss(FairnessVariant.SAF, state, weak, softmax(t), th)
+    def total() -> float:
+        (l_u, _), _ = consistency_loss(weak, x, th)
+        l_f, _ = fairness_loss(FairnessVariant.SAF, state, weak, softmax(x), th)
         return total_loss(0.1, l_u, l_f, w_u=1.0, w_f=0.05)
 
-    build(strong_logits).backward()
-    ad = strong_logits.grad.copy()
+    (_, grad_u), _ = consistency_loss(weak, x, th, 1.0)
+    probs = softmax(x)
+    _, grad_f = fairness_loss(FairnessVariant.SAF, state, weak, probs, th, 0.05)
+    ad = grad_u + softmax_backward(probs, grad_f)
 
     fd = np.zeros_like(ad)
     h = 1e-5
-    x = strong_logits.data
     for i in np.ndindex(x.shape):
         orig = x[i]
-        with no_grad():
-            x[i] = orig + h
-            fp = float(build(strong_logits))
-            x[i] = orig - h
-            fm = float(build(strong_logits))
+        x[i] = orig + h
+        fp = total()
+        x[i] = orig - h
+        fm = total()
         x[i] = orig
         fd[i] = (fp - fm) / (2 * h)
     denom = np.maximum(np.maximum(np.abs(ad), np.abs(fd)), 1e-6)

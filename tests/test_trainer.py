@@ -9,6 +9,7 @@ import types
 import numpy as np
 import pytest
 
+import tape
 from test_ssl_losses import tensor_op_fairness
 
 from freematch_lab import adaptive_threshold as at
@@ -72,8 +73,7 @@ def test_zero_weights_reduce_to_pure_supervised_update():
     # manual supervised-only replay with an identical rng stream
     ref_model, ref_opt, _, _, _, _, ref_rng = _step_once(cfg, data)
     xl = weak(lb.points, cfg.augment, ref_rng)
-    loss = supervised_loss(nd.forward(ref_model, xl), lb.labels)
-    loss.backward()
+    tape.head(lambda z, g: supervised_loss(z, lb.labels, g), tape.forward(ref_model, xl)).backward()
     nd.sgd_step(ref_model.parameters(), ref_opt, nd.cosine_lr(cfg.lr0, 0, cfg.K))
 
     train_step(model, opt, ema, state, lb, ub, cfg, aug_rng)
@@ -90,22 +90,20 @@ def test_single_step_near_zero_lambda_tracks_batch():
     ref_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(4)[3])
     weak(lb.points, cfg.augment, ref_rng)  # consume the labeled draw
     uw = weak(ub.points, cfg.augment, ref_rng)
-    with nd.no_grad():
-        q = nd.softmax(nd.forward(ref_model, uw)).data
+    q = nd.softmax(nd.forward(ref_model, uw))
     rec = train_step(model, opt, ema, state, lb, ub, cfg, aug_rng)
     assert rec.tau_global == pytest.approx(q.max(axis=1).mean(), abs=1e-9)
 
 
 def _tape_step(model, opt, ema, state, labeled, unlabeled, config, aug_rng):
-    """train_step on the autodiff tape: graph forwards, the Tensor forms of the
-    heads, the fairness term as general Tensor ops, and
+    """train_step on the test tape: general-op graph forwards, the heads as
+    graph nodes, the fairness term as general Tensor ops, and
     total_loss(...).backward()."""
     k = opt.k
     xl = weak(labeled.points, config.augment, aug_rng)
-    l_s = supervised_loss(nd.forward(model, xl), labeled.labels)
+    l_s = tape.head(lambda z, g: supervised_loss(z, labeled.labels, g), tape.forward(model, xl))
     uw = weak(unlabeled.points, config.augment, aug_rng)
-    with nd.no_grad():
-        q = nd.softmax(nd.forward(model, uw)).data
+    q = nd.softmax(tape.forward(model, uw).data)
     at.update_global(state, q)
     at.update_local(state, q)
     at.update_hist(state, q.argmax(axis=1))
@@ -116,9 +114,9 @@ def _tape_step(model, opt, ema, state, labeled, unlabeled, config, aug_rng):
     us = strong(unlabeled.points, config.augment, aug_rng)
     l_u = l_f = nd.as_tensor(0.0)
     if k >= config.warmup_iters:
-        strong_logits = nd.forward(model, us)
-        l_u, _ = consistency_loss(q, strong_logits, thresholds)
-        l_f = tensor_op_fairness(config.fairness, state, q, nd.softmax(strong_logits), thresholds)
+        strong_logits = tape.forward(model, us)
+        l_u = tape.head(lambda z, g: consistency_loss(q, z, thresholds, g)[0], strong_logits)
+        l_f = tensor_op_fairness(config.fairness, state, q, tape.softmax(strong_logits), thresholds)
     record = MetricsRecord(k, float(l_s), float(l_u), float(l_f),
                            float(l_s) + config.w_u * float(l_u) + config.w_f * float(l_f),
                            state.tau_global, float(thresholds.mean()), float(keep.mean()))
@@ -206,8 +204,7 @@ def test_sampling_rate_matches_mask_mean():
     snap_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(4)[3])
     weak(lb.points, cfg.augment, snap_rng)
     uw = weak(ub.points, cfg.augment, snap_rng)
-    with nd.no_grad():
-        q = nd.softmax(nd.forward(model, uw)).data
+    q = nd.softmax(nd.forward(model, uw))
     rec = train_step(model, opt, ema, state, lb, ub, cfg, aug_rng)
     # recompute the mask from the replayed weak view and the recorded state
     th = at.per_class_thresholds(state, cfg.scheme)
@@ -277,7 +274,7 @@ def _batches(it, n=5):
 
 def test_training_streams_are_the_dataset_streams_when_the_seeds_match():
     """A known defect, pinned so that its fix must flip this test (ROADMAP item
-    7). With dataset.seed == train.seed, the children of _build's
+    8). With dataset.seed == train.seed, the children of _build's
     SeedSequence(seed).spawn(4) are the dataset generator's own spawned
     children: gen_two_moons draws (unlabeled, test) from spawn(2), and
     gen_gaussian_clusters (labeled, unlabeled, test) from spawn(3)."""
@@ -344,8 +341,7 @@ def test_evaluate_uniform_random_model_error():
 
 
 def _whole_batch_labels(model, points):
-    with nd.no_grad():
-        return nd.forward(model, points).data.argmax(axis=1)
+    return nd.forward(model, points).argmax(axis=1)
 
 
 def test_predict_blocks_match_the_whole_batch():
