@@ -243,7 +243,7 @@ def weighted_nll(logits: np.ndarray, weights: np.ndarray, g=1.0):
     """``-(log_softmax(logits) * weights).sum()`` for a constant ``weights``
     array, and the gradient of ``g`` times it with respect to ``logits``."""
     if not np.isfinite(logits).all():
-        raise ValueError("log_softmax requires finite inputs")
+        raise ValueError("weighted_nll requires finite logits")
     shifted = logits - logits.max(axis=-1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     gw = -g * weights

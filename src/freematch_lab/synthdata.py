@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -212,11 +211,17 @@ def gen_gaussian_clusters(
     )
 
 
+# normals the helper thread draws per hand-off in `mixture_blocks`
+_NORMALS_CHUNK = 2**16
+
+
 def mixture_blocks(
     spec: MixtureSpec, n: int, seed: int | np.random.SeedSequence, block: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield the n-sample draw of `sample_mixture` as consecutive (x, y)
-    blocks of at most `block` samples each.
+    """Yield the raw n-sample draw of `sample_mixture` as consecutive (y, z)
+    blocks of at most `block` samples each: the labels y in {-1, +1} and the
+    standard normals z. The caller forms x = mu + sigma * z with the mean and
+    spread of class y from `spec`; the raw draw does not depend on them.
 
     The one-generator draw takes n labels and then n normals from one PCG64
     stream. Each label uses one 32-bit half of a 64-bit output, so the normals
@@ -226,33 +231,44 @@ def mixture_blocks(
     to the one-generator draw.
 
     The two streams are drawn on two threads. A helper thread, alive only
-    while this generator runs, draws the next block's normals while the
-    caller's thread draws the labels, forms x and consumes the block; NumPy
-    releases the GIL in both fills. Each generator is still used by one thread
-    in the same order, so the blocks do not depend on the timing. On one CPU
-    the threads take turns and the draw costs what it did serially. The price
-    is one block of normals in flight besides the one being consumed.
+    while this generator runs, draws the normals of the next chunk (whole
+    blocks, at most _NORMALS_CHUNK samples unless one block is larger) while
+    the caller's thread draws the labels and consumes the current chunk's
+    blocks; NumPy releases the GIL in both fills. Each generator is still used
+    by one thread in the same order, so the blocks do not depend on the
+    timing. On one CPU the threads take turns and the draw costs what it did
+    serially. Each y, and each chunk that a z views, is a fresh array, so a
+    yielded block stays valid after the next one is drawn.
     """
+    from concurrent.futures import ThreadPoolExecutor  # loaded only for a draw
+
     if n < 1:
         raise ValueError("n must be >= 1")
     labels = np.random.default_rng(seed)
     normals = np.random.default_rng(seed)
     normals.bit_generator.advance((n + 1) // 2)
+    chunk = max(1, _NORMALS_CHUNK // block) * block
     with ThreadPoolExecutor(max_workers=1) as helper:
-        pending = helper.submit(normals.standard_normal, min(block, n))
+        pending = helper.submit(normals.standard_normal, min(chunk, n))
         for start in range(0, n, block):
-            y = labels.integers(0, 2, size=min(block, n - start)) * 2 - 1
-            z = pending.result()
-            if start + block < n:
-                pending = helper.submit(normals.standard_normal, min(block, n - start - block))
-            yield np.where(y == 1, spec.mu2 + spec.sigma2 * z, spec.mu1 + spec.sigma1 * z), y
+            y = labels.integers(0, 2, size=min(block, n - start))
+            y *= 2
+            y -= 1
+            at = start % chunk
+            if at == 0:
+                chunk_z = pending.result()
+                if start + chunk < n:
+                    pending = helper.submit(normals.standard_normal, min(chunk, n - start - chunk))
+            yield y, chunk_z[at : at + len(y)]
 
 
 def sample_mixture(
     spec: MixtureSpec, n: int, seed: int | np.random.SeedSequence
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw n samples (x, y) with y in {-1, +1} uniform and x | y Gaussian."""
-    return next(mixture_blocks(spec, n, seed, block=n))
+    """Draw n samples (x, y) with y in {-1, +1} uniform and x | y Gaussian:
+    the one block of `mixture_blocks`, with x formed from its raw draw."""
+    y, z = next(mixture_blocks(spec, n, seed, block=n))
+    return np.where(y == 1, spec.mu2 + spec.sigma2 * z, spec.mu1 + spec.sigma1 * z), y
 
 
 def check_batch_size(B: int, n: int, split: str = "dataset") -> None:

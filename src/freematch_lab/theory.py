@@ -13,14 +13,17 @@ midpoint +- c with c = log(tau/(1-tau)) / beta, which gives the closed form
 
 with Phi the standard normal CDF, computed from erfc for tail accuracy.
 
-The Monte-Carlo oracle streams its draws in blocks of MC_BLOCK samples and
-counts each block as it goes, so its memory does not depend on n; the counts
-are those of one n-sample `sample_mixture` draw. The labels and the normals
-come from two independent streams, drawn on two threads: a helper thread
-draws the next block's normals while this thread counts the current block.
-With two free cores a draw takes about 60% of the serial time; on one CPU
-the threads take turns and it costs what the serial draw did. The extra
-memory is one block of normals in flight (512 KiB at MC_BLOCK).
+The Monte-Carlo oracle streams the raw draw (labels and standard normals) in
+blocks of MC_BLOCK samples and counts each block one mixture component at a
+time: mu + sigma * z goes into one reused scratch array and each band edge is
+compared into one reused bool array, so no sample's x is kept and the memory
+does not depend on n. The counts are those of one n-sample `sample_mixture`
+draw, bit for bit. The labels and the normals come from two independent
+streams, drawn on two threads: a helper thread draws the next 2^16 normals
+while this thread counts the blocks of the current ones. With two free cores
+a draw takes about 60% of the serial time; on one CPU the threads take turns
+and it costs what the serial draw did. The extra memory is one chunk of
+normals in flight (512 KiB).
 """
 
 from __future__ import annotations
@@ -34,9 +37,9 @@ import numpy as np
 # sample_mixture stays bound here: perfbench's tracer wraps it on this module
 from .synthdata import MixtureSpec, is_finite_number, mixture_blocks, sample_mixture  # noqa: F401
 
-# samples per Monte-Carlo block: small enough that a block's arrays stay in
-# cache, large enough that the per-block Python overhead is negligible
-MC_BLOCK = 2**16
+# samples per Monte-Carlo block: small enough that a block's 64 KiB scratch
+# array stays in cache, large enough that the per-block Python overhead is small
+MC_BLOCK = 2**13
 
 
 def _phi_cdf(z: float) -> float:
@@ -125,15 +128,21 @@ def mc_dist(spec: MixtureSpec, n: int, seed: int) -> McResult:
     """Empirical pseudo-label frequencies with binomial standard errors.
 
     Draws the n samples of `sample_mixture` at a seed derived from `seed`,
-    in blocks of MC_BLOCK, and counts the labels of each block as it goes.
+    in blocks of MC_BLOCK, and counts the pseudo labels of each block as it
+    goes, one mixture component at a time.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     lo, hi = _band_edges(spec)
     n_pos = n_neg = 0
-    for x, _ in mixture_blocks(spec, n, np.random.SeedSequence(seed).spawn(1)[0], MC_BLOCK):
-        n_pos += np.count_nonzero(x > hi)
-        n_neg += np.count_nonzero(x < lo)
+    x_buf, hit_buf, ours_buf = np.empty(MC_BLOCK), np.empty(MC_BLOCK, bool), np.empty(MC_BLOCK, bool)
+    for y, z in mixture_blocks(spec, n, np.random.SeedSequence(seed).spawn(1)[0], MC_BLOCK):
+        x, hit, ours = x_buf[: len(y)], hit_buf[: len(y)], ours_buf[: len(y)]
+        for label, mu, sigma in ((1, spec.mu2, spec.sigma2), (-1, spec.mu1, spec.sigma1)):
+            np.add(np.multiply(sigma, z, out=x), mu, out=x)  # sample_mixture's mu + sigma * z
+            np.equal(y, label, out=ours)
+            n_pos += np.count_nonzero(np.logical_and(np.greater(x, hi, out=hit), ours, out=hit))
+            n_neg += np.count_nonzero(np.logical_and(np.less(x, lo, out=hit), ours, out=hit))
     counts = np.array([n_pos, n_neg, n - n_pos - n_neg], dtype=np.int64)  # pos, neg, mask
     freqs = counts / n
     ses = np.sqrt(freqs * (1.0 - freqs) / n)

@@ -152,20 +152,25 @@ def test_diverged_train_prints_one_line(tmp_path):
     cfg = _shipped_config(tmp_path, lr0=1e200, K=50)
     proc = _run_python("-m", "freematch_lab.cli", "train", "--config", str(cfg), "--out", str(tmp_path / "out"))
     assert proc.returncode == 1
-    assert proc.stderr == "run aborted: aborted at iteration 1: log_softmax requires finite inputs\n"
+    assert proc.stderr == "run aborted: aborted at iteration 1: weighted_nll requires finite logits\n"
 
 
 def test_train_and_theory_do_not_load_the_process_pool(tmp_path):
-    """Only `ablate` imports the process pool."""
+    """Only `ablate` imports the process pool, and only an MC draw the thread
+    pool: `train` loads no `concurrent.futures` at all."""
+    cfg = _shipped_config(tmp_path, K=20)
     script = (
         "import sys\n"
         "from freematch_lab import cli\n"
-        f"assert cli.main(['theory', '--mc-samples', '1000', '--out', {str(tmp_path)!r}]) == 0\n"
-        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))\n"
+        f"assert cli.main(['train', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'train')!r}]) == 0\n"
+        "print('after train:', sorted(m for m in sys.modules if m.startswith('concurrent')))\n"
+        f"assert cli.main(['theory', '--mc-samples', '1000', '--out', {str(tmp_path / 'theory')!r}]) == 0\n"
+        "print('after theory:', sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))\n"
     )
     proc = _run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    lines = [line for line in proc.stdout.splitlines() if line.startswith("after ")]
+    assert lines == ["after train: []", "after theory: []"]
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freematch_lab.synthdata import MixtureSpec, mixture_blocks, sample_mixture
+from freematch_lab.synthdata import _NORMALS_CHUNK as CHUNK, MixtureSpec, mixture_blocks, sample_mixture
 from freematch_lab.theory import (
     MC_BLOCK,
     analytic_dist,
@@ -136,22 +136,27 @@ def test_mc_n_not_a_multiple_of_the_block_sums_to_n():
 
 
 def test_mc_memory_does_not_grow_with_n():
-    """The oracle streams its draw: at n = 4e6 its traced peak stays a few
-    blocks' worth (about 4 MiB, as at n = 1e6), where a whole-array draw of
-    1e6 samples traces about 39 MiB."""
+    """The oracle streams its draw and forms no x per block: at n = 4e6 its
+    traced peak is about 2.5 MiB as a process's first call, where forming x
+    in blocks of 2^16 traced 4.8 MiB and a whole-array draw of 1e6 samples
+    traces about 39 MiB."""
     tracemalloc.start()
     try:
         mc_dist(SPEC, 4 * 10**6, seed=6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 # -- the streamed draw is the one-generator draw, bit for bit ---------------------
 
 MIXED = MixtureSpec(mu1=-1.0, mu2=1.0, sigma1=0.5, sigma2=2.0, beta=2.0, tau=0.8)
-BLOCK_EDGE_SIZES = [1, 2, 3, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 3 * MC_BLOCK + 7]
+BLOCK_EDGE_SIZES = [
+    1, 2, 3, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 3 * MC_BLOCK + 7,
+    # where the helper thread's hand-offs of CHUNK normals fall
+    CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + MC_BLOCK + 1, 3 * CHUNK + 7,
+]
 DRAW_SEEDS = [0, 1, 12345, np.random.SeedSequence(1000).spawn(1)[0]]
 
 
@@ -165,11 +170,11 @@ def test_mixture_blocks_concatenate_to_the_one_generator_draw(n):
         x = np.where(y == 1, MIXED.mu2 + MIXED.sigma2 * z, MIXED.mu1 + MIXED.sigma1 * z)
 
         blocks = list(mixture_blocks(MIXED, n, seed, MC_BLOCK))
-        assert [len(bx) for bx, _ in blocks] == [min(MC_BLOCK, n - s) for s in range(0, n, MC_BLOCK)]
-        bx = np.concatenate([b[0] for b in blocks])
-        by = np.concatenate([b[1] for b in blocks])
-        assert bx.dtype == x.dtype and by.dtype == y.dtype
-        assert np.array_equal(bx, x) and np.array_equal(by, y)
+        assert [len(by) for by, _ in blocks] == [min(MC_BLOCK, n - s) for s in range(0, n, MC_BLOCK)]
+        by = np.concatenate([b[0] for b in blocks])
+        bz = np.concatenate([b[1] for b in blocks])
+        assert by.dtype == y.dtype and bz.dtype == z.dtype
+        assert np.array_equal(by, y) and np.array_equal(bz, z)
         sx, sy = sample_mixture(MIXED, n, seed)
         assert np.array_equal(sx, x) and np.array_equal(sy, y)
 
@@ -191,11 +196,13 @@ def test_mc_counts_equal_labels_of_the_full_draw(n):
 
 def test_closing_mixture_blocks_early_stops_its_helper_thread():
     before = threading.active_count()
-    blocks = mixture_blocks(MIXED, 3 * MC_BLOCK, 0, MC_BLOCK)
-    next(blocks)
-    assert threading.active_count() == before + 1  # drawing the second block's normals
-    blocks.close()
-    assert threading.active_count() == before
+    for taken in (1, 2):  # both blocks lie inside the first hand-off of normals
+        blocks = mixture_blocks(MIXED, 3 * CHUNK, 0, MC_BLOCK)
+        for _ in range(taken):
+            next(blocks)
+        assert threading.active_count() == before + 1  # drawing the second chunk's normals
+        blocks.close()
+        assert threading.active_count() == before
     sample_mixture(MIXED, 1000, 0)
     assert threading.active_count() == before
 
