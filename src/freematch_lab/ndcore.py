@@ -1,21 +1,20 @@
 """A ReLU MLP on float64 arrays, trained with closed-form gradients: SGD with
 momentum, cosine learning-rate decay, and a parameter-space EMA used for
-evaluation. The training and inference functions take and return arrays.
+evaluation. Parameters, gradients and EMA shadows are plain arrays, and the
+training and inference functions take and return arrays.
 
 ``mlp_forward`` keeps every layer's output, and ``mlp_backward`` carries the
-logit gradient back through them into each parameter's ``.grad``; ``forward``
-runs the same layers keeping only the current one, for inference.
+logit gradient back through them into one gradient per parameter, which
+``sgd_step`` applies; ``forward`` runs the same layers keeping only the
+current one, for inference.
 
-The parameters are ``Tensor`` leaves. ``Tensor`` is also a small define-by-run
-autodiff tape, where ``backward()`` on a scalar root fills ``.grad`` on every
-reachable leaf: the gradient tests' reference. Single-threaded mutation;
-values are shared read-only.
-
-Gradients are never copied: a ``.grad`` array may be the very array another
-tensor holds as its ``.grad`` (an add hands one upstream array to both
-operands), or a read-only broadcast view (the backward of ``sum``). Treat
-``.grad`` as read-only and never change it in place; accumulation always
-builds a new array.
+``Tensor`` is a small define-by-run autodiff tape, the gradient tests'
+reference: ``backward()`` on a scalar root fills ``.grad`` on every reachable
+leaf. Single-threaded mutation; values are shared read-only. A ``.grad`` array
+may be the very array another tensor holds as its ``.grad`` (an add hands one
+upstream array to both operands), or a read-only broadcast view (the backward
+of ``sum``). Treat ``.grad`` as read-only and never change it in place;
+accumulation always builds a new array.
 """
 
 from __future__ import annotations
@@ -276,14 +275,14 @@ class MlpModel:
     apply softmax themselves so one forward serves both hard pseudo-label
     extraction and soft probabilities."""
 
-    layers: list[tuple[Tensor, Tensor]]
+    layers: list[tuple[np.ndarray, np.ndarray]]
 
     def __post_init__(self):
         for (w, b) in self.layers:
-            if w.data.ndim != 2 or b.data.ndim != 1 or w.data.shape[1] != b.data.shape[0]:
+            if w.ndim != 2 or b.ndim != 1 or w.shape[1] != b.shape[0]:
                 raise ValueError("layer weight/bias shapes are inconsistent")
         for (w0, _), (w1, _) in zip(self.layers, self.layers[1:]):
-            if w0.data.shape[1] != w1.data.shape[0]:
+            if w0.shape[1] != w1.shape[0]:
                 raise ValueError("consecutive layer dimensions do not chain")
 
     @classmethod
@@ -295,21 +294,19 @@ class MlpModel:
         layers = []
         for fan_in, fan_out in zip(dims, dims[1:]):
             limit = math.sqrt(6.0 / (fan_in + fan_out))
-            w = Tensor(rng.uniform(-limit, limit, size=(fan_in, fan_out)), requires_grad=True)
-            b = Tensor(np.zeros(fan_out), requires_grad=True)
-            layers.append((w, b))
+            layers.append((rng.uniform(-limit, limit, size=(fan_in, fan_out)), np.zeros(fan_out)))
         return cls(layers)
 
     @property
     def in_dim(self) -> int:
-        return self.layers[0][0].data.shape[0]
+        return self.layers[0][0].shape[0]
 
     @property
     def out_dim(self) -> int:
-        return self.layers[-1][0].data.shape[1]
+        return self.layers[-1][0].shape[1]
 
-    def parameters(self) -> list[Tensor]:
-        return [t for pair in self.layers for t in pair]
+    def parameters(self) -> list[np.ndarray]:
+        return [a for pair in self.layers for a in pair]
 
 
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
@@ -321,7 +318,7 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     if h.shape[1] != model.in_dim:
         raise ValueError(f"input width {h.shape[1]} does not match model width {model.in_dim}")
     for i, (w, b) in enumerate(model.layers):
-        h = _linear_data(h, w.data, b.data, i != len(model.layers) - 1)
+        h = _linear_data(h, w, b, i != len(model.layers) - 1)
     return h
 
 
@@ -330,19 +327,19 @@ def mlp_forward(model: MlpModel, x: np.ndarray) -> list[np.ndarray]:
     as ``mlp_backward`` takes them."""
     acts = [np.asarray(x, dtype=np.float64)]
     for i, (w, b) in enumerate(model.layers):
-        acts.append(_linear_data(acts[-1], w.data, b.data, i != len(model.layers) - 1))
+        acts.append(_linear_data(acts[-1], w, b, i != len(model.layers) - 1))
     return acts
 
 
-def mlp_backward(model: MlpModel, acts: list[np.ndarray], g: np.ndarray) -> None:
-    """Add d(root)/d(parameter) into each parameter's ``.grad``, given
-    ``mlp_forward``'s activations and ``g`` = d(root)/d(logits)."""
+def mlp_backward(model: MlpModel, acts: list[np.ndarray], g: np.ndarray) -> list[np.ndarray]:
+    """d(root)/d(parameter) in ``parameters()`` order, given ``mlp_forward``'s
+    activations and ``g`` = d(root)/d(logits)."""
     last = len(model.layers) - 1
+    grads = [None] * (2 * len(model.layers))
     for i in range(last, -1, -1):
-        w, b = model.layers[i]
-        g, grad_w, grad_b = _linear_backward(acts[i], w.data, acts[i + 1], g, i != last, i > 0)
-        w._accum(grad_w)
-        b._accum(grad_b)
+        g, grads[2 * i], grads[2 * i + 1] = _linear_backward(
+            acts[i], model.layers[i][0], acts[i + 1], g, i != last, i > 0)
+    return grads
 
 
 # -- optimizer -------------------------------------------------------------------
@@ -357,23 +354,21 @@ class OptimState:
     k: int = 0
 
     @classmethod
-    def for_params(cls, params: list[Tensor], momentum: float = 0.9) -> "OptimState":
-        return cls(velocity=[np.zeros_like(p.data) for p in params], momentum=momentum)
+    def for_params(cls, params: list[np.ndarray], momentum: float = 0.9) -> "OptimState":
+        return cls(velocity=[np.zeros_like(p) for p in params], momentum=momentum)
 
 
-def sgd_step(params: list[Tensor], opt: OptimState, lr: float) -> None:
-    """v <- momentum*v + g; theta <- theta - lr*v; grads cleared."""
+def sgd_step(params: list[np.ndarray], grads: list[np.ndarray], opt: OptimState, lr: float) -> None:
+    """v <- momentum*v + g; theta <- theta - lr*v, in place. Every shape is
+    checked before anything changes."""
     if len(params) != len(opt.velocity):
         raise ValueError("parameter count does not match optimizer state")
-    for p, v in zip(params, opt.velocity):
-        if p.grad is None:
-            raise ValueError("sgd_step requires populated gradients")
-        if p.grad.shape != v.shape:
-            raise ValueError("gradient shape does not match velocity shape")
+    if [g.shape for g in grads] != [v.shape for v in opt.velocity]:
+        raise ValueError("gradient shapes do not match the parameters'")
+    for p, g, v in zip(params, grads, opt.velocity):
         v *= opt.momentum
-        v += p.grad
-        p.data -= lr * v
-        p.grad = None
+        v += g
+        p -= lr * v
 
 
 def cosine_lr(lr0: float, k: int, K: int) -> float:
@@ -399,27 +394,23 @@ class ParamEma:
     def from_model(cls, model: MlpModel, decay: float = 0.999) -> "ParamEma":
         if not 0.0 <= decay < 1.0:
             raise ValueError("decay must be in [0, 1)")
-        return cls(shadow=[p.data.copy() for p in model.parameters()], decay=decay)
+        return cls(shadow=[p.copy() for p in model.parameters()], decay=decay)
 
 
-def ema_update(ema: ParamEma, params: list[Tensor]) -> None:
+def ema_update(ema: ParamEma, params: list[np.ndarray]) -> None:
     """shadow <- m*shadow + (1-m)*theta."""
     if len(params) != len(ema.shadow):
         raise ValueError("parameter count does not match EMA state")
     m = ema.decay
     for s, p in zip(ema.shadow, params):
-        if s.shape != p.data.shape:
+        if s.shape != p.shape:
             raise ValueError("parameter shape drifted from EMA shadow")
         s *= m
-        s += (1.0 - m) * p.data
+        s += (1.0 - m) * p
 
 
 def ema_model(ema: ParamEma) -> MlpModel:
-    """Wrap the shadow weights in a model for inference."""
+    """Wrap copies of the shadow weights in a model for inference."""
     if len(ema.shadow) % 2 != 0:
         raise ValueError("shadow list does not pair into (weight, bias) layers")
-    layers = [
-        (Tensor(w.copy()), Tensor(b.copy()))
-        for w, b in zip(ema.shadow[0::2], ema.shadow[1::2])
-    ]
-    return MlpModel(layers)
+    return MlpModel([(w.copy(), b.copy()) for w, b in zip(ema.shadow[0::2], ema.shadow[1::2])])

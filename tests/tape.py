@@ -1,12 +1,12 @@
-"""The reference autodiff tape the gradient tests differentiate: graph forms of
-the MLP, `softmax` and `log_softmax` over `ndcore.Tensor`, and one graph node
-for any loss head.
+"""The reference autodiff tape the gradient tests differentiate: graph leaves
+for a model's parameters, graph forms of the MLP, `softmax` and `log_softmax`
+over `ndcore.Tensor`, and one graph node for any loss head.
 
 The training step runs `ndcore.mlp_forward`, the `ssl_losses` heads' closed
-forms and `ndcore.mlp_backward`, and records no graph. A head node's backward
-calls the same `src` head with its upstream gradient, so the closed forms stay
-the only copy, and the graph forward is built from general `Tensor` ops, not
-from the step's fused layers.
+forms and `ndcore.mlp_backward` on plain arrays, and records no graph. A head
+node's backward calls the same `src` head with its upstream gradient, so the
+closed forms stay the only copy, and the graph forward is built from general
+`Tensor` ops, not from the step's fused layers.
 """
 
 import numpy as np
@@ -15,13 +15,21 @@ from freematch_lab import ndcore as nd
 from freematch_lab.ndcore import Tensor
 
 
-def forward(model: nd.MlpModel, x) -> Tensor:
-    """The MLP's logits as a graph of general ops: `(h @ w + b).relu()` per
-    hidden layer, `h @ w + b` for the last."""
+def leaves(model: nd.MlpModel) -> list[Tensor]:
+    """One gradient-recording leaf per parameter, in `parameters()` order. Each
+    leaf holds the parameter array itself, so an update to the model's arrays
+    is an update to the leaves."""
+    return [Tensor(p, requires_grad=True) for p in model.parameters()]
+
+
+def forward(params: list[Tensor], x) -> Tensor:
+    """The MLP's logits on `leaves(model)` as a graph of general ops:
+    `(h @ w + b).relu()` per hidden layer, `h @ w + b` for the last."""
     h = nd.as_tensor(x)
-    for i, (w, b) in enumerate(model.layers):
+    last = len(params) // 2 - 1
+    for i, (w, b) in enumerate(zip(params[0::2], params[1::2])):
         h = h @ w + b
-        if i != len(model.layers) - 1:
+        if i != last:
             h = h.relu()
     return h
 

@@ -7,8 +7,10 @@ produce false failures while genuine formula errors still trip every seed.
 """
 
 import itertools
+import multiprocessing
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -87,18 +89,25 @@ def test_criterion_2_theorem_implications():
 # -- criteria 3 and 4: the two-moon protocol -------------------------------------------
 
 
+def _timed_two_moon_run(seed, scheme, fairness, w_f):
+    """One canonical two-moon run and its wall time, both taken in the worker."""
+    data = cli.canonical_two_moon_data(seed)
+    t0 = time.time()
+    result = run(cli.canonical_two_moon_config(scheme, fairness, w_f, seed), data)
+    return result, time.time() - t0
+
+
 @pytest.fixture(scope="module")
 def two_moon_runs():
-    runs = {}
-    for seed in SEEDS:
-        data = cli.canonical_two_moon_data(seed)
-        t0 = time.time()
-        fm = run(cli.canonical_two_moon_config(at.Sat(), FairnessVariant.SAF, 0.01, seed), data)
-        fm_time = time.time() - t0
-        t0 = time.time()
-        fx = run(cli.canonical_two_moon_config(at.Fixed(0.95), FairnessVariant.NONE, 0.0, seed), data)
-        fx_time = time.time() - t0
-        runs[seed] = (fm, fx, max(fm_time, fx_time))
+    """SAT+SAF and fixed(0.95) at each seed, on a 2-worker spawn pool. Each
+    run's time is taken inside its worker, so it is that run's own time."""
+    variants = [(at.Sat(), FairnessVariant.SAF, 0.01), (at.Fixed(0.95), FairnessVariant.NONE, 0.0)]
+    with ProcessPoolExecutor(max_workers=2, mp_context=multiprocessing.get_context("spawn")) as pool:
+        futures = {seed: [pool.submit(_timed_two_moon_run, seed, *v) for v in variants] for seed in SEEDS}
+        runs = {}
+        for seed, (fm, fx) in futures.items():
+            (fm, fm_time), (fx, fx_time) = fm.result(), fx.result()
+            runs[seed] = (fm, fx, max(fm_time, fx_time))
     return runs
 
 
@@ -157,7 +166,8 @@ def _max_rel_err(ad: np.ndarray, fd: np.ndarray) -> float:
 
 
 def _random_graph(rng):
-    """A random small graph on the test tape, differentiated by its backward."""
+    """A random small graph on the test tape, differentiated by its backward:
+    its value function and (gradient, leaf value) per leaf."""
     shape = [(2, 3), (3, 4), (1, 5)][rng.integers(0, 3)]
     a = nd.Tensor(rng.uniform(0.2, 1.5, size=shape) * rng.choice([-1.0, 1.0], size=shape), requires_grad=True)
     b = nd.Tensor(rng.uniform(0.2, 1.5, size=shape) * rng.choice([-1.0, 1.0], size=shape), requires_grad=True)
@@ -180,14 +190,15 @@ def _random_graph(rng):
         return (t * t).sum() * (1.0 / t.data.size)
 
     build().backward()
-    return lambda: float(build()), [a, b]
+    return lambda: float(build()), [(a.grad, a.data), (b.grad, b.data)]
 
 
 def _composite_loss_case(rng):
     """The full weighted objective as a function of the model parameters,
     with weak probabilities and thresholds held fixed as constants. Its
     gradient takes train_step's path: each head's closed form at its weight,
-    then mlp_backward through mlp_forward's layers."""
+    then mlp_backward through mlp_forward's layers, the two branches' gradients
+    summed labeled first."""
     model = nd.MlpModel.init([2, 6, 3], seed=int(rng.integers(0, 2**31)))
     xl = rng.normal(size=(4, 2))
     yl = rng.integers(0, 3, size=4)
@@ -209,14 +220,15 @@ def _composite_loss_case(rng):
         return float(total_loss(l_s, l_u, l_f, w_u=w_u, w_f=w_f))
 
     acts_l = nd.mlp_forward(model, xl)
-    nd.mlp_backward(model, acts_l, supervised_loss(acts_l[-1], yl)[1])
+    grads = nd.mlp_backward(model, acts_l, supervised_loss(acts_l[-1], yl)[1])
     acts_s = nd.mlp_forward(model, us)
     (_, grad_s), _ = consistency_loss(q, acts_s[-1], th, w_u)
     probs = nd.softmax(acts_s[-1])
     _, grad_f = fairness_loss(FairnessVariant.SAF, state, q, probs, th, w_f)
     if grad_s is not None:  # then grad_f is too: both heads keep the same rows
-        nd.mlp_backward(model, acts_s, grad_s + nd.softmax_backward(probs, grad_f))
-    return value, model.parameters()
+        strong = nd.mlp_backward(model, acts_s, grad_s + nd.softmax_backward(probs, grad_f))
+        grads = [gl + gs for gl, gs in zip(grads, strong)]
+    return value, list(zip(grads, model.parameters()))
 
 
 def test_criterion_5_gradient_suite():
@@ -224,9 +236,9 @@ def test_criterion_5_gradient_suite():
     worst = 0.0
     n_graphs = 0
     for case in range(100):
-        value, leaves = _composite_loss_case(rng) if case % 25 == 0 else _random_graph(rng)
-        for leaf in leaves:
-            err = _max_rel_err(leaf.grad, _finite_diff(value, leaf.data))
+        value, grads = _composite_loss_case(rng) if case % 25 == 0 else _random_graph(rng)
+        for grad, param in grads:
+            err = _max_rel_err(grad, _finite_diff(value, param))
             worst = max(worst, err)
             assert err <= 1e-4, f"graph {case}: relative error {err:.2e}"
         n_graphs += 1

@@ -1,7 +1,8 @@
 """No API that only its own test calls: every module-level function and class in
 src/freematch_lab is referenced by the lab itself or by perfbench. One CSV
 writer: only atomic.py imports `csv`. And one calling convention: no function
-in src/ branches on whether it was handed a Tensor."""
+in src/ branches on whether it was handed a Tensor, and outside the tape
+itself src/ never names one."""
 
 import ast
 import pathlib
@@ -78,3 +79,18 @@ def test_only_as_tensor_checks_for_a_tensor():
                         and "Tensor" in _names(node.args[1])):
                     found.append(f"{path.stem}.{fn.name}")
     assert found == ["ndcore.as_tensor"]
+
+
+# the autodiff tape: the class, its operand coercion and its gradient reduction
+TAPE = {"ndcore.Tensor", "ndcore.as_tensor", "ndcore._unbroadcast"}
+
+
+def test_only_the_tape_names_tensor():
+    """Parameters, gradients and EMA shadows are arrays: no `src` statement
+    outside the tape names `Tensor`, in code, annotations or imports."""
+    found = set()
+    for path in sorted((ROOT / "src" / "freematch_lab").glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if "Tensor" in _names(stmt):
+                found.add(f"{path.stem}.{getattr(stmt, 'name', type(stmt).__name__)}")
+    assert sorted(found - TAPE) == []

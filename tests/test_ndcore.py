@@ -29,27 +29,27 @@ from freematch_lab.ndcore import (
 
 
 def test_forward_identity_single_layer():
-    model = MlpModel([(Tensor(np.eye(2), requires_grad=True), Tensor(np.zeros(2), requires_grad=True))])
+    model = MlpModel([(np.eye(2), np.zeros(2))])
     out = forward(model, np.array([[1.0, 2.0]]))
     assert np.array_equal(out, [[1.0, 2.0]])
 
 
 def test_forward_zero_weights_yields_bias():
     b = np.array([0.3, -1.2, 4.0])
-    model = MlpModel([(Tensor(np.zeros((2, 3))), Tensor(b))])
+    model = MlpModel([(np.zeros((2, 3)), b)])
     out = forward(model, np.random.default_rng(0).normal(size=(5, 2)))
     assert np.allclose(out, np.tile(b, (5, 1)), atol=0)
 
 
 def test_forward_matches_straight_line_recomputation():
-    # independent oracle: plain numpy matmul chain, no Tensor machinery
+    # independent oracle: plain numpy matmul chain, no fused layers
     rng = np.random.default_rng(42)
     model = MlpModel.init([2, 64, 64, 64, 2], seed=7)
     x = rng.normal(size=(5, 2))
     got = forward(model, x)
 
     h = x
-    mats = [(w.data, b.data) for (w, b) in model.layers]
+    mats = model.layers
     for i, (w, b) in enumerate(mats):
         h = h @ w + b
         if i != len(mats) - 1:
@@ -156,12 +156,14 @@ def test_backward_mlp_loss_matches_finite_differences():
     onehot = np.zeros((6, 4))
     onehot[np.arange(6), y] = 1.0 / 6.0
 
-    def loss_value() -> float:
-        return float(-(tape.log_softmax(tape.forward(model, x)) * onehot).sum())
+    params = tape.leaves(model)
 
-    loss = -(tape.log_softmax(tape.forward(model, x)) * onehot).sum()
+    def loss_value() -> float:
+        return float(-(tape.log_softmax(tape.forward(params, x)) * onehot).sum())
+
+    loss = -(tape.log_softmax(tape.forward(params, x)) * onehot).sum()
     loss.backward()
-    for p in model.parameters():
+    for p in params:
         fd = _finite_diff(loss_value, p.data)
         assert _grad_close(p.grad, fd)
 
@@ -248,21 +250,23 @@ def test_graph_forward_matches_general_ops_bit_for_bit():
     model = MlpModel.init([2, 64, 64, 64, 2], seed=7)
     x = np.random.default_rng(4).normal(size=(193, 2))
     upstream = np.random.default_rng(5).normal(size=(193, 2))  # non-uniform, so each gradient path counts
-    graph = tape.forward(model, x)
-    want = _value_and_grads((graph * upstream).sum(), model.parameters())
+    params = tape.leaves(model)
+    graph = tape.forward(params, x)
+    want = _value_and_grads((graph * upstream).sum(), params)
     acts = mlp_forward(model, x)
     assert all((a == 0.0).any() and (a > 0.0).any() for a in acts[1:-1])  # every ReLU clamps some units
     assert np.array_equal(acts[-1], graph.data)
-    mlp_backward(model, acts, upstream)
-    for p, e in zip(model.parameters(), want[1:]):
-        assert np.array_equal(p.grad, e)
+    grads = mlp_backward(model, acts, upstream)
+    assert len(grads) == len(want) - 1
+    for g, e in zip(grads, want[1:]):
+        assert np.array_equal(g, e)
 
 
 def test_no_grad_forward_matches_graph_forward_bit_for_bit():
     """forward, which records no graph and keeps one layer at a time."""
     model = MlpModel.init([2, 64, 64, 64, 2], seed=7)
     x = np.random.default_rng(4).normal(size=(193, 2))
-    assert np.array_equal(forward(model, x), tape.forward(model, x).data)
+    assert np.array_equal(forward(model, x), tape.forward(tape.leaves(model), x).data)
 
 
 def test_weighted_nll_matches_log_softmax_mul_sum_bit_for_bit():
@@ -288,14 +292,14 @@ def test_shared_gradient_array_gives_the_same_sgd_update_as_copies():
     """An add hands both operands one upstream array as their gradient: for
     (x + y).sum() a read-only broadcast view, for ((x + y) * s).sum() a
     writeable product. SGD with momentum must treat either exactly like two
-    separate copies."""
+    separate copies, and change no gradient it is handed."""
     rng = np.random.default_rng(6)
     init = [rng.normal(size=(3, 4)), rng.normal(size=(3, 4))]
     scale = rng.normal(size=(3, 4))
 
     def train(copy_grads: bool):
         x, y = (Tensor(a.copy(), requires_grad=True) for a in init)
-        opt = OptimState.for_params([x, y], momentum=0.9)
+        opt = OptimState.for_params([x.data, y.data], momentum=0.9)
         for k in range(4):
             root = (x + y).sum() if k % 2 == 0 else ((x + y) * scale).sum()
             root.backward()
@@ -303,7 +307,8 @@ def test_shared_gradient_array_gives_the_same_sgd_update_as_copies():
             assert x.grad.flags.writeable == (k % 2 == 1)
             if copy_grads:
                 x.grad, y.grad = x.grad.copy(), y.grad.copy()
-            sgd_step([x, y], opt, lr=0.1)
+            sgd_step([x.data, y.data], [x.grad, y.grad], opt, lr=0.1)
+            x.grad = y.grad = None
         return [x.data, y.data, *opt.velocity]
 
     for shared, copied in zip(train(False), train(True)):
@@ -314,41 +319,43 @@ def test_shared_gradient_array_gives_the_same_sgd_update_as_copies():
 
 
 def test_sgd_single_step_no_momentum():
-    p = Tensor(np.zeros(1), requires_grad=True)
-    p.grad = np.ones(1)
+    p, g = np.zeros(1), np.ones(1)
     opt = OptimState.for_params([p], momentum=0.0)
-    sgd_step([p], opt, lr=0.1)
-    assert p.data[0] == pytest.approx(-0.1, abs=0)
-    assert p.grad is None
+    sgd_step([p], [g], opt, lr=0.1)
+    assert p[0] == pytest.approx(-0.1, abs=0)
+    assert g[0] == 1.0  # the gradient is read, not consumed
 
 
 def test_sgd_momentum_two_steps_hand_arithmetic():
-    p = Tensor(np.zeros(1), requires_grad=True)
+    p = np.zeros(1)
     opt = OptimState.for_params([p], momentum=0.9)
-    p.grad = np.ones(1)
-    sgd_step([p], opt, lr=1.0)
-    p.grad = np.ones(1)
-    sgd_step([p], opt, lr=1.0)
+    sgd_step([p], [np.ones(1)], opt, lr=1.0)
+    sgd_step([p], [np.ones(1)], opt, lr=1.0)
     # v1 = 1, theta1 = -1; v2 = 1.9, theta2 = -2.9
-    assert p.data[0] == pytest.approx(-2.9, abs=1e-12)
+    assert p[0] == pytest.approx(-2.9, abs=1e-12)
 
 
 def test_sgd_requires_grads():
-    p = Tensor(np.zeros(1), requires_grad=True)
-    opt = OptimState.for_params([p])
-    with pytest.raises(ValueError):
-        sgd_step([p], opt, lr=0.1)
+    """One gradient per parameter, each of its parameter's shape; a rejected
+    step changes nothing."""
+    params = [np.zeros((2, 3)), np.zeros(3)]
+    opt = OptimState.for_params(params)
+    for grads in ([np.ones((2, 3))], [np.ones((2, 3)), np.ones(3), np.ones(3)], [np.ones((2, 3)), np.ones(2)]):
+        with pytest.raises(ValueError):
+            sgd_step(params, grads, opt, lr=0.1)
+    assert not any(a.any() for a in params + opt.velocity)
 
 
 def test_sgd_converges_on_quadratic_bowl():
     # minimize 0.5*(theta - a)^2; closed-form minimum at a
     a = np.array([1.7, -0.4])
     p = Tensor(np.zeros(2), requires_grad=True)
-    opt = OptimState.for_params([p], momentum=0.5)
+    opt = OptimState.for_params([p.data], momentum=0.5)
     for _ in range(100):
         loss = ((p - a) * (p - a)).sum() * 0.5
         loss.backward()
-        sgd_step([p], opt, lr=0.5)
+        sgd_step([p.data], [p.grad], opt, lr=0.5)
+        p.grad = None
     assert np.max(np.abs(p.data - a)) <= 1e-6
 
 
@@ -385,10 +392,10 @@ def test_ema_decay_zero_copies_params():
     model = MlpModel.init([2, 3, 2], seed=5)
     ema = ParamEma.from_model(model, decay=0.0)
     for p in model.parameters():
-        p.data += 1.0
+        p += 1.0
     ema_update(ema, model.parameters())
     for s, p in zip(ema.shadow, model.parameters()):
-        assert np.array_equal(s, p.data)
+        assert np.array_equal(s, p)
 
 
 def test_ema_geometric_closed_form():
@@ -397,12 +404,12 @@ def test_ema_geometric_closed_form():
     ema = ParamEma.from_model(model, decay=m)
     shadow0 = [s.copy() for s in ema.shadow]
     for p in model.parameters():
-        p.data += 2.0  # hold constant afterwards
+        p += 2.0  # hold constant afterwards
     n = 25
     for _ in range(n):
         ema_update(ema, model.parameters())
     for s0, s, p in zip(shadow0, ema.shadow, model.parameters()):
-        expected = p.data + m**n * (s0 - p.data)
+        expected = p + m**n * (s0 - p)
         assert np.max(np.abs(s - expected)) <= 1e-12
 
 
@@ -413,9 +420,9 @@ def test_ema_matches_recurrence_replay():
     replay = [s.copy() for s in ema.shadow]
     for _ in range(50):
         for p in model.parameters():
-            p.data += rng.normal(size=p.data.shape) * 0.1
+            p += rng.normal(size=p.shape) * 0.1
         ema_update(ema, model.parameters())
-        replay = [0.99 * r + 0.01 * p.data for r, p in zip(replay, model.parameters())]
+        replay = [0.99 * r + 0.01 * p for r, p in zip(replay, model.parameters())]
     for s, r in zip(ema.shadow, replay):
         assert np.max(np.abs(s - r)) <= 1e-12
 
@@ -427,7 +434,7 @@ def test_ema_model_wraps_shadow():
     x = np.random.default_rng(0).normal(size=(4, 2))
     assert np.allclose(forward(wrapped, x), forward(model, x), atol=1e-12)
     for p in model.parameters():
-        p.data += 1.0
+        p += 1.0
     # shadow unchanged until updated
     assert not np.allclose(forward(ema_model(ema), x), forward(model, x))
 

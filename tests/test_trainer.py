@@ -73,12 +73,13 @@ def test_zero_weights_reduce_to_pure_supervised_update():
     # manual supervised-only replay with an identical rng stream
     ref_model, ref_opt, _, _, _, _, ref_rng = _step_once(cfg, data)
     xl = weak(lb.points, cfg.augment, ref_rng)
-    tape.head(lambda z, g: supervised_loss(z, lb.labels, g), tape.forward(ref_model, xl)).backward()
-    nd.sgd_step(ref_model.parameters(), ref_opt, nd.cosine_lr(cfg.lr0, 0, cfg.K))
+    params = tape.leaves(ref_model)
+    tape.head(lambda z, g: supervised_loss(z, lb.labels, g), tape.forward(params, xl)).backward()
+    nd.sgd_step(ref_model.parameters(), [p.grad for p in params], ref_opt, nd.cosine_lr(cfg.lr0, 0, cfg.K))
 
     train_step(model, opt, ema, state, lb, ub, cfg, aug_rng)
     for p, q in zip(model.parameters(), ref_model.parameters()):
-        assert np.array_equal(p.data, q.data)
+        assert np.array_equal(p, q)
 
 
 def test_single_step_near_zero_lambda_tracks_batch():
@@ -98,12 +99,13 @@ def test_single_step_near_zero_lambda_tracks_batch():
 def _tape_step(model, opt, ema, state, labeled, unlabeled, config, aug_rng):
     """train_step on the test tape: general-op graph forwards, the heads as
     graph nodes, the fairness term as general Tensor ops, and
-    total_loss(...).backward()."""
+    total_loss(...).backward() into the parameters' graph leaves."""
     k = opt.k
+    params = tape.leaves(model)
     xl = weak(labeled.points, config.augment, aug_rng)
-    l_s = tape.head(lambda z, g: supervised_loss(z, labeled.labels, g), tape.forward(model, xl))
+    l_s = tape.head(lambda z, g: supervised_loss(z, labeled.labels, g), tape.forward(params, xl))
     uw = weak(unlabeled.points, config.augment, aug_rng)
-    q = nd.softmax(tape.forward(model, uw).data)
+    q = nd.softmax(tape.forward(params, uw).data)
     at.update_global(state, q)
     at.update_local(state, q)
     at.update_hist(state, q.argmax(axis=1))
@@ -114,7 +116,7 @@ def _tape_step(model, opt, ema, state, labeled, unlabeled, config, aug_rng):
     us = strong(unlabeled.points, config.augment, aug_rng)
     l_u = l_f = nd.as_tensor(0.0)
     if k >= config.warmup_iters:
-        strong_logits = tape.forward(model, us)
+        strong_logits = tape.forward(params, us)
         l_u = tape.head(lambda z, g: consistency_loss(q, z, thresholds, g)[0], strong_logits)
         l_f = tensor_op_fairness(config.fairness, state, q, tape.softmax(strong_logits), thresholds)
     record = MetricsRecord(k, float(l_s), float(l_u), float(l_f),
@@ -123,7 +125,7 @@ def _tape_step(model, opt, ema, state, labeled, unlabeled, config, aug_rng):
     if keep.any():
         record.pseudo_label_acc = float((hard[keep] == unlabeled.labels[keep]).mean())
     total_loss(l_s, l_u, l_f, config.w_u, config.w_f).backward()
-    nd.sgd_step(model.parameters(), opt, nd.cosine_lr(config.lr0, k, config.K))
+    nd.sgd_step(model.parameters(), [p.grad for p in params], opt, nd.cosine_lr(config.lr0, k, config.K))
     opt.k += 1
     nd.ema_update(ema, model.parameters())
     state.advance()
@@ -146,9 +148,9 @@ def test_train_step_is_bit_identical_to_the_tape(monkeypatch, label, config):
     grads = []
     sgd_step = nd.sgd_step
 
-    def recording_sgd_step(params, *args):
-        grads.append([p.grad for p in params])
-        sgd_step(params, *args)
+    def recording_sgd_step(params, step_grads, *args):
+        grads.append(list(step_grads))
+        sgd_step(params, step_grads, *args)
 
     monkeypatch.setattr(nd, "sgd_step", recording_sgd_step)
     data = cli.canonical_two_moon_data(1)
@@ -162,7 +164,7 @@ def test_train_step_is_bit_identical_to_the_tape(monkeypatch, label, config):
         new, tape = grads[-2:]
         assert len(new) == len(tape) and all(np.array_equal(a, b) for a, b in zip(new, tape))
     (model_a, _, ema_a, *_), (model_b, _, ema_b, *_) = runs
-    assert all(np.array_equal(a.data, b.data) for a, b in zip(model_a.parameters(), model_b.parameters()))
+    assert all(np.array_equal(a, b) for a, b in zip(model_a.parameters(), model_b.parameters()))
     assert all(np.array_equal(a, b) for a, b in zip(ema_a.shadow, ema_b.shadow))
     if label == "fixed(0.95)":
         assert records[0][0].sampling_rate == 0.0  # a step that keeps no row: only the labeled branch has a gradient
@@ -218,7 +220,7 @@ def test_training_aborts_on_weight_blowup():
     cfg = _small_config()
     model, opt, ema, state, lb, ub, aug_rng = _step_once(cfg, data)
     for p in model.parameters():
-        p.data[:] = 1e300
+        p[:] = 1e300
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingAborted) as exc_info:
             train_step(model, opt, ema, state, lb, ub, cfg, aug_rng)
@@ -262,7 +264,7 @@ def test_warmup_parameters_independent_of_unlabeled_values():
         train_step(model_a, opt_a, ema_a, state_a, lb_a, ub_a, cfg, rng_a)
         train_step(model_b, opt_b, ema_b, state_b, lb_b, ub_b, cfg, rng_b)
     for p, q in zip(model_a.parameters(), model_b.parameters()):
-        assert np.array_equal(p.data, q.data)
+        assert np.array_equal(p, q)
     # but the threshold statistics did keep updating
     assert state_a.tau_global != pytest.approx(1.0 / 2.0, abs=1e-12)
     assert state_b.tau_global != state_a.tau_global
@@ -283,7 +285,7 @@ def test_training_streams_are_the_dataset_streams_when_the_seeds_match():
     model, _, _, _, lab_iter, _, _ = _build(TrainConfig(seed=seed, B=4), moons)
     # model init draws the unlabeled stream: the 2x64 layer-1 weights are an
     # affine image of the first 128 unlabeled class-0 angles
-    w = model.layers[0][0].data.ravel()
+    w = model.layers[0][0].ravel()
     limit = np.sqrt(6.0 / (2 + 64))
     x, y = moons.unlabeled.points[: w.size].T
     assert np.allclose((w + limit) / (2 * limit), np.arctan2(y, x) / np.pi, rtol=0, atol=1e-12)
@@ -318,8 +320,8 @@ def test_evaluate_perfect_model():
         out_dim = 2
 
     # a wide-margin linear model that classifies by sign of x coordinate
-    w = nd.Tensor(np.array([[-10.0, 10.0], [0.0, 0.0]]), requires_grad=False)
-    b = nd.Tensor(np.zeros(2))
+    w = np.array([[-10.0, 10.0], [0.0, 0.0]])
+    b = np.zeros(2)
     model = nd.MlpModel([(w, b)])
     res = evaluate(model, data.test)
     assert res.error_rate == 0.0
@@ -500,7 +502,7 @@ def test_checkpoint_files_hold_the_run(tmp_path):
     flat = np.fromfile(prefix + ".bin", "<f8")
     assert flat.size == sum(sizes)
     arrays = [chunk.reshape(shape) for chunk, shape in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
-    expected = [p.data for p in result.model.parameters()] + list(result.ema.shadow)
+    expected = result.model.parameters() + list(result.ema.shadow)
     assert len(arrays) == len(expected)
     assert all(np.array_equal(a, e) for a, e in zip(arrays, expected))
     assert manifest["threshold_state"] == json.loads(json.dumps(to_record(result.state)))
