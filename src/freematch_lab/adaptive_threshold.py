@@ -19,6 +19,7 @@ from typing import Union
 
 import numpy as np
 
+from .ndcore import row_max
 from .synthdata import is_finite_pair
 
 
@@ -164,7 +165,8 @@ def _check_probs(state: ThresholdState, weak_probs: np.ndarray) -> np.ndarray:
         raise ValueError("expected a non-empty [B, C] probability batch")
     if probs.shape[1] != state.C:
         raise ValueError(f"batch has {probs.shape[1]} classes, state has {state.C}")
-    if (probs < -1e-9).any() or np.abs(probs.sum(axis=1) - 1.0).max() > 1e-6:
+    # written so that NaN fails both comparisons
+    if not (probs.min() >= -1e-9 and np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-6):
         raise ValueError("rows must lie on the probability simplex")
     return probs
 
@@ -175,14 +177,14 @@ def _check_probs(state: ThresholdState, weak_probs: np.ndarray) -> np.ndarray:
 def update_global(state: ThresholdState, weak_probs: np.ndarray) -> None:
     """tau <- lam*tau + (1-lam) * mean_b max(q_b)."""
     probs = _check_probs(state, weak_probs)
-    batch_mean = float(probs.max(axis=1).mean())
+    batch_mean = float(np.add.reduce(row_max(probs)) / len(probs))
     state.tau_global = state.lam * state.tau_global + (1.0 - state.lam) * batch_mean
 
 
 def update_local(state: ThresholdState, weak_probs: np.ndarray) -> None:
     """p_local <- lam*p_local + (1-lam) * mean_b q_b; stays on the simplex."""
     probs = _check_probs(state, weak_probs)
-    state.p_local = state.lam * state.p_local + (1.0 - state.lam) * probs.mean(axis=0)
+    state.p_local = state.lam * state.p_local + (1.0 - state.lam) * (np.add.reduce(probs, axis=0) / len(probs))
 
 
 def update_hist(state: ThresholdState, weak_hard_labels: np.ndarray) -> None:
@@ -199,7 +201,7 @@ def update_hist(state: ThresholdState, weak_hard_labels: np.ndarray) -> None:
 def update_cpl_counts(state: ThresholdState, weak_probs: np.ndarray, tau: float) -> None:
     """Accumulate per-class counts of samples with confidence above tau."""
     probs = _check_probs(state, weak_probs)
-    conf = probs.max(axis=1)
+    conf = row_max(probs)
     hard = probs.argmax(axis=1)
     passed = conf > tau
     if passed.any():
@@ -242,5 +244,5 @@ def mask(weak_probs: np.ndarray, thresholds: np.ndarray) -> tuple[np.ndarray, np
     if probs.ndim != 2 or th.shape != (probs.shape[1],):
         raise ValueError("thresholds must have one entry per class")
     hard = probs.argmax(axis=1)
-    keep = probs.max(axis=1) >= th[hard]
+    keep = row_max(probs) >= th[hard]
     return keep, hard

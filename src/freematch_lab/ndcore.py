@@ -1,12 +1,13 @@
 """A ReLU MLP on float64 arrays, trained with closed-form gradients: SGD with
 momentum, cosine learning-rate decay, and a parameter-space EMA used for
-evaluation. Parameters, gradients and EMA shadows are plain arrays, and the
-training and inference functions take and return arrays.
+evaluation. A model's parameters live in one float64 vector, ``theta``, whose
+(weight, bias) views are its layers; gradients, the SGD velocity and the EMA
+shadow are vectors of the same layout.
 
 ``mlp_forward`` keeps every layer's output, and ``mlp_backward`` carries the
-logit gradient back through them into one gradient per parameter, which
-``sgd_step`` applies; ``forward`` runs the same layers keeping only the
-current one, for inference.
+logit gradient back through them, writing each layer's gradients in place
+into its views of one gradient vector, which ``sgd_step`` applies; ``forward``
+runs the same layers keeping only the current one, for inference.
 
 ``Tensor`` is a small define-by-run autodiff tape, the gradient tests'
 reference: ``backward()`` on a scalar root fills ``.grad`` on every reachable
@@ -225,11 +226,22 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
+def row_max(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=-1)`` as a fold of ``np.maximum`` over the last axis, in
+    fewer calls on a batch with few classes. Max is exact in any order, so only
+    the sign of a zero maximum can differ where NumPy's reduction takes another
+    order (seen at C >= 9)."""
+    m = x[..., 0]
+    for j in range(1, x.shape[-1]):
+        m = np.maximum(m, x[..., j])
+    return m
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-stabilized softmax."""
     if not np.isfinite(logits).all():
         raise ValueError("softmax requires finite inputs")
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    e = np.exp(logits - row_max(logits)[..., None])
     return e / e.sum(axis=-1, keepdims=True)
 
 
@@ -243,7 +255,7 @@ def weighted_nll(logits: np.ndarray, weights: np.ndarray, g=1.0):
     array, and the gradient of ``g`` times it with respect to ``logits``."""
     if not np.isfinite(logits).all():
         raise ValueError("weighted_nll requires finite logits")
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    shifted = logits - row_max(logits)[..., None]
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     gw = -g * weights
     return -(log_probs * weights).sum(), gw - np.exp(log_probs) * gw.sum(axis=-1, keepdims=True)
@@ -257,13 +269,26 @@ def _linear_data(x: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool) -> np.
     return out
 
 
-def _linear_backward(x, w, out, g, relu: bool, need_x: bool):
-    """(d/dx or None, d/dw, d/db) of ``_linear_data``, given its output and
-    upstream ``g``. Under ReLU, ``g`` is masked by ``out > 0``, which holds
-    exactly where the pre-activation is positive."""
+def _linear_backward(x, w, out, g, relu: bool, need_x: bool, dw: np.ndarray, db: np.ndarray):
+    """d/dx (None unless ``need_x``) of ``_linear_data`` given its output and
+    upstream ``g``, writing d/dw and d/db into ``dw`` and ``db``. Under ReLU,
+    ``g`` is masked in place by ``out > 0`` (exactly where the pre-activation
+    is positive), so the caller hands it over."""
     if relu:
-        g = g * (out > 0.0)
-    return (g @ w.T if need_x else None), x.T @ g, g.sum(axis=0)
+        np.multiply(g, out > 0.0, out=g)
+    np.matmul(x.T, g, out=dw)
+    np.add.reduce(g, axis=0, out=db)
+    return g @ w.T if need_x else None
+
+
+def _split(flat: np.ndarray, dims: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(weight, bias) views into a vector laid out like ``MlpModel.theta``."""
+    layers, i = [], 0
+    for fan_in, fan_out in zip(dims, dims[1:]):
+        j = i + fan_in * fan_out
+        layers.append((flat[i:j].reshape(fan_in, fan_out), flat[j : j + fan_out]))
+        i = j + fan_out
+    return layers
 
 
 # -- model ----------------------------------------------------------------------
@@ -273,7 +298,9 @@ def _linear_backward(x, w, out, g, relu: bool, need_x: bool):
 class MlpModel:
     """Fully connected ReLU network. Forward yields raw logits; consumers
     apply softmax themselves so one forward serves both hard pseudo-label
-    extraction and soft probabilities."""
+    extraction and soft probabilities. The layers are copied into one vector
+    ``theta``, in ``parameters()`` order, and ``layers`` become views into it;
+    a copied or unpickled model gets its own ``theta``."""
 
     layers: list[tuple[np.ndarray, np.ndarray]]
 
@@ -284,6 +311,12 @@ class MlpModel:
         for (w0, _), (w1, _) in zip(self.layers, self.layers[1:]):
             if w0.shape[1] != w1.shape[0]:
                 raise ValueError("consecutive layer dimensions do not chain")
+        self.dims = [self.layers[0][0].shape[0]] + [w.shape[1] for w, _ in self.layers]
+        self.theta = np.concatenate([a.ravel() for pair in self.layers for a in pair], dtype=np.float64)
+        self.layers = _split(self.theta, self.dims)
+
+    def __reduce__(self):
+        return type(self), (self.layers,)
 
     @classmethod
     def init(cls, dims: list[int], seed: int | np.random.Generator = 0) -> "MlpModel":
@@ -331,15 +364,14 @@ def mlp_forward(model: MlpModel, x: np.ndarray) -> list[np.ndarray]:
     return acts
 
 
-def mlp_backward(model: MlpModel, acts: list[np.ndarray], g: np.ndarray) -> list[np.ndarray]:
-    """d(root)/d(parameter) in ``parameters()`` order, given ``mlp_forward``'s
-    activations and ``g`` = d(root)/d(logits)."""
+def mlp_backward(model: MlpModel, acts: list[np.ndarray], g: np.ndarray) -> np.ndarray:
+    """d(root)/d(theta), laid out like ``model.theta``, given ``mlp_forward``'s
+    activations and ``g`` = d(root)/d(logits), which is not changed."""
+    grad = np.empty_like(model.theta)
     last = len(model.layers) - 1
-    grads = [None] * (2 * len(model.layers))
-    for i in range(last, -1, -1):
-        g, grads[2 * i], grads[2 * i + 1] = _linear_backward(
-            acts[i], model.layers[i][0], acts[i + 1], g, i != last, i > 0)
-    return grads
+    for i, (dw, db) in reversed(list(enumerate(_split(grad, model.dims)))):
+        g = _linear_backward(acts[i], model.layers[i][0], acts[i + 1], g, i != last, i > 0, dw, db)
+    return grad
 
 
 # -- optimizer -------------------------------------------------------------------
@@ -347,28 +379,26 @@ def mlp_backward(model: MlpModel, acts: list[np.ndarray], g: np.ndarray) -> list
 
 @dataclass
 class OptimState:
-    """SGD-with-momentum state: one velocity buffer per parameter."""
+    """SGD-with-momentum state: one velocity vector, laid out like theta."""
 
-    velocity: list[np.ndarray]
+    velocity: np.ndarray
     momentum: float = 0.9
     k: int = 0
 
     @classmethod
-    def for_params(cls, params: list[np.ndarray], momentum: float = 0.9) -> "OptimState":
-        return cls(velocity=[np.zeros_like(p) for p in params], momentum=momentum)
+    def for_params(cls, theta: np.ndarray, momentum: float = 0.9) -> "OptimState":
+        return cls(velocity=np.zeros_like(theta), momentum=momentum)
 
 
-def sgd_step(params: list[np.ndarray], grads: list[np.ndarray], opt: OptimState, lr: float) -> None:
-    """v <- momentum*v + g; theta <- theta - lr*v, in place. Every shape is
+def sgd_step(theta: np.ndarray, grad: np.ndarray, opt: OptimState, lr: float) -> None:
+    """v <- momentum*v + g; theta <- theta - lr*v, in place. Both shapes are
     checked before anything changes."""
-    if len(params) != len(opt.velocity):
-        raise ValueError("parameter count does not match optimizer state")
-    if [g.shape for g in grads] != [v.shape for v in opt.velocity]:
-        raise ValueError("gradient shapes do not match the parameters'")
-    for p, g, v in zip(params, grads, opt.velocity):
-        v *= opt.momentum
-        v += g
-        p -= lr * v
+    v = opt.velocity
+    if theta.shape != v.shape or grad.shape != v.shape:
+        raise ValueError("parameter and gradient vectors must match the optimizer state")
+    v *= opt.momentum
+    v += grad
+    theta -= lr * v
 
 
 def cosine_lr(lr0: float, k: int, K: int) -> float:
@@ -385,32 +415,28 @@ def cosine_lr(lr0: float, k: int, K: int) -> float:
 
 @dataclass
 class ParamEma:
-    """Shadow copy of the parameters, smoothed with decay m per update."""
+    """A model's theta smoothed with decay m per update, and its layer widths."""
 
-    shadow: list[np.ndarray]
+    shadow: np.ndarray
+    dims: list[int]
     decay: float = 0.999
 
     @classmethod
     def from_model(cls, model: MlpModel, decay: float = 0.999) -> "ParamEma":
         if not 0.0 <= decay < 1.0:
             raise ValueError("decay must be in [0, 1)")
-        return cls(shadow=[p.copy() for p in model.parameters()], decay=decay)
+        return cls(shadow=model.theta.copy(), dims=model.dims, decay=decay)
 
 
-def ema_update(ema: ParamEma, params: list[np.ndarray]) -> None:
+def ema_update(ema: ParamEma, theta: np.ndarray) -> None:
     """shadow <- m*shadow + (1-m)*theta."""
-    if len(params) != len(ema.shadow):
-        raise ValueError("parameter count does not match EMA state")
+    if theta.shape != ema.shadow.shape:
+        raise ValueError("parameter vector does not match the EMA shadow")
     m = ema.decay
-    for s, p in zip(ema.shadow, params):
-        if s.shape != p.shape:
-            raise ValueError("parameter shape drifted from EMA shadow")
-        s *= m
-        s += (1.0 - m) * p
+    ema.shadow *= m
+    ema.shadow += (1.0 - m) * theta
 
 
 def ema_model(ema: ParamEma) -> MlpModel:
-    """Wrap copies of the shadow weights in a model for inference."""
-    if len(ema.shadow) % 2 != 0:
-        raise ValueError("shadow list does not pair into (weight, bias) layers")
-    return MlpModel([(w.copy(), b.copy()) for w, b in zip(ema.shadow[0::2], ema.shadow[1::2])])
+    """A model on a copy of the shadow, for inference."""
+    return MlpModel(_split(ema.shadow, ema.dims))

@@ -207,7 +207,7 @@ def train_step(
         raise TrainingAborted(diag, f"aborted at iteration {k}: {exc}") from exc
 
     # (7) weighted total, backward, SGD step at the cosine learning rate
-    sampling_rate = float(keep.mean())
+    n_kept = np.count_nonzero(keep)
     record = MetricsRecord(
         iteration=k,
         l_s=float(l_s),
@@ -215,23 +215,22 @@ def train_step(
         l_f=float(l_f),
         total=float(l_s) + config.w_u * float(l_u) + config.w_f * float(l_f),
         tau_global=state.tau_global,
-        mean_class_threshold=float(thresholds.mean()),
-        sampling_rate=sampling_rate,
+        mean_class_threshold=float(np.add.reduce(thresholds) / thresholds.size),
+        sampling_rate=n_kept / keep.size,
     )
-    if keep.any():
-        record.pseudo_label_acc = float((hard[keep] == unlabeled.labels[keep]).mean())
+    if n_kept:
+        record.pseudo_label_acc = np.count_nonzero(hard[keep] == unlabeled.labels[keep]) / n_kept
     if not np.isfinite(record.total):
         raise TrainingAborted(record, f"non-finite loss at iteration {k}")
 
-    grads = nd.mlp_backward(model, acts_l, grad_l)
+    grad = nd.mlp_backward(model, acts_l, grad_l)
     if grad_s is not None:
-        grads = [gl + gs for gl, gs in zip(grads, nd.mlp_backward(model, acts_s, grad_s))]
-    params = model.parameters()
-    nd.sgd_step(params, grads, opt, nd.cosine_lr(config.lr0, k, config.K))
+        grad += nd.mlp_backward(model, acts_s, grad_s)
+    nd.sgd_step(model.theta, grad, opt, nd.cosine_lr(config.lr0, k, config.K))
     opt.k += 1
 
     # (8) evaluation-model EMA
-    nd.ema_update(ema, params)
+    nd.ema_update(ema, model.theta)
     state.advance()
     return record
 
@@ -245,7 +244,7 @@ def _build(config: TrainConfig, data: DatasetBundle):
     s_model, s_lab, s_unlab, s_aug = ss.spawn(4)
     d_in = data.labeled.points.shape[1]
     model = nd.MlpModel.init([d_in, *config.hidden_dims, data.n_classes], seed=np.random.default_rng(s_model))
-    opt = nd.OptimState.for_params(model.parameters(), momentum=config.momentum)
+    opt = nd.OptimState.for_params(model.theta, momentum=config.momentum)
     ema = nd.ParamEma.from_model(model, decay=0.999)
     state = at.ThresholdState(C=data.n_classes, lam=config.lam, clamp=config.clamp)
     lab_iter = batch_iter(data.labeled, config.B, seed=s_lab)
@@ -352,20 +351,18 @@ CHECKPOINT_FORMAT_VERSION = 1
 def save_checkpoint(result: RunResult, path_prefix: str) -> None:
     """Little-endian float64 binary of the model then the EMA parameters, with a
     JSON manifest: an output record that the lab never reads back."""
-    params = result.model.parameters()
-    blobs = params + list(result.ema.shadow)
-    flat = np.concatenate([b.reshape(-1) for b in blobs])
+    shapes = [list(p.shape) for p in result.model.parameters()]
     manifest = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
-        "param_shapes": [list(p.shape) for p in params],
-        "ema_shapes": [list(s.shape) for s in result.ema.shadow],
+        "param_shapes": shapes,
+        "ema_shapes": shapes,  # the shadow is laid out like the model's theta
         "threshold_state": at.to_record(result.state),
         "config": config_to_dict(result.config),
         "final_error": result.final_error,
         "best_error": result.best_error,
     }
     with atomic_open(f"{path_prefix}.bin", "wb") as fh:
-        flat.astype("<f8").tofile(fh)
+        np.concatenate((result.model.theta, result.ema.shadow)).astype("<f8").tofile(fh)
     with atomic_open(f"{path_prefix}.json") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

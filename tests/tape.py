@@ -17,9 +17,14 @@ from freematch_lab.ndcore import Tensor
 
 def leaves(model: nd.MlpModel) -> list[Tensor]:
     """One gradient-recording leaf per parameter, in `parameters()` order. Each
-    leaf holds the parameter array itself, so an update to the model's arrays
-    is an update to the leaves."""
+    leaf holds the parameter's view into `model.theta`, so an update to the
+    model's vector is an update to the leaves."""
     return [Tensor(p, requires_grad=True) for p in model.parameters()]
+
+
+def grad(params: list[Tensor]) -> np.ndarray:
+    """The leaves' gradients as one vector, laid out like `MlpModel.theta`."""
+    return np.concatenate([p.grad.ravel() for p in params])
 
 
 def forward(params: list[Tensor], x) -> Tensor:

@@ -198,7 +198,7 @@ def _composite_loss_case(rng):
     with weak probabilities and thresholds held fixed as constants. Its
     gradient takes train_step's path: each head's closed form at its weight,
     then mlp_backward through mlp_forward's layers, the two branches' gradients
-    summed labeled first."""
+    summed labeled first, checked against finite differences on theta."""
     model = nd.MlpModel.init([2, 6, 3], seed=int(rng.integers(0, 2**31)))
     xl = rng.normal(size=(4, 2))
     yl = rng.integers(0, 3, size=4)
@@ -220,15 +220,14 @@ def _composite_loss_case(rng):
         return float(total_loss(l_s, l_u, l_f, w_u=w_u, w_f=w_f))
 
     acts_l = nd.mlp_forward(model, xl)
-    grads = nd.mlp_backward(model, acts_l, supervised_loss(acts_l[-1], yl)[1])
+    grad = nd.mlp_backward(model, acts_l, supervised_loss(acts_l[-1], yl)[1])
     acts_s = nd.mlp_forward(model, us)
     (_, grad_s), _ = consistency_loss(q, acts_s[-1], th, w_u)
     probs = nd.softmax(acts_s[-1])
     _, grad_f = fairness_loss(FairnessVariant.SAF, state, q, probs, th, w_f)
     if grad_s is not None:  # then grad_f is too: both heads keep the same rows
-        strong = nd.mlp_backward(model, acts_s, grad_s + nd.softmax_backward(probs, grad_f))
-        grads = [gl + gs for gl, gs in zip(grads, strong)]
-    return value, list(zip(grads, model.parameters()))
+        grad += nd.mlp_backward(model, acts_s, grad_s + nd.softmax_backward(probs, grad_f))
+    return value, [(grad, model.theta)]
 
 
 def test_criterion_5_gradient_suite():

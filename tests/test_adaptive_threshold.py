@@ -25,6 +25,10 @@ def _rand_probs(rng, B, C):
     return p / p.sum(axis=1, keepdims=True)
 
 
+# batches off the simplex only through a NaN: every comparison with NaN is False
+NAN_BATCHES = [np.array([[np.nan, np.nan]]), np.array([[0.3, 0.7], [np.nan, 0.5]])]
+
+
 # -- initialization ---------------------------------------------------------------
 
 
@@ -61,6 +65,14 @@ def test_update_global_rejects_empty_batch():
         update_global(ThresholdState(C=2), np.zeros((0, 2)))
 
 
+def test_update_global_rejects_nan_rows():
+    state = ThresholdState(C=2)
+    for probs in NAN_BATCHES:
+        with pytest.raises(ValueError, match="probability simplex"):
+            update_global(state, probs)
+    assert state.tau_global == 0.5
+
+
 # -- update_local ------------------------------------------------------------------
 
 
@@ -69,6 +81,14 @@ def test_update_local_plug_in():
     state.p_local = np.array([1.0, 0.0])
     update_local(state, np.array([[0.0, 1.0]]))
     assert np.allclose(state.p_local, [0.5, 0.5], atol=1e-15)
+
+
+def test_update_local_rejects_nan_rows():
+    state = ThresholdState(C=2)
+    for probs in NAN_BATCHES:
+        with pytest.raises(ValueError, match="probability simplex"):
+            update_local(state, probs)
+    assert np.array_equal(state.p_local, [0.5, 0.5])
 
 
 def test_update_local_stays_on_simplex():
@@ -176,6 +196,14 @@ def test_cpl_counts_and_mapping():
     state.cpl_counts = np.array([4.0, 2.0])
     th = per_class_thresholds(state, Cpl(1.0, mapping="convex"))
     assert th[1] == pytest.approx(0.5 / 1.5, abs=1e-12)
+
+
+def test_update_cpl_counts_rejects_nan_rows():
+    state = ThresholdState(C=2)
+    for probs in NAN_BATCHES:
+        with pytest.raises(ValueError, match="probability simplex"):
+            update_cpl_counts(state, probs, tau=0.5)
+    assert np.array_equal(state.cpl_counts, [0.0, 0.0])
 
 
 def test_cpl_counts_accumulate_without_warmup():

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from freematch_lab.ndcore import (
     forward,
     mlp_backward,
     mlp_forward,
+    row_max,
     sgd_step,
     softmax,
     weighted_nll,
@@ -55,6 +58,23 @@ def test_forward_matches_straight_line_recomputation():
         if i != len(mats) - 1:
             h = np.maximum(h, 0.0)
     assert np.max(np.abs(got - h)) <= 1e-12
+
+
+def test_layers_are_views_into_theta():
+    """One float64 vector holds every parameter in parameters() order; the
+    constructor copies the given layers, and a copied or unpickled model gets
+    its own vector."""
+    w, b = np.arange(6.0).reshape(2, 3), np.ones(3)
+    model = MlpModel([(w, b), (np.full((3, 2), 2.0), np.zeros(2))])
+    assert model.theta.shape == (6 + 3 + 6 + 2,) and model.theta.dtype == np.float64
+    assert np.array_equal(model.theta, np.concatenate([p.ravel() for p in model.parameters()]))
+    assert all(np.shares_memory(p, model.theta) for p in model.parameters())
+    assert not np.shares_memory(w, model.theta)
+    model.theta[:6] += 1.0
+    assert np.array_equal(model.layers[0][0], w + 1.0)
+    for clone in (copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+        assert np.array_equal(clone.theta, model.theta) and not np.shares_memory(clone.theta, model.theta)
+        assert all(np.shares_memory(p, clone.theta) for p in clone.parameters())
 
 
 def test_forward_rejects_width_mismatch():
@@ -98,6 +118,23 @@ def test_softmax_rows_sum_to_one_and_permutation_equivariant(row, rnd):
     perm = list(range(len(row)))
     rnd.shuffle(perm)
     assert np.allclose(softmax(x[:, perm]), s[:, perm], atol=1e-12)
+
+
+_SPECIAL = st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=12).flatmap(lambda C: st.lists(
+    st.lists(st.one_of(_SPECIAL, st.floats(min_value=-3, max_value=3)), min_size=C, max_size=C),
+    min_size=1, max_size=16)))
+def test_row_max_equals_the_reduction(rows):
+    """The values of x.max(axis=1), with ties, signed zeros, infinities and NaN.
+    `==` does not tell -0.0 from 0.0: the sign of a zero maximum depends on the
+    order of NumPy's reduction (see row_max)."""
+    x = np.array(rows)
+    got = row_max(x)
+    assert got.shape == (len(rows),)
+    assert np.array_equal(got, x.max(axis=1), equal_nan=True)
 
 
 # -- backward -------------------------------------------------------------------
@@ -237,16 +274,19 @@ def test_linear_matches_matmul_add_relu_bit_for_bit(relu):
         general = general.relu()
         assert (fused == 0.0).any() and (fused > 0.0).any()
     assert np.array_equal(fused, general.data)
-    got = _linear_backward(x.data, w.data, fused, upstream, relu, need_x=True)
+    dw, db = np.empty_like(w.data), np.empty_like(b.data)
+    # under ReLU the upstream gradient is masked in place: hand over a copy
+    gx = _linear_backward(x.data, w.data, fused, upstream.copy(), relu, True, dw, db)
     want = _value_and_grads((general * upstream).sum(), [x, w, b])[1:]
-    for g, e in zip(got, want):
+    for g, e in zip((gx, dw, db), want):
         assert np.array_equal(g, e)
-    assert _linear_backward(x.data, w.data, fused, upstream, relu, need_x=False)[0] is None
+    assert _linear_backward(x.data, w.data, fused, upstream.copy(), relu, False, dw, db) is None
 
 
 def test_graph_forward_matches_general_ops_bit_for_bit():
     """mlp_forward and mlp_backward, the training step's layers, give the
-    general-op graph's logits and parameter gradients."""
+    general-op graph's logits, and its parameter gradients as one vector laid
+    out like theta; the upstream gradient is left as it was."""
     model = MlpModel.init([2, 64, 64, 64, 2], seed=7)
     x = np.random.default_rng(4).normal(size=(193, 2))
     upstream = np.random.default_rng(5).normal(size=(193, 2))  # non-uniform, so each gradient path counts
@@ -256,10 +296,11 @@ def test_graph_forward_matches_general_ops_bit_for_bit():
     acts = mlp_forward(model, x)
     assert all((a == 0.0).any() and (a > 0.0).any() for a in acts[1:-1])  # every ReLU clamps some units
     assert np.array_equal(acts[-1], graph.data)
-    grads = mlp_backward(model, acts, upstream)
-    assert len(grads) == len(want) - 1
-    for g, e in zip(grads, want[1:]):
-        assert np.array_equal(g, e)
+    g = upstream.copy()
+    grad = mlp_backward(model, acts, g)
+    assert np.array_equal(g, upstream)
+    assert grad.shape == model.theta.shape
+    assert np.array_equal(grad, np.concatenate([e.ravel() for e in want[1:]]))
 
 
 def test_no_grad_forward_matches_graph_forward_bit_for_bit():
@@ -289,27 +330,29 @@ def test_weighted_nll_rejects_non_finite_logits():
 
 
 def test_shared_gradient_array_gives_the_same_sgd_update_as_copies():
-    """An add hands both operands one upstream array as their gradient: for
-    (x + y).sum() a read-only broadcast view, for ((x + y) * s).sum() a
-    writeable product. SGD with momentum must treat either exactly like two
-    separate copies, and change no gradient it is handed."""
+    """The gradient handed to SGD may be the very array the tape holds as the
+    parameter leaf's .grad: for x.sum() a read-only broadcast view, for
+    (x * s).sum() a writeable product. SGD with momentum must treat either
+    exactly like a separate copy, and change no gradient it is handed."""
     rng = np.random.default_rng(6)
-    init = [rng.normal(size=(3, 4)), rng.normal(size=(3, 4))]
-    scale = rng.normal(size=(3, 4))
+    init = rng.normal(size=12)
+    scale = rng.normal(size=12)
 
     def train(copy_grads: bool):
-        x, y = (Tensor(a.copy(), requires_grad=True) for a in init)
-        opt = OptimState.for_params([x.data, y.data], momentum=0.9)
+        theta = init.copy()
+        x = Tensor(theta, requires_grad=True)
+        assert x.data is theta
+        opt = OptimState.for_params(theta, momentum=0.9)
         for k in range(4):
-            root = (x + y).sum() if k % 2 == 0 else ((x + y) * scale).sum()
+            root = x.sum() if k % 2 == 0 else (x * scale).sum()
             root.backward()
-            assert x.grad is y.grad
             assert x.grad.flags.writeable == (k % 2 == 1)
-            if copy_grads:
-                x.grad, y.grad = x.grad.copy(), y.grad.copy()
-            sgd_step([x.data, y.data], [x.grad, y.grad], opt, lr=0.1)
-            x.grad = y.grad = None
-        return [x.data, y.data, *opt.velocity]
+            grad = x.grad.copy() if copy_grads else x.grad
+            before = grad.copy()
+            sgd_step(theta, grad, opt, lr=0.1)
+            assert np.array_equal(grad, before)
+            x.grad = None
+        return [theta, opt.velocity]
 
     for shared, copied in zip(train(False), train(True)):
         assert np.array_equal(shared, copied)
@@ -320,41 +363,47 @@ def test_shared_gradient_array_gives_the_same_sgd_update_as_copies():
 
 def test_sgd_single_step_no_momentum():
     p, g = np.zeros(1), np.ones(1)
-    opt = OptimState.for_params([p], momentum=0.0)
-    sgd_step([p], [g], opt, lr=0.1)
+    opt = OptimState.for_params(p, momentum=0.0)
+    sgd_step(p, g, opt, lr=0.1)
     assert p[0] == pytest.approx(-0.1, abs=0)
     assert g[0] == 1.0  # the gradient is read, not consumed
 
 
 def test_sgd_momentum_two_steps_hand_arithmetic():
     p = np.zeros(1)
-    opt = OptimState.for_params([p], momentum=0.9)
-    sgd_step([p], [np.ones(1)], opt, lr=1.0)
-    sgd_step([p], [np.ones(1)], opt, lr=1.0)
+    opt = OptimState.for_params(p, momentum=0.9)
+    sgd_step(p, np.ones(1), opt, lr=1.0)
+    sgd_step(p, np.ones(1), opt, lr=1.0)
     # v1 = 1, theta1 = -1; v2 = 1.9, theta2 = -2.9
     assert p[0] == pytest.approx(-2.9, abs=1e-12)
 
 
 def test_sgd_requires_grads():
-    """One gradient per parameter, each of its parameter's shape; a rejected
-    step changes nothing."""
-    params = [np.zeros((2, 3)), np.zeros(3)]
-    opt = OptimState.for_params(params)
-    for grads in ([np.ones((2, 3))], [np.ones((2, 3)), np.ones(3), np.ones(3)], [np.ones((2, 3)), np.ones(2)]):
+    """One gradient vector of the parameter vector's shape, and a parameter
+    vector of the optimizer's; a rejected step changes nothing."""
+    model = MlpModel.init([2, 3], seed=0)
+    theta = model.theta
+    before = theta.copy()
+    opt = OptimState.for_params(theta)
+    opt.velocity += 0.5
+    n = theta.size
+    for grad in (np.ones(n - 3), np.ones(n + 1), np.ones((n, 1)), np.ones((2, 3))):
         with pytest.raises(ValueError):
-            sgd_step(params, grads, opt, lr=0.1)
-    assert not any(a.any() for a in params + opt.velocity)
+            sgd_step(theta, grad, opt, lr=0.1)
+    with pytest.raises(ValueError):
+        sgd_step(theta[:-1], np.ones(n - 1), opt, lr=0.1)
+    assert np.array_equal(theta, before) and (opt.velocity == 0.5).all()
 
 
 def test_sgd_converges_on_quadratic_bowl():
     # minimize 0.5*(theta - a)^2; closed-form minimum at a
     a = np.array([1.7, -0.4])
     p = Tensor(np.zeros(2), requires_grad=True)
-    opt = OptimState.for_params([p.data], momentum=0.5)
+    opt = OptimState.for_params(p.data, momentum=0.5)
     for _ in range(100):
         loss = ((p - a) * (p - a)).sum() * 0.5
         loss.backward()
-        sgd_step([p.data], [p.grad], opt, lr=0.5)
+        sgd_step(p.data, p.grad, opt, lr=0.5)
         p.grad = None
     assert np.max(np.abs(p.data - a)) <= 1e-6
 
@@ -393,38 +442,35 @@ def test_ema_decay_zero_copies_params():
     ema = ParamEma.from_model(model, decay=0.0)
     for p in model.parameters():
         p += 1.0
-    ema_update(ema, model.parameters())
-    for s, p in zip(ema.shadow, model.parameters()):
-        assert np.array_equal(s, p)
+    ema_update(ema, model.theta)
+    assert np.array_equal(ema.shadow, model.theta)
 
 
 def test_ema_geometric_closed_form():
     model = MlpModel.init([2, 3, 2], seed=6)
     m = 0.9
     ema = ParamEma.from_model(model, decay=m)
-    shadow0 = [s.copy() for s in ema.shadow]
+    shadow0 = ema.shadow.copy()
     for p in model.parameters():
         p += 2.0  # hold constant afterwards
     n = 25
     for _ in range(n):
-        ema_update(ema, model.parameters())
-    for s0, s, p in zip(shadow0, ema.shadow, model.parameters()):
-        expected = p + m**n * (s0 - p)
-        assert np.max(np.abs(s - expected)) <= 1e-12
+        ema_update(ema, model.theta)
+    expected = model.theta + m**n * (shadow0 - model.theta)
+    assert np.max(np.abs(ema.shadow - expected)) <= 1e-12
 
 
 def test_ema_matches_recurrence_replay():
     rng = np.random.default_rng(8)
     model = MlpModel.init([2, 4, 2], seed=9)
     ema = ParamEma.from_model(model, decay=0.99)
-    replay = [s.copy() for s in ema.shadow]
+    replay = [p.copy() for p in model.parameters()]
     for _ in range(50):
         for p in model.parameters():
             p += rng.normal(size=p.shape) * 0.1
-        ema_update(ema, model.parameters())
+        ema_update(ema, model.theta)
         replay = [0.99 * r + 0.01 * p for r, p in zip(replay, model.parameters())]
-    for s, r in zip(ema.shadow, replay):
-        assert np.max(np.abs(s - r)) <= 1e-12
+    assert np.max(np.abs(ema.shadow - np.concatenate([r.ravel() for r in replay]))) <= 1e-12
 
 
 def test_ema_model_wraps_shadow():
@@ -440,8 +486,13 @@ def test_ema_model_wraps_shadow():
 
 
 def test_ema_rejects_shape_drift():
+    """A parameter vector of another length is rejected before the shadow
+    changes."""
     model = MlpModel.init([2, 3, 2], seed=11)
     ema = ParamEma.from_model(model)
+    shadow = ema.shadow.copy()
     other = MlpModel.init([2, 4, 2], seed=11)
-    with pytest.raises(ValueError):
-        ema_update(ema, other.parameters())
+    for theta in (other.theta, model.theta[:-1], model.theta.reshape(1, -1)):
+        with pytest.raises(ValueError):
+            ema_update(ema, theta)
+    assert np.array_equal(ema.shadow, shadow)

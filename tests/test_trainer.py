@@ -1,8 +1,11 @@
 import copy
+import csv
 import ctypes
 import dataclasses
 import functools
+import gzip
 import json
+import pathlib
 import pickle
 import types
 
@@ -33,6 +36,9 @@ from freematch_lab.trainer import (
     train_step,
     write_trace_csv,
 )
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def _cluster_data(seed=42):
@@ -75,11 +81,10 @@ def test_zero_weights_reduce_to_pure_supervised_update():
     xl = weak(lb.points, cfg.augment, ref_rng)
     params = tape.leaves(ref_model)
     tape.head(lambda z, g: supervised_loss(z, lb.labels, g), tape.forward(params, xl)).backward()
-    nd.sgd_step(ref_model.parameters(), [p.grad for p in params], ref_opt, nd.cosine_lr(cfg.lr0, 0, cfg.K))
+    nd.sgd_step(ref_model.theta, tape.grad(params), ref_opt, nd.cosine_lr(cfg.lr0, 0, cfg.K))
 
     train_step(model, opt, ema, state, lb, ub, cfg, aug_rng)
-    for p, q in zip(model.parameters(), ref_model.parameters()):
-        assert np.array_equal(p, q)
+    assert np.array_equal(model.theta, ref_model.theta)
 
 
 def test_single_step_near_zero_lambda_tracks_batch():
@@ -125,9 +130,9 @@ def _tape_step(model, opt, ema, state, labeled, unlabeled, config, aug_rng):
     if keep.any():
         record.pseudo_label_acc = float((hard[keep] == unlabeled.labels[keep]).mean())
     total_loss(l_s, l_u, l_f, config.w_u, config.w_f).backward()
-    nd.sgd_step(model.parameters(), [p.grad for p in params], opt, nd.cosine_lr(config.lr0, k, config.K))
+    nd.sgd_step(model.theta, tape.grad(params), opt, nd.cosine_lr(config.lr0, k, config.K))
     opt.k += 1
-    nd.ema_update(ema, model.parameters())
+    nd.ema_update(ema, model.theta)
     state.advance()
     return record
 
@@ -148,9 +153,9 @@ def test_train_step_is_bit_identical_to_the_tape(monkeypatch, label, config):
     grads = []
     sgd_step = nd.sgd_step
 
-    def recording_sgd_step(params, step_grads, *args):
-        grads.append(list(step_grads))
-        sgd_step(params, step_grads, *args)
+    def recording_sgd_step(theta, step_grad, *args):
+        grads.append(step_grad.copy())
+        sgd_step(theta, step_grad, *args)
 
     monkeypatch.setattr(nd, "sgd_step", recording_sgd_step)
     data = cli.canonical_two_moon_data(1)
@@ -162,10 +167,10 @@ def test_train_step_is_bit_identical_to_the_tape(monkeypatch, label, config):
             out.append(step(model, opt, ema, state, next(lab_iter), next(unlab_iter), config, aug_rng))
         assert records[0][-1] == records[1][-1]
         new, tape = grads[-2:]
-        assert len(new) == len(tape) and all(np.array_equal(a, b) for a, b in zip(new, tape))
+        assert new.shape == tape.shape and np.array_equal(new, tape)
     (model_a, _, ema_a, *_), (model_b, _, ema_b, *_) = runs
-    assert all(np.array_equal(a, b) for a, b in zip(model_a.parameters(), model_b.parameters()))
-    assert all(np.array_equal(a, b) for a, b in zip(ema_a.shadow, ema_b.shadow))
+    assert np.array_equal(model_a.theta, model_b.theta)
+    assert np.array_equal(ema_a.shadow, ema_b.shadow)
     if label == "fixed(0.95)":
         assert records[0][0].sampling_rate == 0.0  # a step that keeps no row: only the labeled branch has a gradient
     if label == "warmup":
@@ -195,6 +200,26 @@ def test_ten_step_golden_trace_replays():
         got = (rec.l_s, rec.l_u, rec.l_f, rec.tau_global)
         for g, e in zip(got, expected):
             assert g == pytest.approx(e, rel=1e-9)
+
+
+def test_canonical_run_replays_the_reference_trace():
+    """The first 200 steps of the canonical run, configs/two_moon_freematch.json
+    (K = 2000, seed 0) with the EMA model evaluated every 50 steps, match the
+    benchmark's reference trace within rel 1e-9, as the benchmark checks a
+    whole run."""
+    data, cfg, _ = cli.parse_experiment_config(json.loads((ROOT / "configs" / "two_moon_freematch.json").read_text()))
+    assert (cfg.K, cfg.seed, cfg.eval_every) == (2000, 0, 50)
+    with gzip.open(ROOT / "perfbench" / "reference" / "train_two_moon_seed0.csv.gz", "rt") as fh:
+        header, *want = list(csv.reader(fh))[:201]
+    assert header[1:] == [f.name for f in dataclasses.fields(MetricsRecord)][1:]
+    model, opt, ema, state, lab_iter, unlab_iter, aug_rng = _build(cfg, data)
+    with trainer._one_blas_thread():
+        for k, row in enumerate(want):
+            rec = train_step(model, opt, ema, state, next(lab_iter), next(unlab_iter), cfg, aug_rng)
+            if (k + 1) % cfg.eval_every == 0:
+                rec.error_rate = evaluate(nd.ema_model(ema), data.test).error_rate
+            for got, cell in zip(dataclasses.astuple(rec), row, strict=True):
+                assert got is None if cell == "" else got == pytest.approx(float(cell), rel=1e-9), (k, row)
 
 
 def test_sampling_rate_matches_mask_mean():
@@ -502,7 +527,7 @@ def test_checkpoint_files_hold_the_run(tmp_path):
     flat = np.fromfile(prefix + ".bin", "<f8")
     assert flat.size == sum(sizes)
     arrays = [chunk.reshape(shape) for chunk, shape in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
-    expected = result.model.parameters() + list(result.ema.shadow)
+    expected = result.model.parameters() + nd.ema_model(result.ema).parameters()
     assert len(arrays) == len(expected)
     assert all(np.array_equal(a, e) for a, e in zip(arrays, expected))
     assert manifest["threshold_state"] == json.loads(json.dumps(to_record(result.state)))
