@@ -8,8 +8,7 @@ Fixed-threshold, global-only, local-only, and count-based curriculum variants
 sit behind the same scheme interface for ablations.
 
 Masking uses >= throughout, and argmax ties break to the lowest class index.
-All updates consume weak-branch probabilities with no gradient flow, and the
-state is advanced by the caller once per training step.
+All updates consume weak-branch probabilities with no gradient flow.
 """
 
 from __future__ import annotations
@@ -126,7 +125,6 @@ class ThresholdState:
     p_local: np.ndarray = field(init=False)
     hist: np.ndarray = field(init=False)
     cpl_counts: np.ndarray = field(init=False)
-    t: int = 0
 
     def __post_init__(self):
         if self.C < 2:
@@ -139,19 +137,16 @@ class ThresholdState:
         self.hist = np.full(self.C, 1.0 / self.C)
         self.cpl_counts = np.zeros(self.C)
 
-    def advance(self) -> None:
-        self.t += 1
 
-
-def to_record(state: ThresholdState) -> dict:
-    """Flat key-value form for checkpointing."""
+def to_record(state: ThresholdState, t: int) -> dict:
+    """Flat key-value form for checkpointing, after ``t`` training steps."""
     rec = {
         "tau_global": state.tau_global,
         "p_local": state.p_local.tolist(),
         "hist": state.hist.tolist(),
         "cpl_counts": state.cpl_counts.tolist(),
         "lambda": state.lam,
-        "t": state.t,
+        "t": t,
         "C": state.C,
     }
     if state.clamp is not None:

@@ -22,7 +22,6 @@ import sys
 
 import numpy as np
 
-from . import ndcore as nd
 from . import trainer
 from .adaptive_threshold import Cpl, Fixed, GlobalOnly, LocalOnly, Sat
 from .atomic import atomic_open, write_csv
@@ -107,12 +106,11 @@ def _emit_plots(result: RunResult, data: DatasetBundle, out_dir: str) -> None:
     # set's size (at least one row), so no raster forward is larger than the
     # test-set evaluation the run has already done
     band = max(1, len(data.test) // n)
-    model = nd.ema_model(result.ema)
     pred = np.empty((n, n), dtype=np.intp)
     for i in range(0, n, band):
         rows = ys[i : i + band]
         band_points = np.column_stack([np.tile(xs, len(rows)), np.repeat(rows, n)])
-        pred[i : i + band] = predict(model, band_points).reshape(len(rows), n)
+        pred[i : i + band] = predict(result.ema, band_points).reshape(len(rows), n)
     boundary_chart(
         "decision boundary (EMA model)",
         pred,

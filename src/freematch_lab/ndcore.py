@@ -1,8 +1,9 @@
 """A ReLU MLP on float64 arrays, trained with closed-form gradients: SGD with
 momentum, cosine learning-rate decay, and a parameter-space EMA used for
 evaluation. A model's parameters live in one float64 vector, ``theta``, whose
-(weight, bias) views are its layers; gradients, the SGD velocity and the EMA
-shadow are vectors of the same layout.
+(weight, bias) views are its layers; gradients and the SGD velocity are
+vectors of the same layout. The EMA is a second model: ``ema_update`` moves
+its ``theta`` toward the trained model's.
 
 ``mlp_forward`` keeps every layer's output, and ``mlp_backward`` carries the
 logit gradient back through them, writing each layer's gradients in place
@@ -413,30 +414,11 @@ def cosine_lr(lr0: float, k: int, K: int) -> float:
 # -- parameter EMA -----------------------------------------------------------------
 
 
-@dataclass
-class ParamEma:
-    """A model's theta smoothed with decay m per update, and its layer widths."""
-
-    shadow: np.ndarray
-    dims: list[int]
-    decay: float = 0.999
-
-    @classmethod
-    def from_model(cls, model: MlpModel, decay: float = 0.999) -> "ParamEma":
-        if not 0.0 <= decay < 1.0:
-            raise ValueError("decay must be in [0, 1)")
-        return cls(shadow=model.theta.copy(), dims=model.dims, decay=decay)
-
-
-def ema_update(ema: ParamEma, theta: np.ndarray) -> None:
-    """shadow <- m*shadow + (1-m)*theta."""
-    if theta.shape != ema.shadow.shape:
-        raise ValueError("parameter vector does not match the EMA shadow")
-    m = ema.decay
-    ema.shadow *= m
-    ema.shadow += (1.0 - m) * theta
-
-
-def ema_model(ema: ParamEma) -> MlpModel:
-    """A model on a copy of the shadow, for inference."""
-    return MlpModel(_split(ema.shadow, ema.dims))
+def ema_update(ema: MlpModel, theta: np.ndarray, decay: float) -> None:
+    """ema.theta <- decay*ema.theta + (1-decay)*theta, in place, so the EMA
+    model's layers, views into its theta, follow. The shape is checked before
+    anything changes."""
+    if theta.shape != ema.theta.shape:
+        raise ValueError("parameter vector does not match the EMA model's")
+    ema.theta *= decay
+    ema.theta += (1.0 - decay) * theta

@@ -44,6 +44,19 @@ def _axes(title: str, xlo, xhi, ylo, yhi) -> list[str]:
     return parts
 
 
+def _write_svg(body: list[str], path: str) -> None:
+    """One SVG document on a white background, one element per line."""
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
+        f'viewBox="0 0 {_W} {_H}">',
+        '<rect width="100%" height="100%" fill="white"/>',
+        *body,
+        "</svg>",
+    ]
+    with atomic_open(path) as fh:
+        fh.write("\n".join(parts) + "\n")
+
+
 def line_chart(title: str, series: list[tuple[str, np.ndarray, np.ndarray]], path: str) -> None:
     """Polyline chart; series is a list of (label, xs, ys)."""
     finite = [(xs, ys) for _, xs, ys in series if len(xs)]
@@ -53,12 +66,7 @@ def line_chart(title: str, series: list[tuple[str, np.ndarray, np.ndarray]], pat
     yhi = max(float(np.max(ys)) for _, ys in finite)
     if ylo == yhi:
         ylo, yhi = ylo - 0.5, yhi + 0.5
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-        f'viewBox="0 0 {_W} {_H}">',
-        '<rect width="100%" height="100%" fill="white"/>',
-    ]
-    parts += _axes(title, xlo, xhi, ylo, yhi)
+    parts = _axes(title, xlo, xhi, ylo, yhi)
     for i, (label, xs, ys) in enumerate(series):
         color = _LINE_COLORS[i % len(_LINE_COLORS)]
         px = _scale(xs, xlo, xhi, _ML, _W - _MR)
@@ -69,9 +77,7 @@ def line_chart(title: str, series: list[tuple[str, np.ndarray, np.ndarray]], pat
             f'<text x="{_W - _MR - 6}" y="{_MT + 16 + 14 * i}" text-anchor="end" font-size="11" '
             f'font-family="sans-serif" fill="{color}">{label}</text>'
         )
-    parts.append("</svg>")
-    with atomic_open(path) as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_svg(parts, path)
 
 
 def boundary_chart(
@@ -91,11 +97,7 @@ def boundary_chart(
     ny, nx = grid_classes.shape
     cw = (_W - _ML - _MR) / nx
     ch = (_H - _MT - _MB) / ny
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-        f'viewBox="0 0 {_W} {_H}">',
-        '<rect width="100%" height="100%" fill="white"/>',
-    ]
+    parts = []
     for iy in range(ny):
         yp = _H - _MB - (iy + 1) * ch
         row = grid_classes[iy]
@@ -118,6 +120,4 @@ def boundary_chart(
                 'stroke="#222" stroke-width="0.4"/>'
             )
     parts += _axes(title, x0, x1, y0, y1)
-    parts.append("</svg>")
-    with atomic_open(path) as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_svg(parts, path)

@@ -45,6 +45,9 @@ from .synthdata import DatasetBundle, PointSet, batch_iter, check_fields, is_int
 # field name -> config key, where they differ
 _CONFIG_KEYS = {"lam": "lambda"}
 
+# decay of the parameter EMA that is evaluated in place of the trained model
+EMA_DECAY = 0.999
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -118,7 +121,7 @@ class RunResult:
     best_error: float
     trace: list[MetricsRecord]
     model: nd.MlpModel
-    ema: nd.ParamEma
+    ema: nd.MlpModel
     state: at.ThresholdState
     config: TrainConfig
 
@@ -153,14 +156,14 @@ def evaluate(model: nd.MlpModel, test: PointSet) -> EvalResult:
 def train_step(
     model: nd.MlpModel,
     opt: nd.OptimState,
-    ema: nd.ParamEma,
+    ema: nd.MlpModel,
     state: at.ThresholdState,
     labeled: PointSet,
     unlabeled: PointSet,
     config: TrainConfig,
     aug_rng: np.random.Generator,
 ) -> MetricsRecord:
-    """One full update; advances opt.k and state.t. The unlabeled batch's
+    """One full update; advances opt.k. The unlabeled batch's
     labels are read only for the pseudo_label_acc diagnostic. Each head's upstream
     gradient is its weight (1, w_u, w_f), as in `total_loss`'s backward."""
     k = opt.k
@@ -230,8 +233,7 @@ def train_step(
     opt.k += 1
 
     # (8) evaluation-model EMA
-    nd.ema_update(ema, model.theta)
-    state.advance()
+    nd.ema_update(ema, model.theta, EMA_DECAY)
     return record
 
 
@@ -245,7 +247,7 @@ def _build(config: TrainConfig, data: DatasetBundle):
     d_in = data.labeled.points.shape[1]
     model = nd.MlpModel.init([d_in, *config.hidden_dims, data.n_classes], seed=np.random.default_rng(s_model))
     opt = nd.OptimState.for_params(model.theta, momentum=config.momentum)
-    ema = nd.ParamEma.from_model(model, decay=0.999)
+    ema = nd.MlpModel(model.layers)  # a copy
     state = at.ThresholdState(C=data.n_classes, lam=config.lam, clamp=config.clamp)
     lab_iter = batch_iter(data.labeled, config.B, seed=s_lab)
     unlab_iter = batch_iter(data.unlabeled, config.mu * config.B, seed=s_unlab)
@@ -298,7 +300,7 @@ def run(config: TrainConfig, data: DatasetBundle) -> RunResult:
                 exc.last_good = trace[-1] if trace else None
                 raise
             if (k + 1) % config.eval_every == 0 or k == config.K - 1:
-                ev = evaluate(nd.ema_model(ema), data.test)
+                ev = evaluate(ema, data.test)
                 record.error_rate = ev.error_rate
                 best_error = min(best_error, ev.error_rate)
             trace.append(record)
@@ -355,14 +357,14 @@ def save_checkpoint(result: RunResult, path_prefix: str) -> None:
     manifest = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "param_shapes": shapes,
-        "ema_shapes": shapes,  # the shadow is laid out like the model's theta
-        "threshold_state": at.to_record(result.state),
+        "ema_shapes": shapes,  # the EMA model has the model's layers
+        "threshold_state": at.to_record(result.state, len(result.trace)),
         "config": config_to_dict(result.config),
         "final_error": result.final_error,
         "best_error": result.best_error,
     }
     with atomic_open(f"{path_prefix}.bin", "wb") as fh:
-        np.concatenate((result.model.theta, result.ema.shadow)).astype("<f8").tofile(fh)
+        np.concatenate((result.model.theta, result.ema.theta)).astype("<f8").tofile(fh)
     with atomic_open(f"{path_prefix}.json") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -267,7 +267,6 @@ def test_criterion_6_invariant_suite():
         at.update_local(state, probs)
         labels = probs.argmax(axis=1)
         at.update_hist(state, labels)
-        state.advance()
         batch_means.append(probs.max(axis=1).mean())
         p_replay = lam * p_replay + (1 - lam) * probs.mean(axis=0)
         h_replay = lam * h_replay + (1 - lam) * np.bincount(labels, minlength=C) / B

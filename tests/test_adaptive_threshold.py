@@ -295,7 +295,6 @@ def test_state_invariants_under_random_updates(seed):
         update_global(state, probs)
         update_local(state, probs)
         update_hist(state, probs.argmax(axis=1))
-        state.advance()
         assert 1.0 / C - 1e-12 <= state.tau_global <= 1.0 + 1e-12
         assert abs(state.p_local.sum() - 1.0) <= 1e-9
         assert abs(state.hist.sum() - 1.0) <= 1e-9

@@ -86,7 +86,7 @@ TAPE = {"ndcore.Tensor", "ndcore.as_tensor", "ndcore._unbroadcast"}
 
 
 def test_only_the_tape_names_tensor():
-    """Parameters, gradients and EMA shadows are arrays: no `src` statement
+    """Parameters, gradients and EMA parameters are arrays: no `src` statement
     outside the tape names `Tensor`, in code, annotations or imports."""
     found = set()
     for path in sorted((ROOT / "src" / "freematch_lab").glob("*.py")):

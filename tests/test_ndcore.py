@@ -11,12 +11,10 @@ import tape
 from freematch_lab.ndcore import (
     MlpModel,
     OptimState,
-    ParamEma,
     Tensor,
     _linear_backward,
     _linear_data,
     cosine_lr,
-    ema_model,
     ema_update,
     forward,
     mlp_backward,
@@ -439,60 +437,59 @@ def test_cosine_lr_monotone_and_positive(K, k):
 
 def test_ema_decay_zero_copies_params():
     model = MlpModel.init([2, 3, 2], seed=5)
-    ema = ParamEma.from_model(model, decay=0.0)
+    ema = MlpModel(model.layers)
     for p in model.parameters():
         p += 1.0
-    ema_update(ema, model.theta)
-    assert np.array_equal(ema.shadow, model.theta)
+    ema_update(ema, model.theta, 0.0)
+    assert np.array_equal(ema.theta, model.theta)
 
 
 def test_ema_geometric_closed_form():
     model = MlpModel.init([2, 3, 2], seed=6)
     m = 0.9
-    ema = ParamEma.from_model(model, decay=m)
-    shadow0 = ema.shadow.copy()
+    ema = MlpModel(model.layers)
+    theta0 = ema.theta.copy()
     for p in model.parameters():
         p += 2.0  # hold constant afterwards
     n = 25
     for _ in range(n):
-        ema_update(ema, model.theta)
-    expected = model.theta + m**n * (shadow0 - model.theta)
-    assert np.max(np.abs(ema.shadow - expected)) <= 1e-12
+        ema_update(ema, model.theta, m)
+    expected = model.theta + m**n * (theta0 - model.theta)
+    assert np.max(np.abs(ema.theta - expected)) <= 1e-12
 
 
 def test_ema_matches_recurrence_replay():
     rng = np.random.default_rng(8)
     model = MlpModel.init([2, 4, 2], seed=9)
-    ema = ParamEma.from_model(model, decay=0.99)
+    ema = MlpModel(model.layers)
     replay = [p.copy() for p in model.parameters()]
     for _ in range(50):
         for p in model.parameters():
             p += rng.normal(size=p.shape) * 0.1
-        ema_update(ema, model.theta)
+        ema_update(ema, model.theta, 0.99)
         replay = [0.99 * r + 0.01 * p for r, p in zip(replay, model.parameters())]
-    assert np.max(np.abs(ema.shadow - np.concatenate([r.ravel() for r in replay]))) <= 1e-12
+    assert np.max(np.abs(ema.theta - np.concatenate([r.ravel() for r in replay]))) <= 1e-12
 
 
-def test_ema_model_wraps_shadow():
+def test_ema_model_keeps_its_forward_until_updated():
     model = MlpModel.init([2, 3, 2], seed=10)
-    ema = ParamEma.from_model(model, decay=0.5)
-    wrapped = ema_model(ema)
+    ema = MlpModel(model.layers)
     x = np.random.default_rng(0).normal(size=(4, 2))
-    assert np.allclose(forward(wrapped, x), forward(model, x), atol=1e-12)
+    assert np.allclose(forward(ema, x), forward(model, x), atol=1e-12)
     for p in model.parameters():
         p += 1.0
-    # shadow unchanged until updated
-    assert not np.allclose(forward(ema_model(ema), x), forward(model, x))
+    # the EMA model holds its own theta, unchanged until updated
+    assert not np.allclose(forward(ema, x), forward(model, x))
 
 
 def test_ema_rejects_shape_drift():
-    """A parameter vector of another length is rejected before the shadow
+    """A parameter vector of another length is rejected before the EMA model
     changes."""
     model = MlpModel.init([2, 3, 2], seed=11)
-    ema = ParamEma.from_model(model)
-    shadow = ema.shadow.copy()
+    ema = MlpModel(model.layers)
+    theta = ema.theta.copy()
     other = MlpModel.init([2, 4, 2], seed=11)
-    for theta in (other.theta, model.theta[:-1], model.theta.reshape(1, -1)):
+    for drifted in (other.theta, model.theta[:-1], model.theta.reshape(1, -1)):
         with pytest.raises(ValueError):
-            ema_update(ema, theta)
-    assert np.array_equal(ema.shadow, shadow)
+            ema_update(ema, drifted, 0.999)
+    assert np.array_equal(ema.theta, theta)

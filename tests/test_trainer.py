@@ -132,8 +132,7 @@ def _tape_step(model, opt, ema, state, labeled, unlabeled, config, aug_rng):
     total_loss(l_s, l_u, l_f, config.w_u, config.w_f).backward()
     nd.sgd_step(model.theta, tape.grad(params), opt, nd.cosine_lr(config.lr0, k, config.K))
     opt.k += 1
-    nd.ema_update(ema, model.theta)
-    state.advance()
+    nd.ema_update(ema, model.theta, trainer.EMA_DECAY)
     return record
 
 
@@ -149,7 +148,7 @@ def _ablation_configs():
 @pytest.mark.parametrize("label, config", _ablation_configs())
 def test_train_step_is_bit_identical_to_the_tape(monkeypatch, label, config):
     """60 steps of train_step and of _tape_step from the same state: every
-    record, parameter gradient, parameter and EMA shadow is equal."""
+    record, parameter gradient, parameter and EMA parameter is equal."""
     grads = []
     sgd_step = nd.sgd_step
 
@@ -170,7 +169,7 @@ def test_train_step_is_bit_identical_to_the_tape(monkeypatch, label, config):
         assert new.shape == tape.shape and np.array_equal(new, tape)
     (model_a, _, ema_a, *_), (model_b, _, ema_b, *_) = runs
     assert np.array_equal(model_a.theta, model_b.theta)
-    assert np.array_equal(ema_a.shadow, ema_b.shadow)
+    assert np.array_equal(ema_a.theta, ema_b.theta)
     if label == "fixed(0.95)":
         assert records[0][0].sampling_rate == 0.0  # a step that keeps no row: only the labeled branch has a gradient
     if label == "warmup":
@@ -217,7 +216,7 @@ def test_canonical_run_replays_the_reference_trace():
         for k, row in enumerate(want):
             rec = train_step(model, opt, ema, state, next(lab_iter), next(unlab_iter), cfg, aug_rng)
             if (k + 1) % cfg.eval_every == 0:
-                rec.error_rate = evaluate(nd.ema_model(ema), data.test).error_rate
+                rec.error_rate = evaluate(ema, data.test).error_rate
             for got, cell in zip(dataclasses.astuple(rec), row, strict=True):
                 assert got is None if cell == "" else got == pytest.approx(float(cell), rel=1e-9), (k, row)
 
@@ -406,6 +405,18 @@ def test_evaluate_goes_through_predict(monkeypatch, make_data):
     assert np.array_equal(res.confusion, confusion)
 
 
+
+def test_evaluate_and_predict_leave_the_model_unchanged():
+    """run evaluates the EMA model that every step updates in place, so an
+    evaluation that wrote into its model would change training. Two blocks."""
+    data = _ring_clusters()
+    model = nd.MlpModel.init([2, 16, 16, data.n_classes], seed=np.random.default_rng(7))
+    before = model.theta.tobytes()
+    trainer.predict(model, data.test.points)
+    evaluate(model, data.test)
+    assert model.theta.tobytes() == before
+    assert b"".join(p.tobytes() for p in model.parameters()) == before
+
 # -- run -------------------------------------------------------------------------
 
 
@@ -515,7 +526,7 @@ def test_trace_csv_columns(tmp_path):
 
 def test_checkpoint_files_hold_the_run(tmp_path):
     """The checkpoint is read here with plain NumPy and JSON: little-endian
-    float64 parameters then EMA shadow, in manifest shape order."""
+    float64 parameters then EMA parameters, in manifest shape order."""
     config = _small_config(K=6, clamp=(0.6, 0.95))
     result = run(config, _cluster_data())
     prefix = str(tmp_path / "ck")
@@ -527,10 +538,11 @@ def test_checkpoint_files_hold_the_run(tmp_path):
     flat = np.fromfile(prefix + ".bin", "<f8")
     assert flat.size == sum(sizes)
     arrays = [chunk.reshape(shape) for chunk, shape in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
-    expected = result.model.parameters() + nd.ema_model(result.ema).parameters()
+    expected = result.model.parameters() + result.ema.parameters()
     assert len(arrays) == len(expected)
     assert all(np.array_equal(a, e) for a, e in zip(arrays, expected))
-    assert manifest["threshold_state"] == json.loads(json.dumps(to_record(result.state)))
+    assert manifest["threshold_state"] == json.loads(json.dumps(to_record(result.state, config.K)))
+    assert manifest["threshold_state"]["t"] == config.K
     assert manifest["threshold_state"]["clamp"] == [0.6, 0.95]
     assert manifest["config"] == json.loads(json.dumps(config_to_dict(config)))
 
