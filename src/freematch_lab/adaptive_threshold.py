@@ -19,7 +19,7 @@ from typing import Union
 import numpy as np
 
 from .ndcore import row_max
-from .synthdata import is_finite_pair
+from .synthdata import check_fields, is_finite_pair
 
 
 # -- scheme identifiers ------------------------------------------------------
@@ -30,8 +30,10 @@ class _TauScheme:
     tau: float = 0.95
 
     def __post_init__(self):
+        # Cpl's own annotations hold only `mapping`
+        check_fields(_TauScheme.__annotations__, vars(self), {}, {"tau": "scheme.tau"})
         if not 0.0 < self.tau <= 1.0:
-            raise ValueError("fixed tau must lie in (0, 1]")
+            raise ValueError("scheme.tau must lie in (0, 1]")
 
 
 class Fixed(_TauScheme):
@@ -201,6 +203,16 @@ def update_cpl_counts(state: ThresholdState, weak_probs: np.ndarray, tau: float)
     passed = conf > tau
     if passed.any():
         state.cpl_counts += np.bincount(hard[passed], minlength=state.C)
+
+
+def observe(state: ThresholdState, weak_probs: np.ndarray, scheme: SchemeId) -> None:
+    """One step's statistics from its weak batch: tau_global, p_local and hist
+    for every scheme, and the curriculum counts for Cpl, which alone reads them."""
+    update_global(state, weak_probs)
+    update_local(state, weak_probs)
+    update_hist(state, weak_probs.argmax(axis=1))
+    if isinstance(scheme, Cpl):
+        update_cpl_counts(state, weak_probs, scheme.tau)
 
 
 # -- threshold computation -----------------------------------------------------------

@@ -2,8 +2,8 @@
 momentum, cosine learning-rate decay, and a parameter-space EMA used for
 evaluation. A model's parameters live in one float64 vector, ``theta``, whose
 (weight, bias) views are its layers; gradients and the SGD velocity are
-vectors of the same layout. The EMA is a second model: ``ema_update`` moves
-its ``theta`` toward the trained model's.
+plain vectors of the same layout, which the caller holds. The EMA is a second
+model: ``ema_update`` moves its ``theta`` toward the trained model's.
 
 ``mlp_forward`` keeps every layer's output, and ``mlp_backward`` carries the
 logit gradient back through them, writing each layer's gradients in place
@@ -324,7 +324,7 @@ class MlpModel:
         """Xavier-uniform weights and zero biases from a seeded generator."""
         if len(dims) < 2:
             raise ValueError("need at least input and output dims")
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)  # a Generator passes through unchanged
         layers = []
         for fan_in, fan_out in zip(dims, dims[1:]):
             limit = math.sqrt(6.0 / (fan_in + fan_out))
@@ -378,28 +378,14 @@ def mlp_backward(model: MlpModel, acts: list[np.ndarray], g: np.ndarray) -> np.n
 # -- optimizer -------------------------------------------------------------------
 
 
-@dataclass
-class OptimState:
-    """SGD-with-momentum state: one velocity vector, laid out like theta."""
-
-    velocity: np.ndarray
-    momentum: float = 0.9
-    k: int = 0
-
-    @classmethod
-    def for_params(cls, theta: np.ndarray, momentum: float = 0.9) -> "OptimState":
-        return cls(velocity=np.zeros_like(theta), momentum=momentum)
-
-
-def sgd_step(theta: np.ndarray, grad: np.ndarray, opt: OptimState, lr: float) -> None:
-    """v <- momentum*v + g; theta <- theta - lr*v, in place. Both shapes are
+def sgd_step(theta: np.ndarray, grad: np.ndarray, velocity: np.ndarray, momentum: float, lr: float) -> None:
+    """v <- momentum*v + g; theta <- theta - lr*v, both in place. Every shape is
     checked before anything changes."""
-    v = opt.velocity
-    if theta.shape != v.shape or grad.shape != v.shape:
-        raise ValueError("parameter and gradient vectors must match the optimizer state")
-    v *= opt.momentum
-    v += grad
-    theta -= lr * v
+    if theta.shape != velocity.shape or grad.shape != velocity.shape:
+        raise ValueError("parameter, gradient and velocity vectors must have one shape")
+    velocity *= momentum
+    velocity += grad
+    theta -= lr * velocity
 
 
 def cosine_lr(lr0: float, k: int, K: int) -> float:

@@ -56,6 +56,12 @@ def check_fields(annotations: dict, values: dict, lows: dict, keys: dict = {}) -
             raise ValueError(f"{keys.get(name, name)} must be >= {low}")
 
 
+def streams(seed: int, n: int) -> list[np.random.Generator]:
+    """n independent generators spawned from `seed`: every dataset and training
+    stream is derived here."""
+    return [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n)]
+
+
 @dataclass(frozen=True)
 class TwoMoonSpec:
     n_unlabeled: int = 1000
@@ -149,8 +155,7 @@ def gen_two_moons(spec: TwoMoonSpec) -> DatasetBundle:
     Labeled points are jitter-free, evenly spaced along each arc so runs are
     comparable across seeds; labels_per_class=1 yields the two arc midpoints.
     """
-    ss = np.random.SeedSequence(spec.seed)
-    rng_unlab, rng_test = (np.random.default_rng(c) for c in ss.spawn(2))
+    rng_unlab, rng_test = streams(spec.seed, 2)
 
     k = spec.labels_per_class
     theta = (np.arange(k) + 0.5) * np.pi / k
@@ -183,8 +188,7 @@ def gen_gaussian_clusters(
         raise ValueError("class means must be distinct")
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
-    ss = np.random.SeedSequence(seed)
-    rng_lab, rng_unlab, rng_test = (np.random.default_rng(c) for c in ss.spawn(3))
+    rng_lab, rng_unlab, rng_test = streams(seed, 3)
 
     def draw(rng, n_each):
         pts = np.vstack(
@@ -216,12 +220,12 @@ _NORMALS_CHUNK = 2**16
 
 
 def mixture_blocks(
-    spec: MixtureSpec, n: int, seed: int | np.random.SeedSequence, block: int
+    n: int, seed: int | np.random.SeedSequence, block: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield the raw n-sample draw of `sample_mixture` as consecutive (y, z)
     blocks of at most `block` samples each: the labels y in {-1, +1} and the
     standard normals z. The caller forms x = mu + sigma * z with the mean and
-    spread of class y from `spec`; the raw draw does not depend on them.
+    spread of class y; the raw draw does not depend on them.
 
     The one-generator draw takes n labels and then n normals from one PCG64
     stream. Each label uses one 32-bit half of a 64-bit output, so the normals
@@ -267,7 +271,7 @@ def sample_mixture(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw n samples (x, y) with y in {-1, +1} uniform and x | y Gaussian:
     the one block of `mixture_blocks`, with x formed from its raw draw."""
-    y, z = next(mixture_blocks(spec, n, seed, block=n))
+    y, z = next(mixture_blocks(n, seed, block=n))
     return np.where(y == 1, spec.mu2 + spec.sigma2 * z, spec.mu1 + spec.sigma1 * z), y
 
 
@@ -281,7 +285,7 @@ def check_batch_size(B: int, n: int, split: str = "dataset") -> None:
         raise ValueError(f"batch size {B} exceeds {split} size {n}")
 
 
-def batch_iter(dataset: PointSet, B: int, seed: int) -> Iterator[PointSet]:
+def batch_iter(dataset: PointSet, B: int, seed: int | np.random.Generator) -> Iterator[PointSet]:
     """Cycle through the dataset forever with a fresh shuffle per epoch.
 
     Batches are always exactly B items; a tail shorter than B is dropped

@@ -136,7 +136,7 @@ def mc_dist(spec: MixtureSpec, n: int, seed: int) -> McResult:
     lo, hi = _band_edges(spec)
     n_pos = n_neg = 0
     x_buf, hit_buf, ours_buf = np.empty(MC_BLOCK), np.empty(MC_BLOCK, bool), np.empty(MC_BLOCK, bool)
-    for y, z in mixture_blocks(spec, n, np.random.SeedSequence(seed).spawn(1)[0], MC_BLOCK):
+    for y, z in mixture_blocks(n, np.random.SeedSequence(seed).spawn(1)[0], MC_BLOCK):
         x, hit, ours = x_buf[: len(y)], hit_buf[: len(y)], ours_buf[: len(y)]
         for label, mu, sigma in ((1, spec.mu2, spec.sigma2), (-1, spec.mu1, spec.sigma1)):
             np.add(np.multiply(sigma, z, out=x), mu, out=x)  # sample_mixture's mu + sigma * z

@@ -39,7 +39,7 @@ from .atomic import atomic_open, write_csv
 from .augment import AugmentSpec, strong, weak
 from .ssl_losses import FairnessVariant, consistency_loss, fairness_loss, supervised_loss
 from .ssl_losses import total_loss  # noqa: F401 -- unused; perfbench's tracer patches this name
-from .synthdata import DatasetBundle, PointSet, batch_iter, check_fields, is_int
+from .synthdata import DatasetBundle, PointSet, batch_iter, check_fields, is_int, streams
 
 
 # field name -> config key, where they differ
@@ -155,18 +155,18 @@ def evaluate(model: nd.MlpModel, test: PointSet) -> EvalResult:
 
 def train_step(
     model: nd.MlpModel,
-    opt: nd.OptimState,
+    velocity: np.ndarray,
     ema: nd.MlpModel,
     state: at.ThresholdState,
     labeled: PointSet,
     unlabeled: PointSet,
     config: TrainConfig,
     aug_rng: np.random.Generator,
+    k: int,
 ) -> MetricsRecord:
-    """One full update; advances opt.k. The unlabeled batch's
-    labels are read only for the pseudo_label_acc diagnostic. Each head's upstream
-    gradient is its weight (1, w_u, w_f), as in `total_loss`'s backward."""
-    k = opt.k
+    """Step k's full update. The unlabeled batch's labels are read only for
+    the pseudo_label_acc diagnostic. Each head's upstream gradient is its weight
+    (1, w_u, w_f), as in `total_loss`'s backward."""
     in_warmup = k < config.warmup_iters
     if labeled.points.shape[1] != model.in_dim or unlabeled.points.shape[1] != model.in_dim:
         raise ValueError("batch width does not match the model")
@@ -182,11 +182,7 @@ def train_step(
         q = nd.softmax(nd.forward(model, uw))
 
         # (3) statistics updates precede threshold computation
-        at.update_global(state, q)
-        at.update_local(state, q)
-        at.update_hist(state, q.argmax(axis=1))
-        if isinstance(config.scheme, at.Cpl):
-            at.update_cpl_counts(state, q, config.scheme.tau)
+        at.observe(state, q, config.scheme)
 
         # (4) per-class thresholds and mask
         thresholds = at.per_class_thresholds(state, config.scheme)
@@ -229,8 +225,7 @@ def train_step(
     grad = nd.mlp_backward(model, acts_l, grad_l)
     if grad_s is not None:
         grad += nd.mlp_backward(model, acts_s, grad_s)
-    nd.sgd_step(model.theta, grad, opt, nd.cosine_lr(config.lr0, k, config.K))
-    opt.k += 1
+    nd.sgd_step(model.theta, grad, velocity, config.momentum, nd.cosine_lr(config.lr0, k, config.K))
 
     # (8) evaluation-model EMA
     nd.ema_update(ema, model.theta, EMA_DECAY)
@@ -238,21 +233,19 @@ def train_step(
 
 
 def _build(config: TrainConfig, data: DatasetBundle):
-    """A run's model, optimizer, EMA, threshold state and streams. Known defect
-    (ROADMAP item 8, pinned in test_trainer.py): at dataset.seed == train.seed
-    these streams are the dataset generator's own SeedSequence children; on two
-    moons, model init draws the unlabeled stream. README lists all three."""
-    ss = np.random.SeedSequence(config.seed)
-    s_model, s_lab, s_unlab, s_aug = ss.spawn(4)
+    """A run's model, SGD velocity, EMA, threshold state and streams. Known
+    defect (ROADMAP item "Training streams that are not the dataset's", pinned
+    in test_trainer.py): at dataset.seed == train.seed these streams are the
+    dataset generator's own; on two moons, model init draws the unlabeled
+    stream. README lists all three."""
+    rng_model, rng_lab, rng_unlab, aug_rng = streams(config.seed, 4)
     d_in = data.labeled.points.shape[1]
-    model = nd.MlpModel.init([d_in, *config.hidden_dims, data.n_classes], seed=np.random.default_rng(s_model))
-    opt = nd.OptimState.for_params(model.theta, momentum=config.momentum)
+    model = nd.MlpModel.init([d_in, *config.hidden_dims, data.n_classes], seed=rng_model)
     ema = nd.MlpModel(model.layers)  # a copy
     state = at.ThresholdState(C=data.n_classes, lam=config.lam, clamp=config.clamp)
-    lab_iter = batch_iter(data.labeled, config.B, seed=s_lab)
-    unlab_iter = batch_iter(data.unlabeled, config.mu * config.B, seed=s_unlab)
-    aug_rng = np.random.default_rng(s_aug)
-    return model, opt, ema, state, lab_iter, unlab_iter, aug_rng
+    lab_iter = batch_iter(data.labeled, config.B, seed=rng_lab)
+    unlab_iter = batch_iter(data.unlabeled, config.mu * config.B, seed=rng_unlab)
+    return model, np.zeros_like(model.theta), ema, state, lab_iter, unlab_iter, aug_rng
 
 
 @functools.cache
@@ -288,14 +281,14 @@ def _one_blas_thread():
 @_one_blas_thread()
 def run(config: TrainConfig, data: DatasetBundle) -> RunResult:
     """Train for K iterations on one BLAS thread."""
-    model, opt, ema, state, lab_iter, unlab_iter, aug_rng = _build(config, data)
+    model, velocity, ema, state, lab_iter, unlab_iter, aug_rng = _build(config, data)
     trace: list[MetricsRecord] = []
     best_error = float("inf")
     # a blow-up surfaces as TrainingAborted from the finite checks, not as NumPy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(config.K):
             try:
-                record = train_step(model, opt, ema, state, next(lab_iter), next(unlab_iter), config, aug_rng)
+                record = train_step(model, velocity, ema, state, next(lab_iter), next(unlab_iter), config, aug_rng, k)
             except TrainingAborted as exc:
                 exc.last_good = trace[-1] if trace else None
                 raise
@@ -340,6 +333,9 @@ def config_from_dict(d: dict) -> TrainConfig:
     if "scheme" in kwargs:
         kwargs["scheme"] = at.scheme_from_dict(kwargs["scheme"])
     if "fairness" in kwargs:
+        values = [v.value for v in FairnessVariant]
+        if kwargs["fairness"] not in values:
+            raise ValueError(f"fairness must be one of {values}, got {kwargs['fairness']!r}")
         kwargs["fairness"] = FairnessVariant(kwargs["fairness"])
     if "augment" in kwargs:
         kwargs["augment"] = AugmentSpec(**_tuples(kwargs["augment"], "augment"))

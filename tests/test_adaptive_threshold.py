@@ -10,6 +10,7 @@ from freematch_lab.adaptive_threshold import (
     Sat,
     ThresholdState,
     mask,
+    observe,
     per_class_thresholds,
     scheme_from_dict,
     scheme_to_dict,
@@ -227,6 +228,35 @@ def test_sat_dominated_by_global():
     th = per_class_thresholds(state, Sat())
     assert (th <= state.tau_global + 1e-12).all()
     assert th[state.p_local.argmax()] == pytest.approx(state.tau_global, abs=1e-15)
+
+
+# -- observe -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "scheme, counts",
+    [(Fixed(0.9), False), (GlobalOnly(), False), (LocalOnly(0.8), False), (Sat(), False), (Cpl(0.9), True)],
+    ids=["fixed", "global_only", "local_only", "sat", "cpl"],
+)
+def test_observe_is_the_direct_updates(scheme, counts):
+    """observe leaves the state bit-identical to update_global, update_local
+    and update_hist called directly, plus update_cpl_counts for Cpl alone; every
+    other scheme's counts stay at zero, though its batches hold confident rows."""
+    rng = np.random.default_rng(12)
+    observed, direct = ThresholdState(C=3, lam=0.9), ThresholdState(C=3, lam=0.9)
+    for _ in range(20):
+        probs = _rand_probs(rng, 8, 3) ** 6
+        probs /= probs.sum(axis=1, keepdims=True)
+        observe(observed, probs, scheme)
+        update_global(direct, probs)
+        update_local(direct, probs)
+        update_hist(direct, probs.argmax(axis=1))
+        if counts:
+            update_cpl_counts(direct, probs, scheme.tau)
+    assert observed.tau_global == direct.tau_global
+    for name in ("p_local", "hist", "cpl_counts"):
+        assert np.array_equal(getattr(observed, name), getattr(direct, name))
+    assert observed.cpl_counts.any() == counts
 
 
 # -- mask --------------------------------------------------------------------------

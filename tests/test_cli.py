@@ -198,10 +198,15 @@ def test_train_and_theory_do_not_load_the_process_pool(tmp_path):
          "augment.strong_scale_range must satisfy 0 < lo <= 1 <= hi"),
         ("train", {"augment": {"weak_sigma": 0.5, "strong_sigma": 0.2}},
          "need 0 <= augment.weak_sigma <= augment.strong_sigma"),
+        ("train", {"scheme": {"kind": "fixed", "tau": True}}, "scheme.tau must be a finite number, got True"),
+        ("train", {"scheme": {"kind": "fixed", "tau": "0.9"}}, "scheme.tau must be a finite number, got '0.9'"),
+        ("train", {"scheme": {"kind": "cpl", "tau": 1.5}}, "scheme.tau must lie in (0, 1]"),
+        ("train", {"fairness": "bogus"}, "fairness must be one of ['none', 'uniform_prior', 'saf'], got 'bogus'"),
     ],
     ids=["lambda", "clamp", "B", "mu", "mu_B", "clamp_scalar", "n_unlabeled_str", "n_unlabeled_float", "dataset_seed",
          "weak_sigma_str", "scale_range_scalar", "augment_seed_float", "lr0_negative", "lr0_zero", "momentum_above_1",
-         "momentum_negative", "w_u_negative", "w_f_negative", "scale_range_negative", "weak_above_strong"],
+         "momentum_negative", "w_u_negative", "w_f_negative", "scale_range_negative", "weak_above_strong",
+         "tau_bool", "tau_str", "tau_range", "fairness_unknown"],
 )
 def test_bad_train_value_is_a_config_error(tmp_path, capsys, section, override, message):
     """Caught when the config is parsed: no traceback, no output directory."""

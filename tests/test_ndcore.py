@@ -10,7 +10,6 @@ import tape
 
 from freematch_lab.ndcore import (
     MlpModel,
-    OptimState,
     Tensor,
     _linear_backward,
     _linear_data,
@@ -340,17 +339,17 @@ def test_shared_gradient_array_gives_the_same_sgd_update_as_copies():
         theta = init.copy()
         x = Tensor(theta, requires_grad=True)
         assert x.data is theta
-        opt = OptimState.for_params(theta, momentum=0.9)
+        velocity = np.zeros_like(theta)
         for k in range(4):
             root = x.sum() if k % 2 == 0 else (x * scale).sum()
             root.backward()
             assert x.grad.flags.writeable == (k % 2 == 1)
             grad = x.grad.copy() if copy_grads else x.grad
             before = grad.copy()
-            sgd_step(theta, grad, opt, lr=0.1)
+            sgd_step(theta, grad, velocity, 0.9, lr=0.1)
             assert np.array_equal(grad, before)
             x.grad = None
-        return [theta, opt.velocity]
+        return [theta, velocity]
 
     for shared, copied in zip(train(False), train(True)):
         assert np.array_equal(shared, copied)
@@ -361,47 +360,48 @@ def test_shared_gradient_array_gives_the_same_sgd_update_as_copies():
 
 def test_sgd_single_step_no_momentum():
     p, g = np.zeros(1), np.ones(1)
-    opt = OptimState.for_params(p, momentum=0.0)
-    sgd_step(p, g, opt, lr=0.1)
+    sgd_step(p, g, np.zeros(1), 0.0, lr=0.1)
     assert p[0] == pytest.approx(-0.1, abs=0)
     assert g[0] == 1.0  # the gradient is read, not consumed
 
 
 def test_sgd_momentum_two_steps_hand_arithmetic():
     p = np.zeros(1)
-    opt = OptimState.for_params(p, momentum=0.9)
-    sgd_step(p, np.ones(1), opt, lr=1.0)
-    sgd_step(p, np.ones(1), opt, lr=1.0)
+    velocity = np.zeros(1)
+    sgd_step(p, np.ones(1), velocity, 0.9, lr=1.0)
+    sgd_step(p, np.ones(1), velocity, 0.9, lr=1.0)
     # v1 = 1, theta1 = -1; v2 = 1.9, theta2 = -2.9
     assert p[0] == pytest.approx(-2.9, abs=1e-12)
 
 
 def test_sgd_requires_grads():
-    """One gradient vector of the parameter vector's shape, and a parameter
-    vector of the optimizer's; a rejected step changes nothing."""
+    """One gradient vector of the parameter vector's shape, and parameter and
+    velocity vectors of one shape; a rejected step changes nothing."""
     model = MlpModel.init([2, 3], seed=0)
     theta = model.theta
     before = theta.copy()
-    opt = OptimState.for_params(theta)
-    opt.velocity += 0.5
     n = theta.size
+    velocity = np.full(n, 0.5)
     for grad in (np.ones(n - 3), np.ones(n + 1), np.ones((n, 1)), np.ones((2, 3))):
         with pytest.raises(ValueError):
-            sgd_step(theta, grad, opt, lr=0.1)
+            sgd_step(theta, grad, velocity, 0.9, lr=0.1)
     with pytest.raises(ValueError):
-        sgd_step(theta[:-1], np.ones(n - 1), opt, lr=0.1)
-    assert np.array_equal(theta, before) and (opt.velocity == 0.5).all()
+        sgd_step(theta[:-1], np.ones(n - 1), velocity, 0.9, lr=0.1)
+    short_velocity = np.full(n - 1, 0.5)
+    with pytest.raises(ValueError):
+        sgd_step(theta, np.ones(n), short_velocity, 0.9, lr=0.1)
+    assert np.array_equal(theta, before) and (velocity == 0.5).all() and (short_velocity == 0.5).all()
 
 
 def test_sgd_converges_on_quadratic_bowl():
     # minimize 0.5*(theta - a)^2; closed-form minimum at a
     a = np.array([1.7, -0.4])
     p = Tensor(np.zeros(2), requires_grad=True)
-    opt = OptimState.for_params(p.data, momentum=0.5)
+    velocity = np.zeros(2)
     for _ in range(100):
         loss = ((p - a) * (p - a)).sum() * 0.5
         loss.backward()
-        sgd_step(p.data, p.grad, opt, lr=0.5)
+        sgd_step(p.data, p.grad, velocity, 0.5, lr=0.5)
         p.grad = None
     assert np.max(np.abs(p.data - a)) <= 1e-6
 

@@ -169,7 +169,7 @@ def test_mixture_blocks_concatenate_to_the_one_generator_draw(n):
         z = rng.standard_normal(n)
         x = np.where(y == 1, MIXED.mu2 + MIXED.sigma2 * z, MIXED.mu1 + MIXED.sigma1 * z)
 
-        blocks = list(mixture_blocks(MIXED, n, seed, MC_BLOCK))
+        blocks = list(mixture_blocks(n, seed, MC_BLOCK))
         assert [len(by) for by, _ in blocks] == [min(MC_BLOCK, n - s) for s in range(0, n, MC_BLOCK)]
         by = np.concatenate([b[0] for b in blocks])
         bz = np.concatenate([b[1] for b in blocks])
@@ -197,7 +197,7 @@ def test_mc_counts_equal_labels_of_the_full_draw(n):
 def test_closing_mixture_blocks_early_stops_its_helper_thread():
     before = threading.active_count()
     for taken in (1, 2):  # both blocks lie inside the first hand-off of normals
-        blocks = mixture_blocks(MIXED, 3 * CHUNK, 0, MC_BLOCK)
+        blocks = mixture_blocks(3 * CHUNK, 0, MC_BLOCK)
         for _ in range(taken):
             next(blocks)
         assert threading.active_count() == before + 1  # drawing the second chunk's normals

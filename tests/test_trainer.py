@@ -62,10 +62,10 @@ def _small_config(**overrides):
 
 
 def _step_once(cfg, data):
-    model, opt, ema, state, lab_iter, unlab_iter, aug_rng = _build(cfg, data)
+    model, velocity, ema, state, lab_iter, unlab_iter, aug_rng = _build(cfg, data)
     lb = next(lab_iter)
     ub = next(unlab_iter)
-    return model, opt, ema, state, lb, ub, aug_rng
+    return model, velocity, ema, state, lb, ub, aug_rng
 
 
 # -- train_step -----------------------------------------------------------------
@@ -74,48 +74,43 @@ def _step_once(cfg, data):
 def test_zero_weights_reduce_to_pure_supervised_update():
     data = _cluster_data()
     cfg = _small_config(w_u=0.0, w_f=0.0, fairness=FairnessVariant.NONE)
-    model, opt, ema, state, lb, ub, aug_rng = _step_once(cfg, data)
+    model, velocity, ema, state, lb, ub, aug_rng = _step_once(cfg, data)
 
     # manual supervised-only replay with an identical rng stream
-    ref_model, ref_opt, _, _, _, _, ref_rng = _step_once(cfg, data)
+    ref_model, ref_velocity, _, _, _, _, ref_rng = _step_once(cfg, data)
     xl = weak(lb.points, cfg.augment, ref_rng)
     params = tape.leaves(ref_model)
     tape.head(lambda z, g: supervised_loss(z, lb.labels, g), tape.forward(params, xl)).backward()
-    nd.sgd_step(ref_model.theta, tape.grad(params), ref_opt, nd.cosine_lr(cfg.lr0, 0, cfg.K))
+    nd.sgd_step(ref_model.theta, tape.grad(params), ref_velocity, cfg.momentum, nd.cosine_lr(cfg.lr0, 0, cfg.K))
 
-    train_step(model, opt, ema, state, lb, ub, cfg, aug_rng)
+    train_step(model, velocity, ema, state, lb, ub, cfg, aug_rng, 0)
     assert np.array_equal(model.theta, ref_model.theta)
 
 
 def test_single_step_near_zero_lambda_tracks_batch():
     data = _cluster_data()
     cfg = _small_config(lam=1e-12)
-    model, opt, ema, state, lb, ub, aug_rng = _step_once(cfg, data)
+    model, velocity, ema, state, lb, ub, aug_rng = _step_once(cfg, data)
     # replicate the weak view the step will see
     ref_model = copy.deepcopy(model)
-    ref_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(4)[3])
+    ref_rng = _build(cfg, data)[-1]
     weak(lb.points, cfg.augment, ref_rng)  # consume the labeled draw
     uw = weak(ub.points, cfg.augment, ref_rng)
     q = nd.softmax(nd.forward(ref_model, uw))
-    rec = train_step(model, opt, ema, state, lb, ub, cfg, aug_rng)
+    rec = train_step(model, velocity, ema, state, lb, ub, cfg, aug_rng, 0)
     assert rec.tau_global == pytest.approx(q.max(axis=1).mean(), abs=1e-9)
 
 
-def _tape_step(model, opt, ema, state, labeled, unlabeled, config, aug_rng):
+def _tape_step(model, velocity, ema, state, labeled, unlabeled, config, aug_rng, k):
     """train_step on the test tape: general-op graph forwards, the heads as
     graph nodes, the fairness term as general Tensor ops, and
     total_loss(...).backward() into the parameters' graph leaves."""
-    k = opt.k
     params = tape.leaves(model)
     xl = weak(labeled.points, config.augment, aug_rng)
     l_s = tape.head(lambda z, g: supervised_loss(z, labeled.labels, g), tape.forward(params, xl))
     uw = weak(unlabeled.points, config.augment, aug_rng)
     q = nd.softmax(tape.forward(params, uw).data)
-    at.update_global(state, q)
-    at.update_local(state, q)
-    at.update_hist(state, q.argmax(axis=1))
-    if isinstance(config.scheme, at.Cpl):
-        at.update_cpl_counts(state, q, config.scheme.tau)
+    at.observe(state, q, config.scheme)
     thresholds = at.per_class_thresholds(state, config.scheme)
     keep, hard = at.mask(q, thresholds)
     us = strong(unlabeled.points, config.augment, aug_rng)
@@ -130,8 +125,7 @@ def _tape_step(model, opt, ema, state, labeled, unlabeled, config, aug_rng):
     if keep.any():
         record.pseudo_label_acc = float((hard[keep] == unlabeled.labels[keep]).mean())
     total_loss(l_s, l_u, l_f, config.w_u, config.w_f).backward()
-    nd.sgd_step(model.theta, tape.grad(params), opt, nd.cosine_lr(config.lr0, k, config.K))
-    opt.k += 1
+    nd.sgd_step(model.theta, tape.grad(params), velocity, config.momentum, nd.cosine_lr(config.lr0, k, config.K))
     nd.ema_update(ema, model.theta, trainer.EMA_DECAY)
     return record
 
@@ -160,10 +154,10 @@ def test_train_step_is_bit_identical_to_the_tape(monkeypatch, label, config):
     data = cli.canonical_two_moon_data(1)
     runs = [_build(config, data) for _ in range(2)]
     records = [[], []]
-    for _ in range(60):
-        for step, (model, opt, ema, state, lab_iter, unlab_iter, aug_rng), out in zip(
+    for k in range(60):
+        for step, (model, velocity, ema, state, lab_iter, unlab_iter, aug_rng), out in zip(
                 (train_step, _tape_step), runs, records):
-            out.append(step(model, opt, ema, state, next(lab_iter), next(unlab_iter), config, aug_rng))
+            out.append(step(model, velocity, ema, state, next(lab_iter), next(unlab_iter), config, aug_rng, k))
         assert records[0][-1] == records[1][-1]
         new, tape = grads[-2:]
         assert new.shape == tape.shape and np.array_equal(new, tape)
@@ -193,9 +187,9 @@ GOLDEN = [
 def test_ten_step_golden_trace_replays():
     data = _cluster_data()
     cfg = _small_config()
-    model, opt, ema, state, lab_iter, unlab_iter, aug_rng = _build(cfg, data)
-    for expected in GOLDEN:
-        rec = train_step(model, opt, ema, state, next(lab_iter), next(unlab_iter), cfg, aug_rng)
+    model, velocity, ema, state, lab_iter, unlab_iter, aug_rng = _build(cfg, data)
+    for k, expected in enumerate(GOLDEN):
+        rec = train_step(model, velocity, ema, state, next(lab_iter), next(unlab_iter), cfg, aug_rng, k)
         got = (rec.l_s, rec.l_u, rec.l_f, rec.tau_global)
         for g, e in zip(got, expected):
             assert g == pytest.approx(e, rel=1e-9)
@@ -211,10 +205,10 @@ def test_canonical_run_replays_the_reference_trace():
     with gzip.open(ROOT / "perfbench" / "reference" / "train_two_moon_seed0.csv.gz", "rt") as fh:
         header, *want = list(csv.reader(fh))[:201]
     assert header[1:] == [f.name for f in dataclasses.fields(MetricsRecord)][1:]
-    model, opt, ema, state, lab_iter, unlab_iter, aug_rng = _build(cfg, data)
+    model, velocity, ema, state, lab_iter, unlab_iter, aug_rng = _build(cfg, data)
     with trainer._one_blas_thread():
         for k, row in enumerate(want):
-            rec = train_step(model, opt, ema, state, next(lab_iter), next(unlab_iter), cfg, aug_rng)
+            rec = train_step(model, velocity, ema, state, next(lab_iter), next(unlab_iter), cfg, aug_rng, k)
             if (k + 1) % cfg.eval_every == 0:
                 rec.error_rate = evaluate(ema, data.test).error_rate
             for got, cell in zip(dataclasses.astuple(rec), row, strict=True):
@@ -226,12 +220,12 @@ def test_sampling_rate_matches_mask_mean():
 
     data = _cluster_data()
     cfg = _small_config(lam=0.5)
-    model, opt, ema, state, lb, ub, aug_rng = _step_once(cfg, data)
-    snap_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(4)[3])
+    model, velocity, ema, state, lb, ub, aug_rng = _step_once(cfg, data)
+    snap_rng = _build(cfg, data)[-1]
     weak(lb.points, cfg.augment, snap_rng)
     uw = weak(ub.points, cfg.augment, snap_rng)
     q = nd.softmax(nd.forward(model, uw))
-    rec = train_step(model, opt, ema, state, lb, ub, cfg, aug_rng)
+    rec = train_step(model, velocity, ema, state, lb, ub, cfg, aug_rng, 0)
     # recompute the mask from the replayed weak view and the recorded state
     th = at.per_class_thresholds(state, cfg.scheme)
     # state has been updated by the step; rebuild thresholds as the step saw them
@@ -242,12 +236,12 @@ def test_sampling_rate_matches_mask_mean():
 def test_training_aborts_on_weight_blowup():
     data = _cluster_data()
     cfg = _small_config()
-    model, opt, ema, state, lb, ub, aug_rng = _step_once(cfg, data)
+    model, velocity, ema, state, lb, ub, aug_rng = _step_once(cfg, data)
     for p in model.parameters():
         p[:] = 1e300
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingAborted) as exc_info:
-            train_step(model, opt, ema, state, lb, ub, cfg, aug_rng)
+            train_step(model, velocity, ema, state, lb, ub, cfg, aug_rng, 0)
     assert isinstance(exc_info.value.record, MetricsRecord)
 
 
@@ -278,15 +272,15 @@ def test_run_attaches_the_last_good_record(monkeypatch):
 def test_warmup_parameters_independent_of_unlabeled_values():
     data = _cluster_data()
     cfg = _small_config(K=10, warmup_iters=8, fairness=FairnessVariant.SAF)
-    model_a, opt_a, ema_a, state_a, lab_a, unlab_a, rng_a = _build(cfg, data)
-    model_b, opt_b, ema_b, state_b, lab_b, unlab_b, rng_b = _build(cfg, data)
+    model_a, velocity_a, ema_a, state_a, lab_a, unlab_a, rng_a = _build(cfg, data)
+    model_b, velocity_b, ema_b, state_b, lab_b, unlab_b, rng_b = _build(cfg, data)
     for k in range(8):
         lb_a, ub_a = next(lab_a), next(unlab_a)
         lb_b, ub_b = next(lab_b), next(unlab_b)
         # perturb the unlabeled values seen by run b
         ub_b = PointSet(ub_b.points + 17.0, ub_b.labels)
-        train_step(model_a, opt_a, ema_a, state_a, lb_a, ub_a, cfg, rng_a)
-        train_step(model_b, opt_b, ema_b, state_b, lb_b, ub_b, cfg, rng_b)
+        train_step(model_a, velocity_a, ema_a, state_a, lb_a, ub_a, cfg, rng_a, k)
+        train_step(model_b, velocity_b, ema_b, state_b, lb_b, ub_b, cfg, rng_b, k)
     for p, q in zip(model_a.parameters(), model_b.parameters()):
         assert np.array_equal(p, q)
     # but the threshold statistics did keep updating
@@ -299,11 +293,12 @@ def _batches(it, n=5):
 
 
 def test_training_streams_are_the_dataset_streams_when_the_seeds_match():
-    """A known defect, pinned so that its fix must flip this test (ROADMAP item
-    8). With dataset.seed == train.seed, the children of _build's
-    SeedSequence(seed).spawn(4) are the dataset generator's own spawned
-    children: gen_two_moons draws (unlabeled, test) from spawn(2), and
-    gen_gaussian_clusters (labeled, unlabeled, test) from spawn(3)."""
+    """A known defect, pinned so that its fix must flip this test (ROADMAP,
+    "Training streams that are not the dataset's"). With dataset.seed ==
+    train.seed, _build's streams(seed, 4) are the children of the dataset
+    generator's own SeedSequence(seed): gen_two_moons draws (unlabeled, test)
+    from streams(seed, 2), and gen_gaussian_clusters (labeled, unlabeled, test)
+    from streams(seed, 3)."""
     seed = 3
     moons = gen_two_moons(TwoMoonSpec(n_unlabeled=1000, labels_per_class=8, noise_sigma=0.0, seed=seed))
     model, _, _, _, lab_iter, _, _ = _build(TrainConfig(seed=seed, B=4), moons)
@@ -328,8 +323,8 @@ def test_training_streams_are_the_dataset_streams_when_the_seeds_match():
 def test_warmup_zeroes_unsupervised_terms():
     data = _cluster_data()
     cfg = _small_config(warmup_iters=5)
-    model, opt, ema, state, lb, ub, aug_rng = _step_once(cfg, data)
-    rec = train_step(model, opt, ema, state, lb, ub, cfg, aug_rng)
+    model, velocity, ema, state, lb, ub, aug_rng = _step_once(cfg, data)
+    rec = train_step(model, velocity, ema, state, lb, ub, cfg, aug_rng, 0)
     assert rec.l_u == 0.0 and rec.l_f == 0.0
     assert rec.total == pytest.approx(rec.l_s, abs=0)
 
