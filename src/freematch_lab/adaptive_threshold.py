@@ -8,7 +8,8 @@ Fixed-threshold, global-only, local-only, and count-based curriculum variants
 sit behind the same scheme interface for ablations.
 
 Masking uses >= throughout, and argmax ties break to the lowest class index.
-All updates consume weak-branch probabilities with no gradient flow.
+`observe` checks each step's weak batch (no gradient flow) once and hands its
+rows, their max confidences and hard labels to the bare `update_*` EMA steps.
 """
 
 from __future__ import annotations
@@ -171,35 +172,25 @@ def _check_probs(state: ThresholdState, weak_probs: np.ndarray) -> np.ndarray:
 # -- updates ----------------------------------------------------------------------
 
 
-def update_global(state: ThresholdState, weak_probs: np.ndarray) -> None:
-    """tau <- lam*tau + (1-lam) * mean_b max(q_b)."""
-    probs = _check_probs(state, weak_probs)
-    batch_mean = float(np.add.reduce(row_max(probs)) / len(probs))
+def update_global(state: ThresholdState, conf: np.ndarray) -> None:
+    """tau <- lam*tau + (1-lam) * mean_b conf_b, where conf_b = max(q_b)."""
+    batch_mean = float(np.add.reduce(conf) / len(conf))
     state.tau_global = state.lam * state.tau_global + (1.0 - state.lam) * batch_mean
 
 
-def update_local(state: ThresholdState, weak_probs: np.ndarray) -> None:
+def update_local(state: ThresholdState, probs: np.ndarray) -> None:
     """p_local <- lam*p_local + (1-lam) * mean_b q_b; stays on the simplex."""
-    probs = _check_probs(state, weak_probs)
     state.p_local = state.lam * state.p_local + (1.0 - state.lam) * (np.add.reduce(probs, axis=0) / len(probs))
 
 
-def update_hist(state: ThresholdState, weak_hard_labels: np.ndarray) -> None:
+def update_hist(state: ThresholdState, hard: np.ndarray) -> None:
     """EMA of the normalized batch histogram of hard pseudo labels."""
-    labels = np.asarray(weak_hard_labels)
-    if labels.size == 0:
-        raise ValueError("expected a non-empty label batch")
-    if (labels < 0).any() or (labels >= state.C).any():
-        raise ValueError("labels out of range")
-    counts = np.bincount(labels, minlength=state.C).astype(np.float64)
-    state.hist = state.lam * state.hist + (1.0 - state.lam) * counts / labels.size
+    counts = np.bincount(hard, minlength=state.C).astype(np.float64)
+    state.hist = state.lam * state.hist + (1.0 - state.lam) * counts / hard.size
 
 
-def update_cpl_counts(state: ThresholdState, weak_probs: np.ndarray, tau: float) -> None:
+def update_cpl_counts(state: ThresholdState, conf: np.ndarray, hard: np.ndarray, tau: float) -> None:
     """Accumulate per-class counts of samples with confidence above tau."""
-    probs = _check_probs(state, weak_probs)
-    conf = row_max(probs)
-    hard = probs.argmax(axis=1)
     passed = conf > tau
     if passed.any():
         state.cpl_counts += np.bincount(hard[passed], minlength=state.C)
@@ -208,11 +199,13 @@ def update_cpl_counts(state: ThresholdState, weak_probs: np.ndarray, tau: float)
 def observe(state: ThresholdState, weak_probs: np.ndarray, scheme: SchemeId) -> None:
     """One step's statistics from its weak batch: tau_global, p_local and hist
     for every scheme, and the curriculum counts for Cpl, which alone reads them."""
-    update_global(state, weak_probs)
-    update_local(state, weak_probs)
-    update_hist(state, weak_probs.argmax(axis=1))
+    probs = _check_probs(state, weak_probs)
+    conf, hard = row_max(probs), probs.argmax(axis=1)
+    update_global(state, conf)
+    update_local(state, probs)
+    update_hist(state, hard)
     if isinstance(scheme, Cpl):
-        update_cpl_counts(state, weak_probs, scheme.tau)
+        update_cpl_counts(state, conf, hard, scheme.tau)
 
 
 # -- threshold computation -----------------------------------------------------------

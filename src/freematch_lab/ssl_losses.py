@@ -2,12 +2,12 @@
 data, threshold-masked consistency loss on unlabeled data, and the class
 fairness regularizers (none / uniform-prior / self-adaptive).
 
-Each head takes arrays and ``g``, its weight in the total loss, and returns
-``(value, gradient of g * value)`` in closed form; the gradient is None when
-the value is a constant. Only the strong branch gets a gradient; weak-branch
-probabilities are constants. The self-adaptive fairness term is the
-histogram-normalized cross-entropy between the EMA statistics ratio and the
-masked batch ratio, implemented sign-literally:
+Each of the three heads takes arrays and ``g``, its weight in the total loss,
+and returns ``(value, gradient of g * value)`` in closed form; the gradient is
+None when the value is a constant. Only the strong branch gets a gradient;
+weak-branch probabilities are constants. The self-adaptive fairness term is
+the histogram-normalized cross-entropy between the EMA statistics ratio and
+the masked batch ratio, implemented sign-literally:
 
     L_f = -H(SumNorm(p_local / hist), SumNorm(p_bar / h_bar))
 
@@ -55,18 +55,17 @@ def supervised_loss(logits: np.ndarray, labels: np.ndarray, g=1.0):
 def consistency_loss(weak_probs: np.ndarray, strong_logits: np.ndarray, thresholds: np.ndarray, g=1.0):
     """Masked cross-entropy of strong predictions against weak hard labels.
 
-    The denominator is the full batch size; masked-out samples contribute
-    zero. Returns ``(value, gradient)`` and the inclusion mask.
+    The denominator is the full batch size; masked-out samples contribute zero.
     """
     keep, hard = mask(weak_probs, thresholds)
     B, C = strong_logits.shape
     if weak_probs.shape != (B, C):
         raise ValueError("weak and strong batches must have identical shapes")
     if not keep.any():
-        return (0.0, None), keep
+        return 0.0, None
     weights = np.zeros((B, C))
     weights[np.arange(B), hard] = keep.astype(np.float64) / B
-    return weighted_nll(strong_logits, weights, g), keep
+    return weighted_nll(strong_logits, weights, g)
 
 
 def _sum_norm(x):

@@ -175,6 +175,8 @@ def _spec_for(base: MixtureSpec, varying: str, value: float) -> MixtureSpec:
     if varying == "beta":
         return replace(base, beta=value)
     if varying == "delta":
+        if value <= 0:  # MixtureSpec would swap mu1 > mu2 back, aliasing -delta to +delta
+            raise ValueError(f"delta must be positive, got {value!r}")
         mid = base.midpoint
         return replace(base, mu1=mid - value / 2.0, mu2=mid + value / 2.0)
     raise ValueError("varying must be one of 'tau', 'delta', 'beta'")

@@ -193,8 +193,7 @@ def train_step(
         if not in_warmup:
             # (5) consistency on the strong branch, (6) fairness
             acts_s = nd.mlp_forward(model, us)
-            (l_u, grad_s), loss_keep = consistency_loss(q, acts_s[-1], thresholds, config.w_u)
-            assert np.array_equal(loss_keep, keep)  # single mask definition
+            l_u, grad_s = consistency_loss(q, acts_s[-1], thresholds, config.w_u)
             strong_probs = nd.softmax(acts_s[-1])
             l_f, grad_f = fairness_loss(config.fairness, state, q, strong_probs, thresholds, config.w_f)
             if grad_f is not None:  # then grad_s is too: both heads keep the same rows

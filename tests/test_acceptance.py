@@ -215,14 +215,14 @@ def _composite_loss_case(rng):
     def value():
         l_s, _ = supervised_loss(nd.forward(model, xl), yl)
         strong_logits = nd.forward(model, us)
-        (l_u, _), _ = consistency_loss(q, strong_logits, th)
+        l_u, _ = consistency_loss(q, strong_logits, th)
         l_f, _ = fairness_loss(FairnessVariant.SAF, state, q, nd.softmax(strong_logits), th)
         return float(total_loss(l_s, l_u, l_f, w_u=w_u, w_f=w_f))
 
     acts_l = nd.mlp_forward(model, xl)
     grad = nd.mlp_backward(model, acts_l, supervised_loss(acts_l[-1], yl)[1])
     acts_s = nd.mlp_forward(model, us)
-    (_, grad_s), _ = consistency_loss(q, acts_s[-1], th, w_u)
+    _, grad_s = consistency_loss(q, acts_s[-1], th, w_u)
     probs = nd.softmax(acts_s[-1])
     _, grad_f = fairness_loss(FairnessVariant.SAF, state, q, probs, th, w_f)
     if grad_s is not None:  # then grad_f is too: both heads keep the same rows
@@ -263,10 +263,8 @@ def test_criterion_6_invariant_suite():
         B = int(rng.integers(1, 9))
         probs = rng.uniform(1e-4, 1.0, size=(B, C))
         probs /= probs.sum(axis=1, keepdims=True)
-        at.update_global(state, probs)
-        at.update_local(state, probs)
+        at.observe(state, probs, at.Sat())
         labels = probs.argmax(axis=1)
-        at.update_hist(state, labels)
         batch_means.append(probs.max(axis=1).mean())
         p_replay = lam * p_replay + (1 - lam) * probs.mean(axis=0)
         h_replay = lam * h_replay + (1 - lam) * np.bincount(labels, minlength=C) / B

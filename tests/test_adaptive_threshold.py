@@ -48,29 +48,30 @@ def test_initial_local_estimate_is_uniform():
 def test_update_global_plug_in_arithmetic():
     state = ThresholdState(C=2, lam=0.9)
     state.tau_global = 0.5
-    probs = np.array([[0.6, 0.4], [0.2, 0.8]])  # max confidences 0.6, 0.8
-    update_global(state, probs)
+    update_global(state, np.array([0.6, 0.8]))  # max confidences of [[0.6, 0.4], [0.2, 0.8]]
     assert state.tau_global == pytest.approx(0.9 * 0.5 + 0.1 * 0.7, abs=1e-15)
 
 
 def test_update_global_converges_geometrically_to_constant_input():
     state = ThresholdState(C=2, lam=0.9)
-    probs = np.array([[0.85, 0.15]])
     for _ in range(400):
-        update_global(state, probs)
+        update_global(state, np.array([0.85]))
     assert state.tau_global == pytest.approx(0.85, abs=1e-15)
 
 
 def test_update_global_rejects_empty_batch():
-    with pytest.raises(ValueError):
-        update_global(ThresholdState(C=2), np.zeros((0, 2)))
+    """update_global reads confidences that observe derives from a checked batch."""
+    state = ThresholdState(C=2)
+    with pytest.raises(ValueError, match="non-empty"):
+        observe(state, np.zeros((0, 2)), GlobalOnly())
+    assert state.tau_global == 0.5
 
 
 def test_update_global_rejects_nan_rows():
     state = ThresholdState(C=2)
     for probs in NAN_BATCHES:
         with pytest.raises(ValueError, match="probability simplex"):
-            update_global(state, probs)
+            observe(state, probs, GlobalOnly())
     assert state.tau_global == 0.5
 
 
@@ -85,10 +86,11 @@ def test_update_local_plug_in():
 
 
 def test_update_local_rejects_nan_rows():
+    """update_local reads rows that observe has checked."""
     state = ThresholdState(C=2)
     for probs in NAN_BATCHES:
         with pytest.raises(ValueError, match="probability simplex"):
-            update_local(state, probs)
+            observe(state, probs, LocalOnly(0.8))
     assert np.array_equal(state.p_local, [0.5, 0.5])
 
 
@@ -136,9 +138,9 @@ def test_global_threshold_closed_form():
     state = ThresholdState(C=C, lam=lam)
     batch_means = []
     for _ in range(T):
-        probs = _rand_probs(rng, 6, C)
-        batch_means.append(probs.max(axis=1).mean())
-        update_global(state, probs)
+        conf = _rand_probs(rng, 6, C).max(axis=1)
+        batch_means.append(conf.mean())
+        update_global(state, conf)
     closed = lam**T / C + (1 - lam) * sum(
         lam ** (T - i) * m for i, m in enumerate(batch_means, start=1)
     )
@@ -188,8 +190,7 @@ def test_cpl_before_any_counts():
 
 def test_cpl_counts_and_mapping():
     state = ThresholdState(C=2)
-    probs = np.array([[0.97, 0.03], [0.98, 0.02], [0.3, 0.7]])
-    update_cpl_counts(state, probs, tau=0.95)
+    observe(state, np.array([[0.97, 0.03], [0.98, 0.02], [0.3, 0.7]]), Cpl(0.95))
     assert np.array_equal(state.cpl_counts, [2.0, 0.0])
     assert np.allclose(per_class_thresholds(state, Cpl(0.9)), [0.9, 0.0])
     assert np.allclose(per_class_thresholds(state, Cpl(0.9, mapping="convex")), [0.9, 0.0])
@@ -200,10 +201,11 @@ def test_cpl_counts_and_mapping():
 
 
 def test_update_cpl_counts_rejects_nan_rows():
+    """update_cpl_counts reads confidences and labels that observe derives from a checked batch."""
     state = ThresholdState(C=2)
     for probs in NAN_BATCHES:
         with pytest.raises(ValueError, match="probability simplex"):
-            update_cpl_counts(state, probs, tau=0.5)
+            observe(state, probs, Cpl(0.5))
     assert np.array_equal(state.cpl_counts, [0.0, 0.0])
 
 
@@ -212,10 +214,10 @@ def test_cpl_counts_accumulate_without_warmup():
     counts twice, and one confident row of 14 lifts its class straight to tau."""
     state = ThresholdState(C=2)
     probs = np.array([[0.99, 0.01]] + [[0.6, 0.4]] * 13)
-    update_cpl_counts(state, probs, tau=0.95)
+    observe(state, probs, Cpl(0.95))
     assert np.array_equal(state.cpl_counts, [1.0, 0.0])
     assert np.array_equal(per_class_thresholds(state, Cpl(0.95)), [0.95, 0.0])
-    update_cpl_counts(state, probs, tau=0.95)
+    observe(state, probs, Cpl(0.95))
     assert np.array_equal(state.cpl_counts, [2.0, 0.0])
 
 
@@ -224,7 +226,7 @@ def test_sat_dominated_by_global():
     state = ThresholdState(C=6)
     for _ in range(50):
         update_local(state, _rand_probs(rng, 10, 6))
-        update_global(state, _rand_probs(rng, 10, 6))
+        update_global(state, _rand_probs(rng, 10, 6).max(axis=1))
     th = per_class_thresholds(state, Sat())
     assert (th <= state.tau_global + 1e-12).all()
     assert th[state.p_local.argmax()] == pytest.approx(state.tau_global, abs=1e-15)
@@ -240,23 +242,39 @@ def test_sat_dominated_by_global():
 )
 def test_observe_is_the_direct_updates(scheme, counts):
     """observe leaves the state bit-identical to update_global, update_local
-    and update_hist called directly, plus update_cpl_counts for Cpl alone; every
-    other scheme's counts stay at zero, though its batches hold confident rows."""
+    and update_hist called directly on the batch's max confidences, rows and
+    argmaxes, plus update_cpl_counts for Cpl alone; every other scheme's counts
+    stay at zero, though its batches hold confident rows."""
     rng = np.random.default_rng(12)
     observed, direct = ThresholdState(C=3, lam=0.9), ThresholdState(C=3, lam=0.9)
     for _ in range(20):
         probs = _rand_probs(rng, 8, 3) ** 6
         probs /= probs.sum(axis=1, keepdims=True)
         observe(observed, probs, scheme)
-        update_global(direct, probs)
+        conf, hard = probs.max(axis=1), probs.argmax(axis=1)
+        update_global(direct, conf)
         update_local(direct, probs)
-        update_hist(direct, probs.argmax(axis=1))
+        update_hist(direct, hard)
         if counts:
-            update_cpl_counts(direct, probs, scheme.tau)
+            update_cpl_counts(direct, conf, hard, scheme.tau)
     assert observed.tau_global == direct.tau_global
     for name in ("p_local", "hist", "cpl_counts"):
         assert np.array_equal(getattr(observed, name), getattr(direct, name))
     assert observed.cpl_counts.any() == counts
+
+
+def test_observe_rejects_a_bad_batch_and_changes_nothing():
+    """observe checks the batch once, before any statistic moves: a NaN row, an
+    empty batch or a wrong class count raises and leaves all four untouched."""
+    state, fresh = ThresholdState(C=2), ThresholdState(C=2)
+    bad = [(probs, "probability simplex") for probs in NAN_BATCHES]
+    bad += [(np.zeros((0, 2)), "non-empty"), (np.full((2, 3), 1.0 / 3.0), "3 classes, state has 2")]
+    for probs, message in bad:
+        with pytest.raises(ValueError, match=message):
+            observe(state, probs, Cpl(0.5))  # the second NaN batch holds a row above 0.5
+        assert state.tau_global == fresh.tau_global
+        for name in ("p_local", "hist", "cpl_counts"):
+            assert np.array_equal(getattr(state, name), getattr(fresh, name))
 
 
 # -- mask --------------------------------------------------------------------------
@@ -322,9 +340,7 @@ def test_state_invariants_under_random_updates(seed):
     state = ThresholdState(C=C, lam=float(rng.uniform(0.2, 0.999)))
     for _ in range(50):
         probs = _rand_probs(rng, int(rng.integers(1, 12)), C)
-        update_global(state, probs)
-        update_local(state, probs)
-        update_hist(state, probs.argmax(axis=1))
+        observe(state, probs, Sat())
         assert 1.0 / C - 1e-12 <= state.tau_global <= 1.0 + 1e-12
         assert abs(state.p_local.sum() - 1.0) <= 1e-9
         assert abs(state.hist.sum() - 1.0) <= 1e-9

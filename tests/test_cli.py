@@ -402,8 +402,11 @@ _GRID_BASE = {"mu1": -1.0, "mu2": 1.0, "sigma1": 1.0, "sigma2": 1.0, "beta": 1.0
          "sweep entry 'name' must be a string, got 3"),
         ({"sweeps": [{"name": "mini", "varying": "tau", "base": [0.8], "values": [0.6, 0.7]}]},
          "sweep entry 'base' must be an object, got [0.8]"),
+        # MixtureSpec orders the means, so delta -2 would silently be delta +2
+        ({"sweeps": [{"name": "d", "varying": "delta", "base": _GRID_BASE, "values": [-2.0, -1.0, 1.0, 2.0]}]},
+         "delta must be positive, got -2.0"),
     ],
-    ids=["grid_list", "entry_string", "name_list", "name_number", "base_list"],
+    ids=["grid_list", "entry_string", "name_list", "name_number", "base_list", "delta_non_positive"],
 )
 def test_theory_bad_grid_shape_is_a_config_error(tmp_path, capsys, grid, message):
     path = tmp_path / "grid.json"

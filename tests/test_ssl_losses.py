@@ -51,17 +51,18 @@ def test_supervised_rejects_bad_labels():
 
 
 def test_consistency_all_masked_out_is_zero():
-    weak = np.array([[0.6, 0.4], [0.55, 0.45]])
-    (loss, grad), keep = consistency_loss(weak, np.zeros((2, 2)), np.array([0.95, 0.95]))
-    assert loss == 0.0 and grad is None and not keep.any()
+    weak, th = np.array([[0.6, 0.4], [0.55, 0.45]]), np.array([0.95, 0.95])
+    loss, grad = consistency_loss(weak, np.zeros((2, 2)), th)
+    assert loss == 0.0 and grad is None and not mask(weak, th)[0].any()
 
 
 def test_consistency_single_masked_in_arithmetic():
     # batch of 2, one passes; strong prob 0.7 on its pseudo class
     weak = np.array([[0.99, 0.01], [0.5, 0.5]])
     strong = np.log(np.array([[0.7, 0.3], [0.5, 0.5]]))
-    (loss, _), keep = consistency_loss(weak, strong, np.array([0.95, 0.95]))
-    assert keep.tolist() == [True, False]
+    th = np.array([0.95, 0.95])
+    loss, _ = consistency_loss(weak, strong, th)
+    assert mask(weak, th)[0].tolist() == [True, False]
     assert loss == pytest.approx(0.5 * -math.log(0.7), abs=1e-12)
 
 
@@ -71,7 +72,7 @@ def test_consistency_matches_brute_force_summation():
     weak = _rand_probs(rng, B, C)
     strong_logits = rng.normal(size=(B, C))
     th = rng.uniform(0.2, 0.6, size=C)
-    (loss, _), keep = consistency_loss(weak, strong_logits, th)
+    loss, _ = consistency_loss(weak, strong_logits, th)
 
     # straight-line oracle: per-sample cross-entropy, summed, over full B
     sp = softmax(strong_logits)
@@ -90,18 +91,20 @@ def test_consistency_nonnegative_and_zero_at_certainty():
     hard = weak.argmax(axis=1)
     confident = np.full((16, 3), -400.0)
     confident[np.arange(16), hard] = 400.0
-    (loss, _), keep = consistency_loss(weak, confident, th)
-    assert keep.all()
+    loss, _ = consistency_loss(weak, confident, th)
+    assert mask(weak, th)[0].all()
     assert loss == pytest.approx(0.0, abs=1e-12)
-    (loss2, _), _ = consistency_loss(weak, rng.normal(size=(16, 3)), th)
+    loss2, _ = consistency_loss(weak, rng.normal(size=(16, 3)), th)
     assert loss2 > 0
 
 
 def test_consistency_gradient_only_through_strong():
     rng = np.random.default_rng(2)
     weak = _rand_probs(rng, 8, 3)
-    (_, grad), keep = consistency_loss(weak, rng.normal(size=(8, 3)), np.full(3, 0.2))
-    # masked-out rows receive zero gradient
+    th = np.full(3, 0.2)
+    _, grad = consistency_loss(weak, rng.normal(size=(8, 3)), th)
+    keep, _ = mask(weak, th)
+    # the head's gradient rows are exactly the mask's kept rows
     assert np.array_equal(np.nonzero(np.abs(grad).sum(axis=1))[0], np.nonzero(keep)[0])
 
 
@@ -320,11 +323,11 @@ def test_total_loss_gradient_matches_finite_differences():
     x = rng.normal(size=(B, C))
 
     def total() -> float:
-        (l_u, _), _ = consistency_loss(weak, x, th)
+        l_u, _ = consistency_loss(weak, x, th)
         l_f, _ = fairness_loss(FairnessVariant.SAF, state, weak, softmax(x), th)
         return total_loss(0.1, l_u, l_f, w_u=1.0, w_f=0.05)
 
-    (_, grad_u), _ = consistency_loss(weak, x, th, 1.0)
+    _, grad_u = consistency_loss(weak, x, th, 1.0)
     probs = softmax(x)
     _, grad_f = fairness_loss(FairnessVariant.SAF, state, weak, probs, th, 0.05)
     ad = grad_u + softmax_backward(probs, grad_f)

@@ -117,7 +117,7 @@ def _tape_step(model, velocity, ema, state, labeled, unlabeled, config, aug_rng,
     l_u = l_f = nd.as_tensor(0.0)
     if k >= config.warmup_iters:
         strong_logits = tape.forward(params, us)
-        l_u = tape.head(lambda z, g: consistency_loss(q, z, thresholds, g)[0], strong_logits)
+        l_u = tape.head(lambda z, g: consistency_loss(q, z, thresholds, g), strong_logits)
         l_f = tensor_op_fairness(config.fairness, state, q, tape.softmax(strong_logits), thresholds)
     record = MetricsRecord(k, float(l_s), float(l_u), float(l_f),
                            float(l_s) + config.w_u * float(l_u) + config.w_f * float(l_f),
