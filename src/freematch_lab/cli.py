@@ -137,16 +137,26 @@ def _emit_plots(result: RunResult, data: DatasetBundle, out_dir: str) -> None:
     )
 
 
+def _check_out_dir(path: str) -> None:
+    """Reject, before any work, an output directory that `os.makedirs` could
+    not make because it, or its nearest existing ancestor, is not a directory."""
+    probe = os.path.abspath(path)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise ValueError(f"output directory {path!r}: {probe!r} is not a directory")
+
+
 def cmd_train(config_path: str, out_override: str | None) -> int:
     try:
         with open(config_path) as fh:
             data, config, out_dir = parse_experiment_config(json.load(fh))
+        out_dir = out_override or out_dir
+        if out_dir is None:
+            raise ValueError("no output directory (set out_dir or pass --out)")
+        _check_out_dir(out_dir)
     except (OSError, ValueError, TypeError) as exc:  # a JSONDecodeError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    out_dir = out_override or out_dir
-    if out_dir is None:
-        print("config error: no output directory (set out_dir or pass --out)", file=sys.stderr)
         return 2
     try:
         result = run(config, data)
@@ -232,6 +242,7 @@ def _load_sweep_file(path: str) -> list[dict]:
 
 def cmd_theory(grid_path: str | None, out_dir: str, mc_samples: int, seed: int) -> int:
     try:
+        _check_out_dir(out_dir)
         entries = _load_sweep_file(grid_path) if grid_path else default_theory_sweeps()
         # one MC seed per sweep, so no two sweeps draw the same streams
         sweep_seeds = np.random.SeedSequence(seed).generate_state(len(entries))
@@ -388,6 +399,7 @@ def cmd_ablate(suite: str, n_seeds: int, out_dir: str) -> int:
     from concurrent.futures.process import BrokenProcessPool  # loaded only for ablate, as in run_ablation
 
     try:
+        _check_out_dir(out_dir)
         ablation_jobs(suite, [0])
         _worker_count()
     except ValueError as exc:

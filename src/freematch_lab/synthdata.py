@@ -215,63 +215,15 @@ def gen_gaussian_clusters(
     )
 
 
-# normals the helper thread draws per hand-off in `mixture_blocks`
-_NORMALS_CHUNK = 2**16
-
-
-def mixture_blocks(
-    n: int, seed: int | np.random.SeedSequence, block: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield the raw n-sample draw of `sample_mixture` as consecutive (y, z)
-    blocks of at most `block` samples each: the labels y in {-1, +1} and the
-    standard normals z. The caller forms x = mu + sigma * z with the mean and
-    spread of class y; the raw draw does not depend on them.
-
-    The one-generator draw takes n labels and then n normals from one PCG64
-    stream. Each label uses one 32-bit half of a 64-bit output, so the normals
-    start ceil(n/2) outputs in. Two generators from the same seed reproduce it
-    block by block: one draws the labels from the start, the other is advanced
-    past them and draws the normals. Concatenated, the blocks are bit-identical
-    to the one-generator draw.
-
-    The two streams are drawn on two threads. A helper thread, alive only
-    while this generator runs, draws the normals of the next chunk (whole
-    blocks, at most _NORMALS_CHUNK samples unless one block is larger) while
-    the caller's thread draws the labels and consumes the current chunk's
-    blocks; NumPy releases the GIL in both fills. Each generator is still used
-    by one thread in the same order, so the blocks do not depend on the
-    timing. On one CPU the threads take turns and the draw costs what it did
-    serially. Each y, and each chunk that a z views, is a fresh array, so a
-    yielded block stays valid after the next one is drawn.
-    """
-    from concurrent.futures import ThreadPoolExecutor  # loaded only for a draw
-
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    labels = np.random.default_rng(seed)
-    normals = np.random.default_rng(seed)
-    normals.bit_generator.advance((n + 1) // 2)
-    chunk = max(1, _NORMALS_CHUNK // block) * block
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        pending = helper.submit(normals.standard_normal, min(chunk, n))
-        for start in range(0, n, block):
-            y = labels.integers(0, 2, size=min(block, n - start))
-            y *= 2
-            y -= 1
-            at = start % chunk
-            if at == 0:
-                chunk_z = pending.result()
-                if start + chunk < n:
-                    pending = helper.submit(normals.standard_normal, min(chunk, n - start - chunk))
-            yield y, chunk_z[at : at + len(y)]
-
-
 def sample_mixture(
     spec: MixtureSpec, n: int, seed: int | np.random.SeedSequence
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw n samples (x, y) with y in {-1, +1} uniform and x | y Gaussian:
-    the one block of `mixture_blocks`, with x formed from its raw draw."""
-    y, z = next(mixture_blocks(n, seed, block=n))
+    n labels, then n standard normals z, from one generator, and x = mu +
+    sigma * z with the mean and spread of class y."""
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, 2, size=n) * 2 - 1
+    z = rng.standard_normal(n)
     return np.where(y == 1, spec.mu2 + spec.sigma2 * z, spec.mu1 + spec.sigma1 * z), y
 
 

@@ -13,17 +13,16 @@ midpoint +- c with c = log(tau/(1-tau)) / beta, which gives the closed form
 
 with Phi the standard normal CDF, computed from erfc for tail accuracy.
 
-The Monte-Carlo oracle streams the raw draw (labels and standard normals) in
-blocks of MC_BLOCK samples and counts each block one mixture component at a
-time: mu + sigma * z goes into one reused scratch array and each band edge is
-compared into one reused bool array, so no sample's x is kept and the memory
-does not depend on n. The counts are those of one n-sample `sample_mixture`
-draw, bit for bit. The labels and the normals come from two independent
-streams, drawn on two threads: a helper thread draws the next 2^16 normals
-while this thread counts the blocks of the current ones. With two free cores
-a draw takes about 60% of the serial time; on one CPU the threads take turns
-and it costs what the serial draw did. The extra memory is one chunk of
-normals in flight (512 KiB).
+The Monte-Carlo oracle draws the mixture one component at a time. The
+number of +1 labels among n fair labels is one Binomial(n, 1/2) draw, and each
+component's normals come from their own stream, drawn in blocks of MC_BLOCK:
+mu + sigma * z is formed in place in one buffer and each band edge is
+counted, so no sample's x is kept and the memory does not depend on n. The
++1 component is counted on a helper thread while the caller's thread counts
+the -1 component; NumPy releases the GIL in the fill, so two free cores draw
+normals at once. Each stream is read by one thread, so the counts depend only
+on (spec, n, seed). The draw has the mixture's law, not `sample_mixture`'s
+bytes, and no Phi enters it, so it stays independent of the closed form.
 """
 
 from __future__ import annotations
@@ -35,11 +34,11 @@ from typing import Sequence
 import numpy as np
 
 # sample_mixture stays bound here: perfbench's tracer wraps it on this module
-from .synthdata import MixtureSpec, is_finite_number, mixture_blocks, sample_mixture  # noqa: F401
+from .synthdata import MixtureSpec, is_finite_number, sample_mixture, streams  # noqa: F401
 
-# samples per Monte-Carlo block: small enough that a block's 64 KiB scratch
-# array stays in cache, large enough that the per-block Python overhead is small
-MC_BLOCK = 2**13
+# samples per Monte-Carlo block: small enough that a block's 128 KiB buffer
+# stays in cache, large enough that the per-block Python overhead is small
+MC_BLOCK = 2**14
 
 
 def _phi_cdf(z: float) -> float:
@@ -124,25 +123,41 @@ def mc_agreement_z(dist: PseudoLabelDist, mc: McResult) -> float:
     return worst
 
 
-def mc_dist(spec: MixtureSpec, n: int, seed: int) -> McResult:
-    """Empirical pseudo-label frequencies with binomial standard errors.
+def _count_tails(rng: np.random.Generator, m: int, mu: float, sigma: float, lo: float, hi: float) -> tuple[int, int]:
+    """(count of x > hi, count of x < lo) among m draws of x ~ N(mu, sigma^2)
+    from `rng`, made MC_BLOCK at a time in one buffer."""
+    n_hi = n_lo = 0
+    buf = np.empty(min(MC_BLOCK, m))
+    for start in range(0, m, MC_BLOCK):
+        x = rng.standard_normal(out=buf[: min(MC_BLOCK, m - start)])
+        x *= sigma
+        x += mu
+        n_hi += np.count_nonzero(x > hi)
+        n_lo += np.count_nonzero(x < lo)
+    return n_hi, n_lo
 
-    Draws the n samples of `sample_mixture` at a seed derived from `seed`,
-    in blocks of MC_BLOCK, and counts the pseudo labels of each block as it
-    goes, one mixture component at a time.
+
+def mc_dist(spec: MixtureSpec, n: int, seed: int) -> McResult:
+    """Empirical pseudo-label frequencies of n mixture draws, with binomial
+    standard errors.
+
+    From `streams(seed, 3)`: the first draws how many of the n labels are
+    +1, the second the -1 component's normals and the third the +1
+    component's, which a helper thread counts while this thread counts the
+    -1 component.
     """
+    from concurrent.futures import ThreadPoolExecutor  # loaded only for a draw
+
     if n < 1:
         raise ValueError("n must be >= 1")
     lo, hi = _band_edges(spec)
-    n_pos = n_neg = 0
-    x_buf, hit_buf, ours_buf = np.empty(MC_BLOCK), np.empty(MC_BLOCK, bool), np.empty(MC_BLOCK, bool)
-    for y, z in mixture_blocks(n, np.random.SeedSequence(seed).spawn(1)[0], MC_BLOCK):
-        x, hit, ours = x_buf[: len(y)], hit_buf[: len(y)], ours_buf[: len(y)]
-        for label, mu, sigma in ((1, spec.mu2, spec.sigma2), (-1, spec.mu1, spec.sigma1)):
-            np.add(np.multiply(sigma, z, out=x), mu, out=x)  # sample_mixture's mu + sigma * z
-            np.equal(y, label, out=ours)
-            n_pos += np.count_nonzero(np.logical_and(np.greater(x, hi, out=hit), ours, out=hit))
-            n_neg += np.count_nonzero(np.logical_and(np.less(x, lo, out=hit), ours, out=hit))
+    labels, neg, pos = streams(seed, 3)
+    n_plus = int(labels.binomial(n, 0.5))
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        plus = helper.submit(_count_tails, pos, n_plus, spec.mu2, spec.sigma2, lo, hi)
+        minus_hi, minus_lo = _count_tails(neg, n - n_plus, spec.mu1, spec.sigma1, lo, hi)
+        plus_hi, plus_lo = plus.result()
+    n_pos, n_neg = plus_hi + minus_hi, plus_lo + minus_lo
     counts = np.array([n_pos, n_neg, n - n_pos - n_neg], dtype=np.int64)  # pos, neg, mask
     freqs = counts / n
     ses = np.sqrt(freqs * (1.0 - freqs) / n)

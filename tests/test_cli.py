@@ -638,6 +638,31 @@ def test_ablate_command_reports_crashed_worker(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "theory", "ablate"])
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_out_that_names_a_file_is_a_config_error_before_any_work(tmp_path, monkeypatch, capsys, command, below):
+    from freematch_lab import theory
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the output path was checked")
+
+    for module, name in ((theory, "mc_dist"), (trainer, "run"), (cli, "run"), (cli, "run_ablation")):
+        monkeypatch.setattr(module, name, no_work)  # cli binds trainer.run as cli.run
+    afile = tmp_path / "afile"
+    afile.write_text("x")
+    out = str(afile / below) if below else str(afile)
+    args = {
+        "train": ["train", "--config", str(_small_experiment(tmp_path))],
+        "theory": ["theory", "--mc-samples", "1000"],
+        "ablate": ["ablate", "--suite", "thresholds", "--seeds", "1"],
+    }[command]
+    assert cli.main([*args, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: output directory {out!r}: {str(afile)!r} is not a directory\n"
+    assert afile.read_text() == "x"
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc_info:
         cli.main(["train"])  # missing --config

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freematch_lab.synthdata import _NORMALS_CHUNK as CHUNK, MixtureSpec, mixture_blocks, sample_mixture
+from freematch_lab import theory
+from freematch_lab.synthdata import MixtureSpec, sample_mixture, streams
 from freematch_lab.theory import (
     MC_BLOCK,
     analytic_dist,
@@ -136,74 +137,107 @@ def test_mc_n_not_a_multiple_of_the_block_sums_to_n():
 
 
 def test_mc_memory_does_not_grow_with_n():
-    """The oracle streams its draw and forms no x per block: at n = 4e6 its
-    traced peak is about 2.5 MiB as a process's first call, where forming x
-    in blocks of 2^16 traced 4.8 MiB and a whole-array draw of 1e6 samples
-    traces about 39 MiB."""
+    """The oracle draws in blocks and keeps no sample's x: at n = 4e6 its
+    traced peak is about 1.6 MiB as a process's first call (the thread
+    pool's import included), where the streamed one-generator draw traced
+    2.5 MiB and a whole-array draw of 1e6 samples traces about 39 MiB."""
     tracemalloc.start()
     try:
         mc_dist(SPEC, 4 * 10**6, seed=6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert peak < 2 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
-
-# -- the streamed draw is the one-generator draw, bit for bit ---------------------
 
 MIXED = MixtureSpec(mu1=-1.0, mu2=1.0, sigma1=0.5, sigma2=2.0, beta=2.0, tau=0.8)
-BLOCK_EDGE_SIZES = [
-    1, 2, 3, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 3 * MC_BLOCK + 7,
-    # where the helper thread's hand-offs of CHUNK normals fall
-    CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + MC_BLOCK + 1, 3 * CHUNK + 7,
-]
+
+
+def test_mc_draw_is_calibrated_against_the_closed_form():
+    """Over 400 seeds at n = 2000, each entry's (mc - analytic) / sqrt(a(1 - a)/n)
+    has mean about 0 and variance about 1. The class count must be a binomial
+    draw: a fixed n // 2 split reads a variance of about 0.6 on p_pos, since
+    MIXED's components differ."""
+    n = 2000
+    d = analytic_dist(MIXED)
+    a = np.array([d.p_pos, d.p_neg, d.p_mask])
+    draws = [mc_dist(MIXED, n, seed).dist for seed in range(400)]
+    mc = np.array([[m.p_pos, m.p_neg, m.p_mask] for m in draws])
+    z = (mc - a) / np.sqrt(a * (1.0 - a) / n)
+    assert np.all(np.abs(z.mean(axis=0)) <= 0.2), z.mean(axis=0)
+    assert np.all((0.75 <= z.var(axis=0)) & (z.var(axis=0) <= 1.3)), z.var(axis=0)
+
+
+# -- the draws, bit for bit ------------------------------------------------------
+
+# sizes around 2^13 and 2^16, spelled out so that the test ids stay fixed
+BLOCK_EDGE_SIZES = [1, 2, 3, 8191, 8192, 8193, 24583, 65535, 65536, 65537, 139265, 196615]
 DRAW_SEEDS = [0, 1, 12345, np.random.SeedSequence(1000).spawn(1)[0]]
 
 
 @pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
 def test_mixture_blocks_concatenate_to_the_one_generator_draw(n):
+    """sample_mixture is n labels and then n normals from one generator."""
     for seed in DRAW_SEEDS:
-        # oracle: labels then normals, all from one generator
         rng = np.random.default_rng(seed)
         y = rng.integers(0, 2, size=n) * 2 - 1
         z = rng.standard_normal(n)
         x = np.where(y == 1, MIXED.mu2 + MIXED.sigma2 * z, MIXED.mu1 + MIXED.sigma1 * z)
 
-        blocks = list(mixture_blocks(n, seed, MC_BLOCK))
-        assert [len(by) for by, _ in blocks] == [min(MC_BLOCK, n - s) for s in range(0, n, MC_BLOCK)]
-        by = np.concatenate([b[0] for b in blocks])
-        bz = np.concatenate([b[1] for b in blocks])
-        assert by.dtype == y.dtype and bz.dtype == z.dtype
-        assert np.array_equal(by, y) and np.array_equal(bz, z)
         sx, sy = sample_mixture(MIXED, n, seed)
+        assert sx.dtype == x.dtype and sy.dtype == y.dtype
         assert np.array_equal(sx, x) and np.array_equal(sy, y)
+
+
+def _component_draw(spec: MixtureSpec, n: int, seed: int) -> np.ndarray:
+    """mc_dist's draw, each component's normals in one call."""
+    labels, neg, pos = streams(seed, 3)
+    n_plus = int(labels.binomial(n, 0.5))
+    return np.concatenate([spec.mu2 + spec.sigma2 * pos.standard_normal(n_plus),
+                           spec.mu1 + spec.sigma1 * neg.standard_normal(n - n_plus)])
 
 
 @pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
 def test_mc_counts_equal_labels_of_the_full_draw(n):
     for seed in (0, 7, 31):
         mc = mc_dist(MIXED, n, seed=seed)
-        x, _ = sample_mixture(MIXED, n, np.random.SeedSequence(seed).spawn(1)[0])
-        yp = assign_pseudo_batch(x, MIXED)
+        yp = assign_pseudo_batch(_component_draw(MIXED, n, seed), MIXED)
         assert mc.n == n
         assert mc.dist.p_pos == int((yp == 1).sum()) / n
         assert mc.dist.p_neg == int((yp == -1).sum()) / n
         assert mc.dist.p_mask == int((yp == 0).sum()) / n
 
 
-# -- the helper thread that draws the normals ------------------------------------
+@pytest.mark.parametrize("m", [0, 1, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 3 * MC_BLOCK + 7])
+def test_component_counts_in_blocks_equal_one_call_draw(m):
+    lo, hi = theory._band_edges(MIXED)
+    x = MIXED.mu2 + MIXED.sigma2 * np.random.default_rng(m).standard_normal(m)
+    counts = theory._count_tails(np.random.default_rng(m), m, MIXED.mu2, MIXED.sigma2, lo, hi)
+    assert counts == (int((x > hi).sum()), int((x < lo).sum()))
 
 
-def test_closing_mixture_blocks_early_stops_its_helper_thread():
+# -- the helper thread that counts the +1 component -------------------------------
+
+
+def test_closing_mixture_blocks_early_stops_its_helper_thread(monkeypatch):
+    """mc_dist's helper thread lives only for the draw, also when this
+    thread's count raises."""
     before = threading.active_count()
-    for taken in (1, 2):  # both blocks lie inside the first hand-off of normals
-        blocks = mixture_blocks(3 * CHUNK, 0, MC_BLOCK)
-        for _ in range(taken):
-            next(blocks)
-        assert threading.active_count() == before + 1  # drawing the second chunk's normals
-        blocks.close()
-        assert threading.active_count() == before
-    sample_mixture(MIXED, 1000, 0)
+    mc_dist(MIXED, 3 * MC_BLOCK, 0)
+    assert threading.active_count() == before
+    real_count = theory._count_tails
+    during = []
+
+    def count_fails_on_this_thread(*args):
+        if threading.current_thread() is threading.main_thread():
+            during.append(threading.active_count())
+            raise RuntimeError("count failed")
+        return real_count(*args)
+
+    monkeypatch.setattr(theory, "_count_tails", count_fails_on_this_thread)
+    with pytest.raises(RuntimeError, match="count failed"):
+        mc_dist(MIXED, 3 * MC_BLOCK, 0)
+    assert during == [before + 1]  # the helper was counting the +1 component
     assert threading.active_count() == before
 
 
