@@ -28,9 +28,8 @@ from .atomic import atomic_open, write_csv
 from .augment import AugmentSpec
 from .ssl_losses import FairnessVariant
 from .svgplot import boundary_chart, line_chart
-from .synthdata import (DatasetBundle, MixtureSpec, TwoMoonSpec, check_batch_size, gen_gaussian_clusters,
-                        gen_two_moons, to_csv)
-from .theory import sweep
+from .synthdata import DatasetBundle, TwoMoonSpec, check_batch_size, gen_gaussian_clusters, gen_two_moons, to_csv
+from .theory import MixtureSpec, sweep
 from .trainer import RunResult, TrainConfig, TrainingAborted, config_from_dict, predict, run
 
 
@@ -139,7 +138,9 @@ def _emit_plots(result: RunResult, data: DatasetBundle, out_dir: str) -> None:
 
 def _check_out_dir(path: str) -> None:
     """Reject, before any work, an output directory that `os.makedirs` could
-    not make because it, or its nearest existing ancestor, is not a directory."""
+    not make: "", or a path that is, or lies below, something not a directory."""
+    if not path:
+        raise ValueError("output directory must not be empty")
     probe = os.path.abspath(path)
     while not os.path.exists(probe):
         probe = os.path.dirname(probe)
@@ -151,7 +152,7 @@ def cmd_train(config_path: str, out_override: str | None) -> int:
     try:
         with open(config_path) as fh:
             data, config, out_dir = parse_experiment_config(json.load(fh))
-        out_dir = out_override or out_dir
+        out_dir = out_dir if out_override is None else out_override
         if out_dir is None:
             raise ValueError("no output directory (set out_dir or pass --out)")
         _check_out_dir(out_dir)
@@ -252,7 +253,7 @@ def cmd_theory(grid_path: str | None, out_dir: str, mc_samples: int, seed: int) 
             results.append(
                 (entry["name"], sweep(base, entry["varying"], entry["values"], mc_samples, int(sweep_seed)))
             )
-    except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError) as exc:  # a JSONDecodeError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
@@ -269,16 +270,16 @@ def cmd_theory(grid_path: str | None, out_dir: str, mc_samples: int, seed: int) 
 
     lines = []
     all_pass = True
-    by_name = dict(results)
     for name, res in results:
         for key, ok in res.verdicts.items():
             required = (name, key) in REQUIRED_VERDICTS
             if required:
                 all_pass = all_pass and ok
             lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {key}{' [required]' if required else ''}")
+    checked = {(name, key) for name, res in results for key in res.verdicts}
     for name, key in REQUIRED_VERDICTS:
-        if name not in by_name:
-            lines.append(f"SKIP {name}: {key} [required sweep not in grid]")
+        if (name, key) not in checked:
+            lines.append(f"SKIP {name}: {key} [required verdict not in grid]")
     if mc_samples > 0:
         worst = 0.0
         n_checked = 0

@@ -1,5 +1,6 @@
-"""Seed-deterministic synthetic datasets: interlocking half-circle moons,
-isotropic Gaussian clusters, and a 1-D two-component Gaussian mixture.
+"""Seed-deterministic training data: interlocking half-circle moons and
+isotropic Gaussian clusters. The 1-D binary mixture of the theory checks
+lives in `theory`.
 
 Every generator is a pure function of its spec and seed. Moon geometry:
 class 0 is the upper unit half-circle centered at the origin; class 1 is its
@@ -75,45 +76,6 @@ class TwoMoonSpec:
             raise ValueError("n_unlabeled must be >= 2 * labels_per_class")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
-
-
-@dataclass(frozen=True)
-class MixtureSpec:
-    """Binary mixture: X|Y=-1 ~ N(mu1, sigma1^2), X|Y=+1 ~ N(mu2, sigma2^2),
-    Y uniform on {-1, +1}. Canonicalized so mu2 > mu1; beta is the confidence
-    sharpness and tau the pseudo-labeling threshold."""
-
-    mu1: float
-    mu2: float
-    sigma1: float = 1.0
-    sigma2: float = 1.0
-    beta: float = 1.0
-    tau: float = 0.95
-
-    def __post_init__(self):
-        check_fields(type(self).__annotations__, vars(self), {})
-        if self.mu1 == self.mu2:
-            raise ValueError("class means must differ")
-        if self.mu1 > self.mu2:
-            # swap the class parameter pairs so mu2 > mu1 always holds
-            for a, b in (("mu1", "mu2"), ("sigma1", "sigma2")):
-                va, vb = getattr(self, a), getattr(self, b)
-                object.__setattr__(self, a, vb)
-                object.__setattr__(self, b, va)
-        if self.sigma1 <= 0 or self.sigma2 <= 0:
-            raise ValueError("sigmas must be positive")
-        if not 0.5 < self.tau < 1.0:
-            raise ValueError("tau must lie in (0.5, 1)")
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.mu1 + self.mu2)
-
-    @property
-    def delta(self) -> float:
-        return self.mu2 - self.mu1
 
 
 @dataclass(frozen=True)
@@ -213,18 +175,6 @@ def gen_gaussian_clusters(
         draw(rng_test, n_test_per_class),
         n_classes=C,
     )
-
-
-def sample_mixture(
-    spec: MixtureSpec, n: int, seed: int | np.random.SeedSequence
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw n samples (x, y) with y in {-1, +1} uniform and x | y Gaussian:
-    n labels, then n standard normals z, from one generator, and x = mu +
-    sigma * z with the mean and spread of class y."""
-    rng = np.random.default_rng(seed)
-    y = rng.integers(0, 2, size=n) * 2 - 1
-    z = rng.standard_normal(n)
-    return np.where(y == 1, spec.mu2 + spec.sigma2 * z, spec.mu1 + spec.sigma1 * z), y
 
 
 def check_batch_size(B: int, n: int, split: str = "dataset") -> None:

@@ -1,7 +1,8 @@
-"""Closed-form pseudo-label distribution for a thresholded binary Gaussian
-mixture, a vectorized Monte-Carlo oracle, and parameter sweeps that check the
-qualitative claims: utilization falls as the threshold rises, unequal class
-spreads skew the pseudo-label balance, and closer classes mask more samples.
+"""The thresholded binary Gaussian mixture: its spec, a reference draw, the
+closed-form pseudo-label distribution, a vectorized Monte-Carlo oracle, and
+parameter sweeps that check the qualitative claims: utilization falls as the
+threshold rises, unequal class spreads skew the pseudo-label balance, and
+closer classes mask more samples.
 
 A sample x gets pseudo label +1 when its confidence s(x) clears tau, -1 when
 it falls below 1-tau, and 0 (masked) inside the band. The band boundaries are
@@ -33,12 +34,56 @@ from typing import Sequence
 
 import numpy as np
 
-# sample_mixture stays bound here: perfbench's tracer wraps it on this module
-from .synthdata import MixtureSpec, is_finite_number, sample_mixture, streams  # noqa: F401
+from .synthdata import check_fields, is_finite_number, streams
 
 # samples per Monte-Carlo block: small enough that a block's 128 KiB buffer
 # stays in cache, large enough that the per-block Python overhead is small
 MC_BLOCK = 2**14
+
+
+@dataclass(frozen=True)
+class MixtureSpec:
+    """Binary mixture: X|Y=-1 ~ N(mu1, sigma1^2), X|Y=+1 ~ N(mu2, sigma2^2),
+    Y uniform on {-1, +1}, with mu1 < mu2; beta is the confidence sharpness
+    and tau the pseudo-labeling threshold."""
+
+    mu1: float
+    mu2: float
+    sigma1: float = 1.0
+    sigma2: float = 1.0
+    beta: float = 1.0
+    tau: float = 0.95
+
+    def __post_init__(self):
+        check_fields(type(self).__annotations__, vars(self), {})
+        if not self.mu1 < self.mu2:
+            raise ValueError(f"mu1 must be below mu2, got mu1={self.mu1!r}, mu2={self.mu2!r}")
+        if self.sigma1 <= 0 or self.sigma2 <= 0:
+            raise ValueError("sigmas must be positive")
+        if not 0.5 < self.tau < 1.0:
+            raise ValueError("tau must lie in (0.5, 1)")
+        if self.beta <= 0:
+            raise ValueError("beta must be positive")
+
+    @property
+    def midpoint(self) -> float:
+        return 0.5 * (self.mu1 + self.mu2)
+
+    @property
+    def delta(self) -> float:
+        return self.mu2 - self.mu1
+
+
+def sample_mixture(
+    spec: MixtureSpec, n: int, seed: int | np.random.SeedSequence
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw n samples (x, y) with y in {-1, +1} uniform and x | y Gaussian:
+    n labels, then n standard normals z, from one generator, and x = mu +
+    sigma * z with the mean and spread of class y."""
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, 2, size=n) * 2 - 1
+    z = rng.standard_normal(n)
+    return np.where(y == 1, spec.mu2 + spec.sigma2 * z, spec.mu1 + spec.sigma1 * z), y
 
 
 def _phi_cdf(z: float) -> float:
@@ -190,7 +235,7 @@ def _spec_for(base: MixtureSpec, varying: str, value: float) -> MixtureSpec:
     if varying == "beta":
         return replace(base, beta=value)
     if varying == "delta":
-        if value <= 0:  # MixtureSpec would swap mu1 > mu2 back, aliasing -delta to +delta
+        if value <= 0:  # checked here to name the grid's value, not the means derived from it
             raise ValueError(f"delta must be positive, got {value!r}")
         mid = base.midpoint
         return replace(base, mu1=mid - value / 2.0, mu2=mid + value / 2.0)

@@ -22,8 +22,7 @@ from freematch_lab import cli
 from freematch_lab import ndcore as nd
 from freematch_lab.augment import weak
 from freematch_lab.ssl_losses import FairnessVariant, consistency_loss, fairness_loss, supervised_loss, total_loss
-from freematch_lab.synthdata import MixtureSpec
-from freematch_lab.theory import analytic_dist, mc_agreement_z, mc_dist, sweep
+from freematch_lab.theory import MixtureSpec, analytic_dist, mc_agreement_z, mc_dist, sweep
 from freematch_lab.trainer import run
 
 SEEDS = [0, 1, 2, 3, 4]

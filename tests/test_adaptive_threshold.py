@@ -200,6 +200,13 @@ def test_cpl_counts_and_mapping():
     assert th[1] == pytest.approx(0.5 / 1.5, abs=1e-12)
 
 
+def test_cpl_counts_a_confidence_above_tau_not_at_it():
+    """A row whose confidence equals tau is not counted; one just above is."""
+    state = ThresholdState(C=2)
+    observe(state, np.array([[0.75, 0.25], [0.25, 0.75], [0.125, 0.875]]), Cpl(0.75))
+    assert np.array_equal(state.cpl_counts, [0.0, 1.0])
+
+
 def test_update_cpl_counts_rejects_nan_rows():
     """update_cpl_counts reads confidences and labels that observe derives from a checked batch."""
     state = ThresholdState(C=2)

@@ -363,8 +363,9 @@ def test_theory_reports_rerolled_points(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize(
     "override, message",
-    [({"tau": "0.8"}, "tau must be a finite number, got '0.8'"), ({"beta": True}, "beta must be a finite number, got True")],
-    ids=["tau_str", "beta_bool"],
+    [({"tau": "0.8"}, "tau must be a finite number, got '0.8'"), ({"beta": True}, "beta must be a finite number, got True"),
+     ({"mu1": 1.0, "mu2": -1.0}, "mu1 must be below mu2, got mu1=1.0, mu2=-1.0")],
+    ids=["tau_str", "beta_bool", "means_reversed"],
 )
 def test_theory_bad_base_value_is_a_config_error(tmp_path, capsys, override, message):
     base = {"mu1": -1.0, "mu2": 1.0, "sigma1": 1.0, "sigma2": 1.0, "beta": 1.0, "tau": 0.8, **override}
@@ -402,7 +403,7 @@ _GRID_BASE = {"mu1": -1.0, "mu2": 1.0, "sigma1": 1.0, "sigma2": 1.0, "beta": 1.0
          "sweep entry 'name' must be a string, got 3"),
         ({"sweeps": [{"name": "mini", "varying": "tau", "base": [0.8], "values": [0.6, 0.7]}]},
          "sweep entry 'base' must be an object, got [0.8]"),
-        # MixtureSpec orders the means, so delta -2 would silently be delta +2
+        # named by the grid's value; MixtureSpec would name the means derived from it
         ({"sweeps": [{"name": "d", "varying": "delta", "base": _GRID_BASE, "values": [-2.0, -1.0, 1.0, 2.0]}]},
          "delta must be positive, got -2.0"),
     ],
@@ -449,6 +450,20 @@ def test_theory_custom_grid(tmp_path):
     out = tmp_path / "o"
     assert cli.main(["theory", "--grid", str(grid), "--out", str(out), "--mc-samples", "0"]) == 0
     assert "SKIP mask_vs_delta" in (out / "verdicts.txt").read_text()
+
+
+def test_theory_required_sweep_name_without_its_verdict_is_skipped(tmp_path):
+    """A sweep named like a required one but varying another parameter gives
+    each required claim exactly one line: the missing one a SKIP."""
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"sweeps": [{"name": "utilization_vs_tau", "varying": "beta", "base": _GRID_BASE,
+                                            "values": [0.5, 1.0]}]}))
+    out = tmp_path / "o"
+    assert cli.main(["theory", "--grid", str(grid), "--out", str(out), "--mc-samples", "0"]) == 0
+    lines = (out / "verdicts.txt").read_text().splitlines()
+    for name, key in cli.REQUIRED_VERDICTS:
+        assert sum(f"{name}: {key}" in line for line in lines) == 1, (name, key)
+    assert "SKIP utilization_vs_tau: p_mask_strictly_increasing_in_tau [required verdict not in grid]" in lines
 
 
 # -- ablate -----------------------------------------------------------------------
@@ -638,9 +653,11 @@ def test_ablate_command_reports_crashed_worker(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["train", "theory", "ablate"])
-@pytest.mark.parametrize("below", ["", "sub"])
-def test_out_that_names_a_file_is_a_config_error_before_any_work(tmp_path, monkeypatch, capsys, command, below):
+@pytest.fixture
+def args_without_work(tmp_path, monkeypatch):
+    """Each command's arguments but --out, with every kind of work it could
+    start replaced by a failure. The train config names its own out_dir,
+    which a given --out overrides."""
     from freematch_lab import theory
 
     def no_work(*args, **kwargs):
@@ -648,19 +665,35 @@ def test_out_that_names_a_file_is_a_config_error_before_any_work(tmp_path, monke
 
     for module, name in ((theory, "mc_dist"), (trainer, "run"), (cli, "run"), (cli, "run_ablation")):
         monkeypatch.setattr(module, name, no_work)  # cli binds trainer.run as cli.run
+    cfg = _small_experiment(tmp_path)
+    cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "out_dir": str(tmp_path / "config_out")}))
+    return {
+        "train": ["train", "--config", str(cfg)],
+        "theory": ["theory", "--mc-samples", "1000"],
+        "ablate": ["ablate", "--suite", "thresholds", "--seeds", "1"],
+    }
+
+
+@pytest.mark.parametrize("command", ["train", "theory", "ablate"])
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_out_that_names_a_file_is_a_config_error_before_any_work(tmp_path, args_without_work, capsys, command, below):
     afile = tmp_path / "afile"
     afile.write_text("x")
     out = str(afile / below) if below else str(afile)
-    args = {
-        "train": ["train", "--config", str(_small_experiment(tmp_path))],
-        "theory": ["theory", "--mc-samples", "1000"],
-        "ablate": ["ablate", "--suite", "thresholds", "--seeds", "1"],
-    }[command]
-    assert cli.main([*args, "--out", out]) == 2
+    assert cli.main([*args_without_work[command], "--out", out]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"config error: output directory {out!r}: {str(afile)!r} is not a directory\n"
     assert afile.read_text() == "x"
+
+
+@pytest.mark.parametrize("command", ["train", "theory", "ablate"])
+def test_empty_out_is_a_config_error_before_any_work(tmp_path, args_without_work, capsys, command):
+    """An empty --out names no directory: it neither fails after the work
+    nor falls back to the train config's out_dir."""
+    assert cli.main([*args_without_work[command], "--out", ""]) == 2
+    assert capsys.readouterr() == ("", "config error: output directory must not be empty\n")
+    assert not (tmp_path / "config_out").exists()
 
 
 def test_usage_error_exits_2():

@@ -5,13 +5,11 @@ import pytest
 
 from freematch_lab.atomic import atomic_open, write_csv
 from freematch_lab.synthdata import (
-    MixtureSpec,
     PointSet,
     TwoMoonSpec,
     batch_iter,
     gen_gaussian_clusters,
     gen_two_moons,
-    sample_mixture,
     to_csv,
 )
 
@@ -114,38 +112,6 @@ def test_clusters_determinism():
     kwargs = dict(C=2, n_per_class=50, means=[[0, 0], [3, 3]], sigma=0.2, seed=11)
     a, b = gen_gaussian_clusters(**kwargs), gen_gaussian_clusters(**kwargs)
     assert np.array_equal(a.unlabeled.points, b.unlabeled.points)
-
-
-def test_mixture_moments_within_mc_bounds():
-    spec = MixtureSpec(mu1=-1.0, mu2=3.0, sigma1=1.0, sigma2=2.0, beta=1.0, tau=0.9)
-    x, y = sample_mixture(spec, 10**6, seed=5)
-    pos = x[y == 1]
-    assert abs(pos.mean() - spec.mu2) <= 4 * spec.sigma2 / 1000
-    assert abs((y == 1).mean() - 0.5) <= 0.002
-
-
-def test_mixture_sigma_near_zero_collapses():
-    spec = MixtureSpec(mu1=0.0, mu2=2.0, sigma1=1e-12, sigma2=1e-12, beta=1.0, tau=0.9)
-    x, y = sample_mixture(spec, 1000, seed=6)
-    assert np.allclose(x[y == 1], 2.0, atol=1e-9)
-    assert np.allclose(x[y == -1], 0.0, atol=1e-9)
-
-
-def test_mixture_canonicalizes_mean_order():
-    spec = MixtureSpec(mu1=4.0, mu2=1.0, sigma1=0.5, sigma2=2.0)
-    assert (spec.mu1, spec.mu2) == (1.0, 4.0)
-    assert (spec.sigma1, spec.sigma2) == (2.0, 0.5)
-
-
-def test_mixture_spec_validation():
-    with pytest.raises(ValueError):
-        MixtureSpec(mu1=0.0, mu2=1.0, tau=0.5)
-    with pytest.raises(ValueError):
-        MixtureSpec(mu1=0.0, mu2=1.0, sigma1=-1.0)
-    with pytest.raises(ValueError):
-        MixtureSpec(mu1=0.0, mu2=0.0)
-    with pytest.raises(ValueError):
-        MixtureSpec(mu1=0.0, mu2=1.0, beta=0.0)
 
 
 def test_batch_iter_full_batch_covers_dataset():

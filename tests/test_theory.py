@@ -8,18 +8,57 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freematch_lab import theory
-from freematch_lab.synthdata import MixtureSpec, sample_mixture, streams
+from freematch_lab.synthdata import streams
 from freematch_lab.theory import (
     MC_BLOCK,
+    MixtureSpec,
     analytic_dist,
     assign_pseudo_batch,
     confidence,
     mc_dist,
+    sample_mixture,
     sweep,
 )
 
 
 SPEC = MixtureSpec(mu1=0.0, mu2=2.0, sigma1=1.0, sigma2=1.0, beta=2.0, tau=0.8)
+
+
+# -- spec and reference draw ---------------------------------------------------
+
+
+def test_mixture_moments_within_mc_bounds():
+    spec = MixtureSpec(mu1=-1.0, mu2=3.0, sigma1=1.0, sigma2=2.0, beta=1.0, tau=0.9)
+    x, y = sample_mixture(spec, 10**6, seed=5)
+    pos = x[y == 1]
+    assert abs(pos.mean() - spec.mu2) <= 4 * spec.sigma2 / 1000
+    assert abs((y == 1).mean() - 0.5) <= 0.002
+
+
+def test_mixture_sigma_near_zero_collapses():
+    spec = MixtureSpec(mu1=0.0, mu2=2.0, sigma1=1e-12, sigma2=1e-12, beta=1.0, tau=0.9)
+    x, y = sample_mixture(spec, 1000, seed=6)
+    assert np.allclose(x[y == 1], 2.0, atol=1e-9)
+    assert np.allclose(x[y == -1], 0.0, atol=1e-9)
+
+
+def test_mixture_rejects_unordered_means():
+    """Classes are taken as given: a reversed pair is an error naming both
+    means, never a silent relabelling of the classes."""
+    with pytest.raises(ValueError) as exc_info:
+        MixtureSpec(mu1=4.0, mu2=1.0, sigma1=0.5, sigma2=2.0)
+    assert str(exc_info.value) == "mu1 must be below mu2, got mu1=4.0, mu2=1.0"
+
+
+def test_mixture_spec_validation():
+    with pytest.raises(ValueError):
+        MixtureSpec(mu1=0.0, mu2=1.0, tau=0.5)
+    with pytest.raises(ValueError):
+        MixtureSpec(mu1=0.0, mu2=1.0, sigma1=-1.0)
+    with pytest.raises(ValueError):
+        MixtureSpec(mu1=0.0, mu2=0.0)
+    with pytest.raises(ValueError):
+        MixtureSpec(mu1=0.0, mu2=1.0, beta=0.0)
 
 
 # -- confidence ---------------------------------------------------------------
