@@ -228,6 +228,7 @@ def _load_sweep_file(path: str) -> list[dict]:
     sweeps = doc.get("sweeps")
     if not isinstance(sweeps, list) or not sweeps:
         raise ValueError("sweep grid needs a non-empty 'sweeps' list")
+    names = set()
     for entry in sweeps:
         if not isinstance(entry, dict):
             raise ValueError(f"sweep entry must be an object, got {entry!r}")
@@ -238,6 +239,10 @@ def _load_sweep_file(path: str) -> list[dict]:
         for key, kind, what in (("name", str, "a string"), ("base", dict, "an object")):
             if not isinstance(entry[key], kind):
                 raise ValueError(f"sweep entry {key!r} must be {what}, got {entry[key]!r}")
+        # a name picks a sweep's verdicts and labels its CSV rows, so it must be unique
+        if entry["name"] in names:
+            raise ValueError(f"sweep name {entry['name']!r} is repeated")
+        names.add(entry["name"])
     return sweeps
 
 

@@ -57,10 +57,14 @@ def check_fields(annotations: dict, values: dict, lows: dict, keys: dict = {}) -
             raise ValueError(f"{keys.get(name, name)} must be >= {low}")
 
 
-def streams(seed: int, n: int) -> list[np.random.Generator]:
-    """n independent generators spawned from `seed`: every dataset and training
-    stream is derived here."""
-    return [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n)]
+def streams(seed: int, n: int, bit_generator=None) -> list[np.random.Generator]:
+    """n independent generators spawned from `seed`: every dataset, training
+    and Monte-Carlo stream is derived here. The default bit generator, PCG64
+    (named in the body so that importing this module does not load
+    `numpy.random`), makes each `default_rng(child)`; the MC oracle passes
+    SFC64, whose raw output is cheaper."""
+    bit_generator = bit_generator or np.random.PCG64
+    return [np.random.Generator(bit_generator(c)) for c in np.random.SeedSequence(seed).spawn(n)]
 
 
 @dataclass(frozen=True)

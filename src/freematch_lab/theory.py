@@ -16,14 +16,15 @@ with Phi the standard normal CDF, computed from erfc for tail accuracy.
 
 The Monte-Carlo oracle draws the mixture one component at a time. The
 number of +1 labels among n fair labels is one Binomial(n, 1/2) draw, and each
-component's normals come from their own stream, drawn in blocks of MC_BLOCK:
-mu + sigma * z is formed in place in one buffer and each band edge is
-counted, so no sample's x is kept and the memory does not depend on n. The
-+1 component is counted on a helper thread while the caller's thread counts
-the -1 component; NumPy releases the GIL in the fill, so two free cores draw
-normals at once. Each stream is read by one thread, so the counts depend only
-on (spec, n, seed). The draw has the mixture's law, not `sample_mixture`'s
-bytes, and no Phi enters it, so it stays independent of the closed form.
+component's float32 standard normals z come from their own SFC64 stream,
+drawn in blocks of MC_BLOCK into one buffer and counted against the
+component's standardized band edges, so no sample's x is formed or kept and
+the memory does not depend on n. The +1 component is counted on a helper
+thread while the caller's thread counts the -1 component; NumPy releases the
+GIL in the fill, so two free cores draw normals at once. Each stream is read
+by one thread, so the counts depend only on (spec, n, seed). The draw has the
+mixture's law, not `sample_mixture`'s bytes, and no Phi enters it, so it
+stays independent of the closed form.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ import numpy as np
 
 from .synthdata import check_fields, is_finite_number, streams
 
-# samples per Monte-Carlo block: small enough that a block's 128 KiB buffer
-# stays in cache, large enough that the per-block Python overhead is small
+# samples per Monte-Carlo block: small enough that a block's 64 KiB float32
+# buffer stays in cache, large enough that the per-block Python overhead is small
 MC_BLOCK = 2**14
 
 
@@ -168,17 +169,28 @@ def mc_agreement_z(dist: PseudoLabelDist, mc: McResult) -> float:
     return worst
 
 
+def _float32_at_most(v: float) -> np.float32:
+    """The largest float32 <= v (-inf and +inf included)."""
+    with np.errstate(over="ignore"):
+        f = np.float32(v)
+    return np.nextafter(f, np.float32(-np.inf)) if float(f) > v else f
+
+
 def _count_tails(rng: np.random.Generator, m: int, mu: float, sigma: float, lo: float, hi: float) -> tuple[int, int]:
-    """(count of x > hi, count of x < lo) among m draws of x ~ N(mu, sigma^2)
-    from `rng`, made MC_BLOCK at a time in one buffer."""
+    """(count of x > hi, count of x < lo) among m draws of x = mu + sigma * z,
+    z float32 normals that `rng` makes MC_BLOCK at a time in one buffer. The
+    edges (hi - mu) / sigma and (lo - mu) / sigma are rounded to float32 down
+    and up, so z clears one exactly when its float64 value clears the float64
+    edge; as float32 scalars they keep the comparison in float32 under both
+    legacy value-based casting and NEP 50."""
+    z_hi = _float32_at_most((hi - mu) / sigma)
+    z_lo = -_float32_at_most((mu - lo) / sigma)  # the smallest float32 >= (lo - mu) / sigma
     n_hi = n_lo = 0
-    buf = np.empty(min(MC_BLOCK, m))
+    buf = np.empty(min(MC_BLOCK, m), dtype=np.float32)
     for start in range(0, m, MC_BLOCK):
-        x = rng.standard_normal(out=buf[: min(MC_BLOCK, m - start)])
-        x *= sigma
-        x += mu
-        n_hi += np.count_nonzero(x > hi)
-        n_lo += np.count_nonzero(x < lo)
+        z = rng.standard_normal(out=buf[: min(MC_BLOCK, m - start)], dtype=np.float32)
+        n_hi += np.count_nonzero(z > z_hi)
+        n_lo += np.count_nonzero(z < z_lo)
     return n_hi, n_lo
 
 
@@ -186,9 +198,9 @@ def mc_dist(spec: MixtureSpec, n: int, seed: int) -> McResult:
     """Empirical pseudo-label frequencies of n mixture draws, with binomial
     standard errors.
 
-    From `streams(seed, 3)`: the first draws how many of the n labels are
-    +1, the second the -1 component's normals and the third the +1
-    component's, which a helper thread counts while this thread counts the
+    From `streams(seed, 3, SFC64)`: the first draws how many of the n labels
+    are +1, the second the -1 component's float32 normals and the third the
+    +1 component's, which a helper thread counts while this thread counts the
     -1 component.
     """
     from concurrent.futures import ThreadPoolExecutor  # loaded only for a draw
@@ -196,7 +208,7 @@ def mc_dist(spec: MixtureSpec, n: int, seed: int) -> McResult:
     if n < 1:
         raise ValueError("n must be >= 1")
     lo, hi = _band_edges(spec)
-    labels, neg, pos = streams(seed, 3)
+    labels, neg, pos = streams(seed, 3, np.random.SFC64)
     n_plus = int(labels.binomial(n, 0.5))
     with ThreadPoolExecutor(max_workers=1) as helper:
         plus = helper.submit(_count_tails, pos, n_plus, spec.mu2, spec.sigma2, lo, hi)

@@ -406,8 +406,12 @@ _GRID_BASE = {"mu1": -1.0, "mu2": 1.0, "sigma1": 1.0, "sigma2": 1.0, "beta": 1.0
         # named by the grid's value; MixtureSpec would name the means derived from it
         ({"sweeps": [{"name": "d", "varying": "delta", "base": _GRID_BASE, "values": [-2.0, -1.0, 1.0, 2.0]}]},
          "delta must be positive, got -2.0"),
+        # two sweeps under one name would print two [required] lines for one claim
+        ({"sweeps": [{"name": "utilization_vs_tau", "varying": "tau", "base": _GRID_BASE, "values": [0.6, 0.7]},
+                     {"name": "utilization_vs_tau", "varying": "tau", "base": _GRID_BASE, "values": [0.9, 0.8]}]},
+         "sweep name 'utilization_vs_tau' is repeated"),
     ],
-    ids=["grid_list", "entry_string", "name_list", "name_number", "base_list", "delta_non_positive"],
+    ids=["grid_list", "entry_string", "name_list", "name_number", "base_list", "delta_non_positive", "name_repeated"],
 )
 def test_theory_bad_grid_shape_is_a_config_error(tmp_path, capsys, grid, message):
     path = tmp_path / "grid.json"

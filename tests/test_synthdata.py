@@ -10,6 +10,7 @@ from freematch_lab.synthdata import (
     batch_iter,
     gen_gaussian_clusters,
     gen_two_moons,
+    streams,
     to_csv,
 )
 
@@ -127,6 +128,19 @@ def test_batch_iter_deterministic_sequences():
     it_a, it_b = batch_iter(ps, 4, seed=7), batch_iter(ps, 4, seed=7)
     for _ in range(12):  # spans multiple epochs
         assert np.array_equal(next(it_a).points, next(it_b).points)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 26001])
+def test_default_streams_are_default_rng_of_the_spawned_children(seed):
+    """Every dataset and training stream keeps its bytes: with the default
+    bit generator, streams(seed, n) is default_rng on each spawned child."""
+    got = streams(seed, 4)
+    want = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(4)]
+    for g, w in zip(got, want, strict=True):
+        assert np.array_equal(g.standard_normal(1001), w.standard_normal(1001))
+        assert np.array_equal(g.integers(0, 7, size=513), w.integers(0, 7, size=513))
+        assert np.array_equal(g.random(257), w.random(257))
+        assert np.array_equal(g.permutation(100), w.permutation(100))
 
 
 def test_batch_iter_ratio_contract():

@@ -1,6 +1,7 @@
 import math
 import threading
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -11,10 +12,13 @@ from freematch_lab import theory
 from freematch_lab.synthdata import streams
 from freematch_lab.theory import (
     MC_BLOCK,
+    McResult,
     MixtureSpec,
+    PseudoLabelDist,
     analytic_dist,
     assign_pseudo_batch,
     confidence,
+    mc_agreement_z,
     mc_dist,
     sample_mixture,
     sweep,
@@ -152,6 +156,18 @@ def test_analytic_dist_sums_to_one(mu1, delta, s1, s2, beta, tau):
     assert min(d.p_pos, d.p_neg, d.p_mask) >= -1e-12
 
 
+def test_mc_agreement_z_is_finite_when_an_entry_has_no_mass():
+    """Means 100 sigmas apart leave no mass in the band: the analytic and the
+    empirical p_mask are both 0 with a stderr of 0, so only the 1/n floor keeps
+    the scale above 0, and the entry adds nothing to the worst z."""
+    d = analytic_dist(MixtureSpec(mu1=-50.0, mu2=50.0, tau=0.6))
+    assert d.p_mask == 0.0
+    n = 1000
+    se = math.sqrt(0.51 * 0.49 / n)
+    mc = McResult(PseudoLabelDist(0.51, 0.49, 0.0), se, se, 0.0, n)
+    assert mc_agreement_z(d, mc) == pytest.approx(0.01 / math.sqrt(0.25 / n), rel=1e-9)
+
+
 # -- mc_dist ---------------------------------------------------------------------
 
 
@@ -228,31 +244,70 @@ def test_mixture_blocks_concatenate_to_the_one_generator_draw(n):
         assert np.array_equal(sx, x) and np.array_equal(sy, y)
 
 
-def _component_draw(spec: MixtureSpec, n: int, seed: int) -> np.ndarray:
-    """mc_dist's draw, each component's normals in one call."""
-    labels, neg, pos = streams(seed, 3)
-    n_plus = int(labels.binomial(n, 0.5))
-    return np.concatenate([spec.mu2 + spec.sigma2 * pos.standard_normal(n_plus),
-                           spec.mu1 + spec.sigma1 * neg.standard_normal(n - n_plus)])
+def _one_call_counts(rng: np.random.Generator, m: int, mu: float, sigma: float, lo: float, hi: float):
+    """A component's (> hi, < lo) counts from one float32 call of m normals,
+    upcast to float64 and compared with the float64 standardized edges."""
+    z = rng.standard_normal(m, dtype=np.float32).astype(np.float64)
+    return int((z > (hi - mu) / sigma).sum()), int((z < (lo - mu) / sigma).sum())
 
 
 @pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
 def test_mc_counts_equal_labels_of_the_full_draw(n):
+    """mc_dist's counts are those of each component's normals drawn in one
+    call from its own SFC64 child."""
+    lo, hi = theory._band_edges(MIXED)
     for seed in (0, 7, 31):
         mc = mc_dist(MIXED, n, seed=seed)
-        yp = assign_pseudo_batch(_component_draw(MIXED, n, seed), MIXED)
+        labels, neg, pos = streams(seed, 3, np.random.SFC64)
+        n_plus = int(labels.binomial(n, 0.5))
+        plus = _one_call_counts(pos, n_plus, MIXED.mu2, MIXED.sigma2, lo, hi)
+        minus = _one_call_counts(neg, n - n_plus, MIXED.mu1, MIXED.sigma1, lo, hi)
+        n_pos, n_neg = plus[0] + minus[0], plus[1] + minus[1]
         assert mc.n == n
-        assert mc.dist.p_pos == int((yp == 1).sum()) / n
-        assert mc.dist.p_neg == int((yp == -1).sum()) / n
-        assert mc.dist.p_mask == int((yp == 0).sum()) / n
+        assert mc.dist.p_pos == n_pos / n
+        assert mc.dist.p_neg == n_neg / n
+        assert mc.dist.p_mask == (n - n_pos - n_neg) / n
 
 
+# float32 fills read 32-bit halves of SFC64's 64-bit outputs and carry the
+# spare half into the next call, so odd block sizes are the ones to check
 @pytest.mark.parametrize("m", [0, 1, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 3 * MC_BLOCK + 7])
 def test_component_counts_in_blocks_equal_one_call_draw(m):
     lo, hi = theory._band_edges(MIXED)
-    x = MIXED.mu2 + MIXED.sigma2 * np.random.default_rng(m).standard_normal(m)
-    counts = theory._count_tails(np.random.default_rng(m), m, MIXED.mu2, MIXED.sigma2, lo, hi)
-    assert counts == (int((x > hi).sum()), int((x < lo).sum()))
+    want = _one_call_counts(streams(m, 1, np.random.SFC64)[0], m, MIXED.mu2, MIXED.sigma2, lo, hi)
+    counts = theory._count_tails(streams(m, 1, np.random.SFC64)[0], m, MIXED.mu2, MIXED.sigma2, lo, hi)
+    assert counts == want
+
+
+def test_mc_streams_are_sfc64(monkeypatch):
+    drawn = []
+
+    def recorded_streams(*args):
+        made = streams(*args)
+        drawn.extend(made)
+        return made
+
+    monkeypatch.setattr(theory, "streams", recorded_streams)
+    mc_dist(MIXED, 1000, seed=0)
+    assert [type(g.bit_generator) for g in drawn] == [np.random.SFC64] * 3
+
+
+@pytest.mark.parametrize("nudge", [-1e-12, 0.0, 1e-12])
+def test_count_tails_on_and_beside_a_drawn_value(nudge):
+    """An edge on a drawn float32 value, or between it and its neighbour,
+    counts as the float64 comparison does: the float32 edges are rounded
+    outward, not to nearest."""
+    m = 1000
+    z = streams(3, 1, np.random.SFC64)[0].standard_normal(m, dtype=np.float32).astype(np.float64)
+    for edge in z[:10] * (1.0 + nudge):
+        counts = theory._count_tails(streams(3, 1, np.random.SFC64)[0], m, 0.0, 1.0, edge, edge)
+        assert counts == (int((z > edge).sum()), int((z < edge).sum()))
+
+
+def test_count_tails_with_edges_beyond_float32_range():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert theory._count_tails(streams(0, 1, np.random.SFC64)[0], 100, 0.0, 1e-300, -1.0, 1.0) == (0, 0)
 
 
 # -- the helper thread that counts the +1 component -------------------------------
