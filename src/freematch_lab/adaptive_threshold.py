@@ -20,7 +20,7 @@ from typing import Union
 import numpy as np
 
 from .ndcore import row_max
-from .synthdata import check_fields, is_finite_pair
+from .synthdata import check_fields, is_finite_pair, read_kind
 
 
 # -- scheme identifiers ------------------------------------------------------
@@ -79,16 +79,7 @@ _SCHEME_KINDS = {"fixed": Fixed, "global_only": GlobalOnly, "local_only": LocalO
 
 
 def scheme_from_dict(d: dict) -> SchemeId:
-    if not isinstance(d, dict) or "kind" not in d:
-        raise ValueError("scheme must be an object with a 'kind' key")
-    kind = d["kind"]
-    if kind not in _SCHEME_KINDS:
-        raise ValueError(f"unknown scheme kind {kind!r}")
-    kwargs = {k: v for k, v in d.items() if k != "kind"}
-    try:
-        return _SCHEME_KINDS[kind](**kwargs)
-    except TypeError as exc:
-        raise ValueError(f"bad scheme arguments for {kind!r}: {exc}") from exc
+    return read_kind(d, "scheme", _SCHEME_KINDS)
 
 
 def scheme_to_dict(scheme: SchemeId) -> dict:

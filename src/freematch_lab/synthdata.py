@@ -12,6 +12,7 @@ belongs to the learner.
 
 from __future__ import annotations
 
+import inspect
 import math
 import numbers
 from dataclasses import dataclass
@@ -55,6 +56,34 @@ def check_fields(annotations: dict, values: dict, lows: dict, keys: dict = {}) -
     for name, low in lows.items():
         if values[name] < low:
             raise ValueError(f"{keys.get(name, name)} must be >= {low}")
+
+
+def read_object(doc, section: str, allowed, required=()) -> dict:
+    """A JSON object's entries, its lists as tuples. A key not in `allowed` and
+    a key of `required` that is absent are named, in one form for every section."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{section} must be an object, got {doc!r}")
+    for what, keys in (("unknown", doc.keys() - set(allowed)), ("missing", set(required) - doc.keys())):
+        if keys:
+            raise ValueError(f"{what} {section} keys: {sorted(keys)}")
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
+
+
+def read_call(fn, doc, section: str):
+    """fn called with doc's entries: fn's parameters are the keys allowed, and
+    those without a default the keys required."""
+    params = inspect.signature(fn).parameters
+    return fn(**read_object(doc, section, params, [n for n, p in params.items() if p.default is p.empty]))
+
+
+def read_kind(doc, section: str, kinds: dict):
+    """The constructor in `kinds` that doc's `kind` names, called with doc's
+    other entries by read_call."""
+    read_object(doc, section, doc, ["kind"])  # read_call checks the other keys
+    kind = doc["kind"]
+    if not isinstance(kind, str) or kind not in kinds:  # `in` raises TypeError on an unhashable kind
+        raise ValueError(f"unknown {section} kind {kind!r}")
+    return read_call(kinds[kind], {k: v for k, v in doc.items() if k != "kind"}, section)
 
 
 def streams(seed: int, n: int, bit_generator=None) -> list[np.random.Generator]:

@@ -39,7 +39,7 @@ from .atomic import atomic_open, write_csv
 from .augment import AugmentSpec, strong, weak
 from .ssl_losses import FairnessVariant, consistency_loss, fairness_loss, supervised_loss
 from .ssl_losses import total_loss  # noqa: F401 -- unused; perfbench's tracer patches this name
-from .synthdata import DatasetBundle, PointSet, batch_iter, check_fields, is_int, streams
+from .synthdata import DatasetBundle, PointSet, batch_iter, check_fields, is_int, read_call, read_object, streams
 
 
 # field name -> config key, where they differ
@@ -314,21 +314,10 @@ def config_to_dict(config: TrainConfig) -> dict:
     return d
 
 
-def _tuples(d: dict, section: str) -> dict:
-    """A JSON object's entries, with its lists as tuples."""
-    if not isinstance(d, dict):
-        raise ValueError(f"{section} must be an object")
-    return {k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}
-
-
 def config_from_dict(d: dict) -> TrainConfig:
     """Inverse of config_to_dict; an omitted key takes the field's default."""
     names = {_CONFIG_KEYS.get(f.name, f.name): f.name for f in fields(TrainConfig)}
-    kwargs = _tuples(d, "train config")
-    unknown = set(kwargs) - set(names)
-    if unknown:
-        raise ValueError(f"unknown train config keys: {sorted(unknown)}")
-    kwargs = {names[k]: v for k, v in kwargs.items()}
+    kwargs = {names[k]: v for k, v in read_object(d, "train config", names).items()}
     if "scheme" in kwargs:
         kwargs["scheme"] = at.scheme_from_dict(kwargs["scheme"])
     if "fairness" in kwargs:
@@ -337,7 +326,7 @@ def config_from_dict(d: dict) -> TrainConfig:
             raise ValueError(f"fairness must be one of {values}, got {kwargs['fairness']!r}")
         kwargs["fairness"] = FairnessVariant(kwargs["fairness"])
     if "augment" in kwargs:
-        kwargs["augment"] = AugmentSpec(**_tuples(kwargs["augment"], "augment"))
+        kwargs["augment"] = read_call(AugmentSpec, kwargs["augment"], "augment")
     return TrainConfig(**kwargs)
 
 

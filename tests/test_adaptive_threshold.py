@@ -363,3 +363,5 @@ def test_scheme_dict_roundtrip():
         scheme_from_dict({"kind": "bogus"})
     with pytest.raises(ValueError):
         scheme_from_dict({"kind": "fixed", "tau": 0.9, "extra": 1})
+    with pytest.raises(ValueError, match=r"unknown scheme kind \['sat'\]"):
+        scheme_from_dict({"kind": ["sat"]})

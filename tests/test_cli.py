@@ -202,11 +202,14 @@ def test_train_and_theory_do_not_load_the_process_pool(tmp_path):
         ("train", {"scheme": {"kind": "fixed", "tau": "0.9"}}, "scheme.tau must be a finite number, got '0.9'"),
         ("train", {"scheme": {"kind": "cpl", "tau": 1.5}}, "scheme.tau must lie in (0, 1]"),
         ("train", {"fairness": "bogus"}, "fairness must be one of ['none', 'uniform_prior', 'saf'], got 'bogus'"),
+        # a kind that is not a string is named like any other unknown kind, never as unhashable
+        ("train", {"scheme": {"kind": ["sat"]}}, "unknown scheme kind ['sat']"),
+        ("dataset", {"kind": ["two_moons"]}, "unknown dataset kind ['two_moons']"),
     ],
     ids=["lambda", "clamp", "B", "mu", "mu_B", "clamp_scalar", "n_unlabeled_str", "n_unlabeled_float", "dataset_seed",
          "weak_sigma_str", "scale_range_scalar", "augment_seed_float", "lr0_negative", "lr0_zero", "momentum_above_1",
          "momentum_negative", "w_u_negative", "w_f_negative", "scale_range_negative", "weak_above_strong",
-         "tau_bool", "tau_str", "tau_range", "fairness_unknown"],
+         "tau_bool", "tau_str", "tau_range", "fairness_unknown", "scheme_kind_list", "dataset_kind_list"],
 )
 def test_bad_train_value_is_a_config_error(tmp_path, capsys, section, override, message):
     """Caught when the config is parsed: no traceback, no output directory."""
@@ -237,20 +240,50 @@ def test_shipped_configs_are_the_canonical_protocol(name, scheme, fairness, w_f)
         assert np.array_equal(getattr(data, split).labels, getattr(canonical, split).labels)
 
 
-@pytest.mark.parametrize("section", ["top", "train", "augment", "scheme", "two_moons", "clusters"])
-def test_unknown_key_is_named(tmp_path, capsys, section):
+@pytest.mark.parametrize(
+    "section, drop, message",
+    [
+        ("top", None, "unknown experiment config keys: ['bogus_key']"),
+        ("train", None, "unknown train config keys: ['bogus_key']"),
+        ("augment", None, "unknown augment keys: ['bogus_key']"),
+        ("scheme", None, "unknown scheme keys: ['bogus_key']"),
+        ("two_moons", None, "unknown dataset keys: ['bogus_key']"),
+        ("clusters", None, "unknown dataset keys: ['bogus_key']"),
+        ("grid", None, "unknown sweep grid keys: ['bogus_key']"),
+        ("entry", None, "unknown sweep entry keys: ['bogus_key']"),
+        ("base", None, "unknown sweep base keys: ['bogus_key']"),
+        ("top", "train", "missing experiment config keys: ['train']"),
+        ("clusters", "sigma", "missing dataset keys: ['sigma']"),
+        ("entry", "values", "missing sweep entry keys: ['values']"),
+        ("base", "mu1", "missing sweep base keys: ['mu1']"),
+    ],
+    ids=["top", "train", "augment", "scheme", "two_moons", "clusters", "grid", "entry", "base",
+         "top_without_train", "clusters_without_sigma", "entry_without_values", "base_without_mu1"],
+)
+def test_unknown_key_is_named(tmp_path, capsys, section, drop, message):
+    """An unknown key, or a required one left out, is named in one form in every section."""
     doc = json.loads(_small_experiment(tmp_path).read_text())
     if section == "two_moons":
         doc["dataset"] = {"kind": "two_moons"}
+    grid = {"sweeps": [{"name": "mini", "varying": "tau", "base": dict(_GRID_BASE), "values": [0.6, 0.7]}]}
     target = {"top": doc, "train": doc["train"], "augment": doc["train"].setdefault("augment", {}),
-              "scheme": doc["train"]["scheme"], "two_moons": doc["dataset"], "clusters": doc["dataset"]}[section]
-    target["bogus_key"] = 1
-    cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps(doc))
-    assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ") and "bogus_key" in err
-    assert not (tmp_path / "o").exists()
+              "scheme": doc["train"]["scheme"], "two_moons": doc["dataset"], "clusters": doc["dataset"],
+              "grid": grid, "entry": grid["sweeps"][0], "base": grid["sweeps"][0]["base"]}[section]
+    if drop is None:
+        target["bogus_key"] = 1
+    else:
+        del target[drop]
+    path = tmp_path / "bad.json"
+    out = tmp_path / "o"
+    if section in ("grid", "entry", "base"):
+        path.write_text(json.dumps(grid))
+        argv = ["theory", "--grid", str(path), "--out", str(out), "--mc-samples", "0"]
+    else:
+        path.write_text(json.dumps(doc))
+        argv = ["train", "--config", str(path), "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
 
 
 def test_python_field_name_is_not_a_config_key(tmp_path, capsys):
@@ -395,14 +428,14 @@ _GRID_BASE = {"mu1": -1.0, "mu2": 1.0, "sigma1": 1.0, "sigma2": 1.0, "beta": 1.0
 @pytest.mark.parametrize(
     "grid, message",
     [
-        (["sweeps"], "sweep grid must be an object"),
+        (["sweeps"], "sweep grid must be an object, got ['sweeps']"),
         ({"sweeps": ["mini"]}, "sweep entry must be an object, got 'mini'"),
         ({"sweeps": [{"name": ["x"], "varying": "tau", "base": _GRID_BASE, "values": [0.6, 0.7]}]},
          "sweep entry 'name' must be a string, got ['x']"),
         ({"sweeps": [{"name": 3, "varying": "tau", "base": _GRID_BASE, "values": [0.6, 0.7]}]},
          "sweep entry 'name' must be a string, got 3"),
         ({"sweeps": [{"name": "mini", "varying": "tau", "base": [0.8], "values": [0.6, 0.7]}]},
-         "sweep entry 'base' must be an object, got [0.8]"),
+         "sweep base must be an object, got [0.8]"),
         # named by the grid's value; MixtureSpec would name the means derived from it
         ({"sweeps": [{"name": "d", "varying": "delta", "base": _GRID_BASE, "values": [-2.0, -1.0, 1.0, 2.0]}]},
          "delta must be positive, got -2.0"),
