@@ -7,12 +7,13 @@ or gen_gaussian_clusters. Every object of a config or a sweep grid is read by
 `synthdata.read_object`, which names unknown and missing keys by section, and
 a `kind` picks its constructor through `read_kind`. Exit codes: 0 success, 1
 runtime failure, 2 usage or config error; a config error leaves no output
-directory. Every output file is written atomically (temp file + rename), so
-artifacts are either complete or absent. `augment.seed` is accepted and
-ignored: augmentation noise comes from the run's `seed`. Every ablation run
-trains on the config the parent built, in a worker of one spawn pool, whose
-size FREEMATCH_LAB_THREADS (an integer >= 1; default the CPU count) caps.
-Every training run uses one BLAS thread.
+directory, and `theory` finds one in its options or any sweep of its grid
+before the first Monte-Carlo draw. Every output file is written atomically
+(temp file + rename), so artifacts are either complete or absent.
+`augment.seed` is accepted and ignored: augmentation noise comes from the
+run's `seed`. Every ablation run trains on the config the parent built, in a
+worker of one spawn pool, whose size FREEMATCH_LAB_THREADS (an integer >= 1;
+default the CPU count) caps. Every training run uses one BLAS thread.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .ssl_losses import FairnessVariant
 from .svgplot import boundary_chart, line_chart
 from .synthdata import (DatasetBundle, TwoMoonSpec, check_batch_size, gen_gaussian_clusters, gen_two_moons, read_call,
                         read_kind, read_object, to_csv)
-from .theory import MixtureSpec, sweep
+from .theory import MixtureSpec, sweep, with_mc
 from .trainer import RunResult, TrainConfig, TrainingAborted, config_from_dict, predict, run
 
 
@@ -228,27 +229,33 @@ def _load_sweep_file(path: str) -> list[dict]:
 
 def cmd_theory(grid_path: str | None, out_dir: str, mc_samples: int, seed: int) -> int:
     try:
+        if mc_samples < 0:
+            raise ValueError("--mc-samples must be >= 0")
+        if seed < 0:  # refused by name, not with NumPy's SeedSequence message
+            raise ValueError("--seed must be >= 0")
         _check_out_dir(out_dir)
         entries = _load_sweep_file(grid_path) if grid_path else default_theory_sweeps()
-        # one MC seed per sweep, so no two sweeps draw the same streams
-        sweep_seeds = np.random.SeedSequence(seed).generate_state(len(entries))
         bases = [read_call(MixtureSpec, entry["base"], "sweep base") for entry in entries]
-        results = []
-        for entry, base, sweep_seed in zip(entries, bases, sweep_seeds):
-            results.append(
-                (entry["name"], sweep(base, entry["varying"], entry["values"], mc_samples, int(sweep_seed)))
-            )
+        results = [(entry["name"], sweep(base, entry["varying"], entry["values"])) for entry, base in zip(entries, bases)]
     except (OSError, ValueError, TypeError) as exc:  # a JSONDecodeError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
+    # the MC pass, after every sweep is checked: one seed per sweep, so no two
+    # sweeps draw the same streams, and that seed + i for the sweep's i-th point
+    sweep_seeds = np.random.SeedSequence(seed).generate_state(len(results))
+    points = []  # (sweep name, varying, row) in grid order
+    for (name, res), sweep_seed in zip(results, sweep_seeds):
+        for i, row in enumerate(res.rows):
+            if mc_samples > 0:
+                row = with_mc(row, mc_samples, int(sweep_seed) + i)
+            points.append((name, res.varying, row))
     os.makedirs(out_dir, exist_ok=True)
     rows = []
-    for name, res in results:
-        for row in res.rows:
-            d, m = row.dist, row.mc
-            mc = [None] * 6 if m is None else [m.dist.p_pos, m.se_pos, m.dist.p_neg, m.se_neg, m.dist.p_mask, m.se_mask]
-            rows.append([name, res.varying, row.param, d.p_pos, d.p_neg, d.p_mask, d.imbalance, *mc])
+    for name, varying, row in points:
+        d, m = row.dist, row.mc
+        mc = [None] * 6 if m is None else [m.dist.p_pos, m.se_pos, m.dist.p_neg, m.se_neg, m.dist.p_mask, m.se_mask]
+        rows.append([name, varying, row.param, d.p_pos, d.p_neg, d.p_mask, d.imbalance, *mc])
     write_csv(os.path.join(out_dir, "theorem_sweep.csv"),
               ["sweep", "varying", "param", "p_pos", "p_neg", "p_mask", "imbalance",
                "mc_p_pos", "mc_se_pos", "mc_p_neg", "mc_se_neg", "mc_p_mask", "mc_se_mask"], rows)
@@ -266,20 +273,13 @@ def cmd_theory(grid_path: str | None, out_dir: str, mc_samples: int, seed: int) 
         if (name, key) not in checked:
             lines.append(f"SKIP {name}: {key} [required verdict not in grid]")
     if mc_samples > 0:
-        worst = 0.0
-        n_checked = 0
-        rerolled = []
-        for name, res in results:
-            for row in res.rows:
-                worst = max(worst, row.z)
-                n_checked += 3
-                if row.rerolled:
-                    rerolled.append(f"{name} {res.varying}={row.param:.12g}")
+        worst = max(row.z for *_, row in points)
+        rerolled = [f"{name} {varying}={row.param:.12g}" for name, varying, row in points if row.rerolled]
         ok = worst <= 3.0
         all_pass = all_pass and ok
         lines.append(
             f"{'PASS' if ok else 'FAIL'} mc_agreement: max |analytic - mc| / stderr = {worst:.3f} "
-            f"over {n_checked} entries (n={mc_samples}, one reroll per flagged point; "
+            f"over {3 * len(points)} entries (n={mc_samples}, one reroll per flagged point; "
             f"{len(rerolled)} rerolled{': ' + ', '.join(rerolled) if rerolled else ''})"
         )
     lines.append(f"overall: {'PASS' if all_pass else 'FAIL'}")
@@ -388,15 +388,13 @@ def cmd_ablate(suite: str, n_seeds: int, out_dir: str) -> int:
         _check_out_dir(out_dir)
         ablation_jobs(suite, [0])
         _worker_count()
+        if n_seeds < 1:
+            raise ValueError("--seeds must be >= 1")
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if n_seeds < 1:
-        print("config error: --seeds must be >= 1", file=sys.stderr)
-        return 2
-    seeds = list(range(n_seeds))
     try:
-        summary = run_ablation(suite, seeds)
+        summary = run_ablation(suite, list(range(n_seeds)))
     except TrainingAborted as exc:
         print(f"run aborted: {exc}", file=sys.stderr)
         return 1
@@ -441,12 +439,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "train":
         return cmd_train(args.config, args.out)
     if args.command == "theory":
-        if args.mc_samples < 0:
-            print("config error: --mc-samples must be >= 0", file=sys.stderr)
-            return 2
-        if args.seed < 0:
-            print("config error: --seed must be >= 0", file=sys.stderr)
-            return 2
         return cmd_theory(args.grid, args.out, args.mc_samples, args.seed)
     return cmd_ablate(args.suite, args.seeds, args.out)
 

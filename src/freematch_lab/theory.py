@@ -1,8 +1,9 @@
 """The thresholded binary Gaussian mixture: its spec, a reference draw, the
-closed-form pseudo-label distribution, a vectorized Monte-Carlo oracle, and
-parameter sweeps that check the qualitative claims: utilization falls as the
-threshold rises, unequal class spreads skew the pseudo-label balance, and
-closer classes mask more samples.
+closed-form pseudo-label distribution, a vectorized Monte-Carlo oracle,
+analytic parameter sweeps that check the qualitative claims (utilization falls
+as the threshold rises, unequal class spreads skew the pseudo-label balance,
+and closer classes mask more samples), and `with_mc`, which adds one sweep
+point's MC draw and its one reroll.
 
 A sample x gets pseudo label +1 when its confidence s(x) clears tau, -1 when
 it falls below 1-tau, and 0 (masked) inside the band. The band boundaries are
@@ -228,6 +229,7 @@ def mc_dist(spec: MixtureSpec, n: int, seed: int) -> McResult:
 @dataclass(frozen=True)
 class SweepRow:
     param: float
+    spec: MixtureSpec
     dist: PseudoLabelDist  # analytic
     mc: McResult | None = None
     z: float | None = None  # mc_agreement_z of the kept draw
@@ -254,21 +256,16 @@ def _spec_for(base: MixtureSpec, varying: str, value: float) -> MixtureSpec:
     raise ValueError("varying must be one of 'tau', 'delta', 'beta'")
 
 
-def sweep(
-    base: MixtureSpec,
-    varying: str,
-    values: Sequence[float],
-    mc_samples: int = 0,
-    seed: int = 0,
-) -> SweepResult:
+def sweep(base: MixtureSpec, varying: str, values: Sequence[float]) -> SweepResult:
     """Evaluate the analytic distribution along a monotone parameter grid.
 
-    Returns per-point rows plus monotonicity verdicts, checked exactly on the
-    analytic values: the masked fraction rises with tau and with shrinking
-    delta, falls with beta, and (for the tau sweep) the pseudo-label imbalance
-    never decreases. With mc_samples > 0 each row also carries an MC draw; a
-    point whose first draw disagrees by z > 3 is drawn once more on a new seed
-    and marked `rerolled`.
+    Every check of the grid is made here, before any row is returned: the
+    values, their monotone order, `varying`, delta > 0 and each point's
+    MixtureSpec. Returns per-point rows, each with its spec, plus
+    monotonicity verdicts, checked exactly on the analytic values: the masked
+    fraction rises with tau and with shrinking delta, falls with beta, and
+    (for the tau sweep) the pseudo-label imbalance never decreases. The rows
+    carry no MC draw; `with_mc` adds one.
     """
     if isinstance(values, str) or not np.iterable(values) or not all(map(is_finite_number, values)):
         raise ValueError(f"values must be a list of finite numbers, got {values!r}")
@@ -279,23 +276,8 @@ def sweep(
     descending = all(b < a for a, b in zip(vals, vals[1:]))
     if not (ascending or descending):
         raise ValueError("grid must be strictly monotone")
-
-    rows = []
-    for i, v in enumerate(vals):
-        spec = _spec_for(base, varying, v)
-        d = analytic_dist(spec)
-        mc = z = None
-        rerolled = False
-        if mc_samples > 0:
-            mc = mc_dist(spec, mc_samples, seed=seed + i)
-            z = mc_agreement_z(d, mc)
-            rerolled = z > 3.0
-            if rerolled:
-                # a 3-sigma excursion is expected a few times per thousand
-                # entries; one deterministic reroll resolves statistical flukes
-                mc = mc_dist(spec, mc_samples, seed=seed + i + 7919)
-                z = mc_agreement_z(d, mc)
-        rows.append(SweepRow(v, d, mc, z, rerolled))
+    specs = [_spec_for(base, varying, v) for v in vals]
+    rows = [SweepRow(v, spec, analytic_dist(spec)) for v, spec in zip(vals, specs)]
 
     # orient the series so the parameter increases
     ordered = rows if ascending else rows[::-1]
@@ -310,3 +292,18 @@ def sweep(
     else:
         verdicts["p_mask_strictly_decreasing_in_beta"] = all(b < a for a, b in zip(masks, masks[1:]))
     return SweepResult(varying, rows, verdicts)
+
+
+def with_mc(row: SweepRow, n: int, seed: int) -> SweepRow:
+    """The row with an MC draw of n samples at `seed` and its z against the
+    row's analytic distribution. A draw with z > 3 is drawn once more at
+    seed + 7919 and the row marked `rerolled`; the redraw is kept whatever its z."""
+    mc = mc_dist(row.spec, n, seed)
+    z = mc_agreement_z(row.dist, mc)
+    rerolled = z > 3.0
+    if rerolled:
+        # a 3-sigma excursion is expected a few times per thousand entries;
+        # one deterministic reroll resolves statistical flukes
+        mc = mc_dist(row.spec, n, seed + 7919)
+        z = mc_agreement_z(row.dist, mc)
+    return replace(row, mc=mc, z=z, rerolled=rerolled)

@@ -368,30 +368,71 @@ def test_theory_sweeps_draw_their_own_streams(tmp_path):
 
 
 def test_theory_reports_rerolled_points(tmp_path, monkeypatch, capsys):
+    """A first draw with z > 3 is drawn once more and named; one with z
+    exactly 3 is kept, and the gate z <= 3 passes it."""
     from freematch_lab import theory
 
-    real_z = theory.mc_agreement_z
-    calls = []
-
-    def z_flags_second_draw(dist, mc):
-        calls.append(mc)
-        return 99.0 if len(calls) == 2 else real_z(dist, mc)
-
-    # sweep's own z check sees the forced excursion; the verdict line takes the
-    # z that sweep computed for the rerolled draw (a real one: only call 2 is forced)
-    monkeypatch.setattr(theory, "mc_agreement_z", z_flags_second_draw)
+    real_z, real_mc = theory.mc_agreement_z, theory.mc_dist
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({
         "sweeps": [{"name": "mini", "varying": "tau",
                     "base": {"mu1": -1.0, "mu2": 1.0, "sigma1": 1.0, "sigma2": 1.0, "beta": 1.0, "tau": 0.8},
                     "values": [0.6, 0.7, 0.8]}]
     }))
-    out = tmp_path / "o"
-    assert cli.main(["theory", "--grid", str(grid), "--out", str(out), "--mc-samples", "5000"]) == 0
-    line = next(ln for ln in (out / "verdicts.txt").read_text().splitlines() if "mc_agreement" in ln)
+
+    def mc_agreement_line(forced_z, out):
+        z_calls, mc_calls = [], []
+
+        def z_forced_on_second_call(dist, mc):
+            z_calls.append(mc)
+            return forced_z if len(z_calls) == 2 else real_z(dist, mc)
+
+        def counted_mc_dist(*args, **kwargs):
+            mc_calls.append(args)
+            return real_mc(*args, **kwargs)
+
+        # with_mc's own z check sees the forced value; the verdict line takes the
+        # z of the kept draw (a real one after a reroll: only call 2 is forced)
+        monkeypatch.setattr(theory, "mc_agreement_z", z_forced_on_second_call)
+        monkeypatch.setattr(theory, "mc_dist", counted_mc_dist)
+        assert cli.main(["theory", "--grid", str(grid), "--out", str(out), "--mc-samples", "5000"]) == 0
+        line = next(ln for ln in (out / "verdicts.txt").read_text().splitlines() if "mc_agreement" in ln)
+        assert line in capsys.readouterr().out
+        return line, len(mc_calls)
+
+    line, draws = mc_agreement_line(99.0, tmp_path / "o")
     assert line.startswith("PASS mc_agreement")
     assert line.endswith("; 1 rerolled: mini tau=0.7)")
-    assert line in capsys.readouterr().out
+    assert draws == 4
+    line, draws = mc_agreement_line(3.0, tmp_path / "at_3")
+    assert line.startswith("PASS mc_agreement: max |analytic - mc| / stderr = 3.000 ")
+    assert line.endswith("; 0 rerolled)")
+    assert draws == 3
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [({"values": ["x"]}, "values must be a list of finite numbers, got ['x']"),
+     ({"varying": "sigma"}, "varying must be one of 'tau', 'delta', 'beta'"),
+     ({"varying": "delta", "values": [1.0, 0.0]}, "delta must be positive, got 0.0"),
+     ({"values": [0.6]}, "need at least two grid points")],
+    ids=["values", "varying", "delta", "single_point"],
+)
+def test_theory_checks_every_sweep_before_any_draw(tmp_path, monkeypatch, capsys, bad, message):
+    """An error in a later sweep is reported before an earlier sweep draws."""
+    from freematch_lab import theory
+
+    draws = []
+    real_mc = theory.mc_dist
+    monkeypatch.setattr(theory, "mc_dist", lambda *a, **kw: draws.append(a) or real_mc(*a, **kw))
+    good = {"name": "a", "varying": "tau", "base": _GRID_BASE, "values": [0.6, 0.7, 0.8, 0.9]}
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"sweeps": [good, {**good, "name": "b", **bad}]}))
+    out = tmp_path / "o"
+    assert cli.main(["theory", "--grid", str(grid), "--out", str(out), "--mc-samples", "10000000"]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+    assert draws == []
 
 
 @pytest.mark.parametrize(
@@ -474,6 +515,8 @@ def test_theory_invalid_spec_exits_2(tmp_path, capsys):
     # a negative seed is refused by name, not with NumPy's SeedSequence message
     assert cli.main(["theory", "--out", str(tmp_path / "o"), "--mc-samples", "0", "--seed", "-1"]) == 2
     assert capsys.readouterr().err == "config error: --seed must be >= 0\n"
+    assert cli.main(["theory", "--out", str(tmp_path / "o"), "--mc-samples", "-1"]) == 2
+    assert capsys.readouterr().err == "config error: --mc-samples must be >= 0\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -516,6 +559,13 @@ def fast_protocol(monkeypatch):
 
 def test_ablate_unknown_suite_exits_2(tmp_path):
     assert cli.main(["ablate", "--suite", "bogus", "--out", str(tmp_path)]) == 2
+
+
+def test_ablate_zero_seeds_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "ab"
+    assert cli.main(["ablate", "--suite", "thresholds", "--seeds", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: --seeds must be >= 1\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("threads", ["abc", "0"])

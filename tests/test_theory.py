@@ -3,6 +3,7 @@ import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from freematch_lab.theory import (
     mc_dist,
     sample_mixture,
     sweep,
+    with_mc,
 )
 
 
@@ -380,7 +382,10 @@ def test_sweep_rejects_non_monotone_grid():
 
 
 def test_sweep_attaches_mc_columns():
-    res = sweep(SPEC, "tau", [0.6, 0.8], mc_samples=20_000, seed=9)
-    for row in res.rows:
+    """`sweep` is analytic only; `with_mc` adds the draw at the seeds the
+    theory command gives a sweep seeded 9."""
+    for i, row in enumerate(sweep(SPEC, "tau", [0.6, 0.8]).rows):
+        assert row.mc is None and row.spec == replace(SPEC, tau=row.param)
+        row = with_mc(row, 20_000, seed=9 + i)
         assert row.mc is not None
         assert abs(row.mc.dist.p_mask - row.dist.p_mask) <= 5 * max(row.mc.se_mask, 1e-4)
