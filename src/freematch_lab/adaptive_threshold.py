@@ -31,7 +31,7 @@ class _TauScheme:
     tau: float = 0.95
 
     def __post_init__(self):
-        # Cpl's own annotations hold only `mapping`
+        # tau is declared here alone: the subclasses declare no annotations of their own
         check_fields(_TauScheme.__annotations__, vars(self), {}, {"tau": "scheme.tau"})
         if not 0.0 < self.tau <= 1.0:
             raise ValueError("scheme.tau must lie in (0, 1]")
@@ -55,22 +55,14 @@ class Sat:
     pass
 
 
-@dataclass(frozen=True)
 class Cpl(_TauScheme):
-    """Curriculum variant: tau * M(beta(c)), beta(c) = counts(c) / max counts.
+    """Curriculum variant: tau * beta(c), beta(c) = counts(c) / max counts.
 
     Not FlexMatch's CPL (arXiv 2110.08263), which counts each unlabeled sample's
     latest prediction once: these counts are cumulative and never reset, so each
     step's confident argmaxes are added again; there is no warm-up denominator,
-    so one confident sample lifts its class straight to tau; and the default M
-    is the identity, not FlexMatch's convex x / (2 - x)."""
-
-    mapping: str = "identity"  # or "convex" for x / (2 - x)
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.mapping not in ("identity", "convex"):
-            raise ValueError("mapping must be 'identity' or 'convex'")
+    so one confident sample lifts its class straight to tau; and beta is used
+    as it is, not through FlexMatch's convex map x / (2 - x)."""
 
 
 SchemeId = Union[Fixed, GlobalOnly, LocalOnly, Sat, Cpl]
@@ -218,9 +210,7 @@ def per_class_thresholds(state: ThresholdState, scheme: SchemeId) -> np.ndarray:
         th = _max_norm(state.p_local) * state.tau_global
     elif isinstance(scheme, Cpl):
         total = state.cpl_counts.max()
-        beta = state.cpl_counts / total if total > 0 else np.zeros(state.C)
-        m = beta if scheme.mapping == "identity" else beta / (2.0 - beta)
-        th = scheme.tau * m
+        th = scheme.tau * (state.cpl_counts / total if total > 0 else np.zeros(state.C))
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     if state.clamp is not None:

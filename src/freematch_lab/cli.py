@@ -2,7 +2,7 @@
 mixture theory checks, and run the thresholding/fairness ablation suites.
 
 An experiment config is checked in full when it is parsed: its keys are the
-fields of TrainConfig (`lambda` for `lam`) and the parameters of TwoMoonSpec
+fields of TrainConfig (`lambda` for `lam`) and the parameters of gen_two_moons
 or gen_gaussian_clusters. Every object of a config or a sweep grid is read by
 `synthdata.read_object`, which names unknown and missing keys by section, and
 a `kind` picks its constructor through `read_kind`. Exit codes: 0 success, 1
@@ -31,8 +31,8 @@ from .atomic import atomic_open, write_csv
 from .augment import AugmentSpec
 from .ssl_losses import FairnessVariant
 from .svgplot import boundary_chart, line_chart
-from .synthdata import (DatasetBundle, TwoMoonSpec, check_batch_size, gen_gaussian_clusters, gen_two_moons, read_call,
-                        read_kind, read_object, to_csv)
+from .synthdata import (DatasetBundle, check_batch_size, gen_gaussian_clusters, gen_two_moons, read_call, read_kind,
+                        read_object, to_csv)
 from .theory import MixtureSpec, sweep, with_mc
 from .trainer import RunResult, TrainConfig, TrainingAborted, config_from_dict, predict, run
 
@@ -47,7 +47,7 @@ TWO_MOON_AUGMENT = AugmentSpec(strong_sigma=0.3)
 
 
 def canonical_two_moon_data(seed: int) -> DatasetBundle:
-    return gen_two_moons(TwoMoonSpec(n_unlabeled=1000, labels_per_class=1, noise_sigma=0.1, seed=seed))
+    return gen_two_moons(n_unlabeled=1000, labels_per_class=1, noise_sigma=0.1, seed=seed)
 
 
 def canonical_two_moon_config(scheme, fairness: FairnessVariant, w_f: float, seed: int) -> TrainConfig:
@@ -60,11 +60,9 @@ def canonical_two_moon_config(scheme, fairness: FairnessVariant, w_f: float, see
 
 
 def build_dataset(doc: dict) -> DatasetBundle:
-    """`kind` picks TwoMoonSpec or gen_gaussian_clusters; the other keys are its arguments."""
-    built = read_kind(doc, "dataset", {"two_moons": TwoMoonSpec, "clusters": gen_gaussian_clusters})
-    if doc["kind"] == "two_moons":
-        return gen_two_moons(built)  # looked up on this module, where perfbench's tracer patches it
-    return built
+    """`kind` picks gen_two_moons or gen_gaussian_clusters; the other keys are its arguments."""
+    # the kinds are looked up on this module at each call, where perfbench's tracer patches gen_two_moons
+    return read_kind(doc, "dataset", {"two_moons": gen_two_moons, "clusters": gen_gaussian_clusters})
 
 
 def parse_experiment_config(doc: dict) -> tuple[DatasetBundle, TrainConfig, str | None]:
@@ -126,13 +124,19 @@ def _emit_plots(result: RunResult, data: DatasetBundle, out_dir: str) -> None:
 
 
 def _check_out_dir(path: str) -> None:
-    """Reject, before any work, an output directory that `os.makedirs` could
-    not make: "", or a path that is, or lies below, something not a directory."""
+    """Reject, before any work, an output directory that `os.makedirs` could not make: "", a name
+    too long or holding a null byte, or a path that is, or lies below, something not a directory."""
     if not path:
         raise ValueError("output directory must not be empty")
     probe = os.path.abspath(path)
-    while not os.path.exists(probe):
-        probe = os.path.dirname(probe)
+    while True:  # up to the deepest part of the path that exists
+        try:
+            os.stat(probe)
+            break
+        except (FileNotFoundError, NotADirectoryError):
+            probe = os.path.dirname(probe)
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"output directory {path!r}: {getattr(exc, 'strerror', None) or exc}")
     if not os.path.isdir(probe):
         raise ValueError(f"output directory {path!r}: {probe!r} is not a directory")
 

@@ -2,12 +2,12 @@
 isotropic Gaussian clusters. The 1-D binary mixture of the theory checks
 lives in `theory`.
 
-Every generator is a pure function of its spec and seed. Moon geometry:
-class 0 is the upper unit half-circle centered at the origin; class 1 is its
-point reflection offset by (1.0, 0.25), so the crescents interlock and a
-straight line through the two labeled anchors misclassifies the moon tips.
-The jitter-free arcs stay disjoint (gap 0.75), so any residual test error
-belongs to the learner.
+Every generator is a pure function of its parameters, seed among them, which
+are a config's `dataset` keys. Moon geometry: class 0 is the upper unit
+half-circle centered at the origin; class 1 is its point reflection offset
+by (1.0, 0.25), so the crescents interlock and a straight line through the
+two labeled anchors misclassifies the moon tips. The jitter-free arcs stay
+disjoint (gap 0.75), so any residual test error belongs to the learner.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import inspect
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -30,6 +31,8 @@ def is_int(value) -> bool:
 
 
 def is_finite_number(value) -> bool:
+    if is_int(value):  # compared: math.isfinite raises on an int too large for a float
+        return abs(value) <= sys.float_info.max
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
@@ -97,21 +100,6 @@ def streams(seed: int, n: int, bit_generator=None) -> list[np.random.Generator]:
 
 
 @dataclass(frozen=True)
-class TwoMoonSpec:
-    n_unlabeled: int = 1000
-    labels_per_class: int = 1
-    noise_sigma: float = 0.1
-    seed: int = 0
-
-    def __post_init__(self):
-        check_fields(type(self).__annotations__, vars(self), {"labels_per_class": 1, "seed": 0})
-        if self.n_unlabeled < 2 * self.labels_per_class:
-            raise ValueError("n_unlabeled must be >= 2 * labels_per_class")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
-
-
-@dataclass(frozen=True)
 class PointSet:
     points: np.ndarray
     labels: np.ndarray
@@ -144,21 +132,27 @@ def _moon_split(n: int, rng: np.random.Generator, noise_sigma: float) -> PointSe
     return PointSet(pts, labels)
 
 
-def gen_two_moons(spec: TwoMoonSpec) -> DatasetBundle:
+def gen_two_moons(n_unlabeled: int = 1000, labels_per_class: int = 1, noise_sigma: float = 0.1,
+                  seed: int = 0) -> DatasetBundle:
     """Labeled / unlabeled / 1000-point test split of the two-moon layout.
 
     Labeled points are jitter-free, evenly spaced along each arc so runs are
     comparable across seeds; labels_per_class=1 yields the two arc midpoints.
     """
-    rng_unlab, rng_test = streams(spec.seed, 2)
+    check_fields(gen_two_moons.__annotations__, locals(), {"labels_per_class": 1, "seed": 0})
+    if n_unlabeled < 2 * labels_per_class:
+        raise ValueError("n_unlabeled must be >= 2 * labels_per_class")
+    if noise_sigma < 0:
+        raise ValueError("noise_sigma must be >= 0")
+    rng_unlab, rng_test = streams(seed, 2)
 
-    k = spec.labels_per_class
+    k = labels_per_class
     theta = (np.arange(k) + 0.5) * np.pi / k
     lab_pts = np.vstack([_moon_points(theta, 0), _moon_points(theta, 1)])
     lab_y = np.concatenate([np.zeros(k, dtype=np.int64), np.ones(k, dtype=np.int64)])
 
-    unlabeled = _moon_split(spec.n_unlabeled, rng_unlab, spec.noise_sigma)
-    test = _moon_split(1000, rng_test, spec.noise_sigma)
+    unlabeled = _moon_split(n_unlabeled, rng_unlab, noise_sigma)
+    test = _moon_split(1000, rng_test, noise_sigma)
     return DatasetBundle(PointSet(lab_pts, lab_y), unlabeled, test, n_classes=2)
 
 

@@ -193,11 +193,9 @@ def test_cpl_counts_and_mapping():
     observe(state, np.array([[0.97, 0.03], [0.98, 0.02], [0.3, 0.7]]), Cpl(0.95))
     assert np.array_equal(state.cpl_counts, [2.0, 0.0])
     assert np.allclose(per_class_thresholds(state, Cpl(0.9)), [0.9, 0.0])
-    assert np.allclose(per_class_thresholds(state, Cpl(0.9, mapping="convex")), [0.9, 0.0])
-    # convex mapping bends intermediate ratios downward
+    # the identity map: an intermediate ratio is the threshold as it is
     state.cpl_counts = np.array([4.0, 2.0])
-    th = per_class_thresholds(state, Cpl(1.0, mapping="convex"))
-    assert th[1] == pytest.approx(0.5 / 1.5, abs=1e-12)
+    assert np.array_equal(per_class_thresholds(state, Cpl(1.0)), [1.0, 0.5])
 
 
 def test_cpl_counts_a_confidence_above_tau_not_at_it():
@@ -357,7 +355,7 @@ def test_state_invariants_under_random_updates(seed):
 
 
 def test_scheme_dict_roundtrip():
-    for scheme in (Fixed(0.9), GlobalOnly(), LocalOnly(0.8), Sat(), Cpl(0.95, "convex")):
+    for scheme in (Fixed(0.9), GlobalOnly(), LocalOnly(0.8), Sat(), Cpl(0.95)):
         assert scheme_from_dict(scheme_to_dict(scheme)) == scheme
     with pytest.raises(ValueError):
         scheme_from_dict({"kind": "bogus"})

@@ -205,11 +205,14 @@ def test_train_and_theory_do_not_load_the_process_pool(tmp_path):
         # a kind that is not a string is named like any other unknown kind, never as unhashable
         ("train", {"scheme": {"kind": ["sat"]}}, "unknown scheme kind ['sat']"),
         ("dataset", {"kind": ["two_moons"]}, "unknown dataset kind ['two_moons']"),
+        # an integer too large for a float is not a finite number, and not an OverflowError
+        ("train", {"lr0": 10**400}, f"lr0 must be a finite number, got {10**400!r}"),
     ],
     ids=["lambda", "clamp", "B", "mu", "mu_B", "clamp_scalar", "n_unlabeled_str", "n_unlabeled_float", "dataset_seed",
          "weak_sigma_str", "scale_range_scalar", "augment_seed_float", "lr0_negative", "lr0_zero", "momentum_above_1",
          "momentum_negative", "w_u_negative", "w_f_negative", "scale_range_negative", "weak_above_strong",
-         "tau_bool", "tau_str", "tau_range", "fairness_unknown", "scheme_kind_list", "dataset_kind_list"],
+         "tau_bool", "tau_str", "tau_range", "fairness_unknown", "scheme_kind_list", "dataset_kind_list",
+         "lr0_huge_int"],
 )
 def test_bad_train_value_is_a_config_error(tmp_path, capsys, section, override, message):
     """Caught when the config is parsed: no traceback, no output directory."""
@@ -256,9 +259,10 @@ def test_shipped_configs_are_the_canonical_protocol(name, scheme, fairness, w_f)
         ("clusters", "sigma", "missing dataset keys: ['sigma']"),
         ("entry", "values", "missing sweep entry keys: ['values']"),
         ("base", "mu1", "missing sweep base keys: ['mu1']"),
+        ("cpl_mapping", None, "unknown scheme keys: ['mapping']"),
     ],
     ids=["top", "train", "augment", "scheme", "two_moons", "clusters", "grid", "entry", "base",
-         "top_without_train", "clusters_without_sigma", "entry_without_values", "base_without_mu1"],
+         "top_without_train", "clusters_without_sigma", "entry_without_values", "base_without_mu1", "cpl_mapping"],
 )
 def test_unknown_key_is_named(tmp_path, capsys, section, drop, message):
     """An unknown key, or a required one left out, is named in one form in every section."""
@@ -268,8 +272,11 @@ def test_unknown_key_is_named(tmp_path, capsys, section, drop, message):
     grid = {"sweeps": [{"name": "mini", "varying": "tau", "base": dict(_GRID_BASE), "values": [0.6, 0.7]}]}
     target = {"top": doc, "train": doc["train"], "augment": doc["train"].setdefault("augment", {}),
               "scheme": doc["train"]["scheme"], "two_moons": doc["dataset"], "clusters": doc["dataset"],
-              "grid": grid, "entry": grid["sweeps"][0], "base": grid["sweeps"][0]["base"]}[section]
-    if drop is None:
+              "grid": grid, "entry": grid["sweeps"][0], "base": grid["sweeps"][0]["base"],
+              "cpl_mapping": doc["train"]["scheme"]}[section]
+    if section == "cpl_mapping":  # Cpl uses counts / max counts as they are: no FlexMatch convex map
+        target.update(kind="cpl", mapping="convex")
+    elif drop is None:
         target["bogus_key"] = 1
     else:
         del target[drop]
@@ -284,6 +291,50 @@ def test_unknown_key_is_named(tmp_path, capsys, section, drop, message):
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
+
+
+# no large finite size among them, so no case makes a generator allocate a big array
+_ODD_VALUES = [None, True, "x", [], {}, -1, 0, 2.5, float("nan"), float("inf"), 10**400, -10**400, 1e308]
+
+
+def _key_paths(doc: dict, prefix: tuple = ()):
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+def _replaced(doc, path: tuple, value):
+    """A deep copy of doc with the entry at `path` (keys, or list indices) set to value."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return doc
+
+
+def test_any_value_of_any_key_parses_or_is_a_config_error(tmp_path, capsys):
+    """Every key path of both shipped configs, and every base key and the values
+    of a default-grid entry, takes each odd value: it parses, or the reader
+    raises ValueError (a config error, exit 2), never another exception."""
+    for name in ("two_moon_freematch.json", "two_moon_fixed.json"):
+        with open(os.path.join(CONFIGS_DIR, name)) as fh:
+            doc = json.load(fh)
+        for path in _key_paths(doc):
+            for value in _ODD_VALUES:
+                try:
+                    cli.parse_experiment_config(_replaced(doc, path, value))
+                except ValueError:
+                    pass
+    entry = cli.default_theory_sweeps()[0]
+    grid, out = tmp_path / "grid.json", str(tmp_path / "o")
+    for path in [("base", key) for key in entry["base"]] + [("values",), ("values", -1)]:
+        for value in _ODD_VALUES:
+            grid.write_text(json.dumps({"sweeps": [_replaced(entry, path, value)]}))
+            assert cli.main(["theory", "--grid", str(grid), "--out", out, "--mc-samples", "0"]) in (0, 1, 2)
+    capsys.readouterr()
 
 
 def test_python_field_name_is_not_a_config_key(tmp_path, capsys):
@@ -438,8 +489,9 @@ def test_theory_checks_every_sweep_before_any_draw(tmp_path, monkeypatch, capsys
 @pytest.mark.parametrize(
     "override, message",
     [({"tau": "0.8"}, "tau must be a finite number, got '0.8'"), ({"beta": True}, "beta must be a finite number, got True"),
-     ({"mu1": 1.0, "mu2": -1.0}, "mu1 must be below mu2, got mu1=1.0, mu2=-1.0")],
-    ids=["tau_str", "beta_bool", "means_reversed"],
+     ({"mu1": 1.0, "mu2": -1.0}, "mu1 must be below mu2, got mu1=1.0, mu2=-1.0"),
+     ({"sigma1": -10**400}, f"sigma1 must be a finite number, got {-10**400!r}")],
+    ids=["tau_str", "beta_bool", "means_reversed", "sigma1_huge_int"],
 )
 def test_theory_bad_base_value_is_a_config_error(tmp_path, capsys, override, message):
     base = {"mu1": -1.0, "mu2": 1.0, "sigma1": 1.0, "sigma2": 1.0, "beta": 1.0, "tau": 0.8, **override}
@@ -772,6 +824,27 @@ def test_out_that_names_a_file_is_a_config_error_before_any_work(tmp_path, args_
     assert captured.out == ""
     assert captured.err == f"config error: output directory {out!r}: {str(afile)!r} is not a directory\n"
     assert afile.read_text() == "x"
+
+
+@pytest.mark.parametrize("command", ["train", "theory", "ablate", "train_out_dir"])
+@pytest.mark.parametrize("name, reason", [("x" * 300, "File name too long"), ("a\0b", "embedded null byte")],
+                         ids=["too_long", "null_byte"])
+def test_out_the_system_refuses_is_a_config_error_before_any_work(tmp_path, args_without_work, capsys, command, name,
+                                                                   reason):
+    """A name `os.makedirs` cannot make, given by --out or (train_out_dir) by
+    the train config's out_dir, is refused before the work, not after it."""
+    out = str(tmp_path / name / "sub")
+    if command == "train_out_dir":
+        cfg = args_without_work["train"][-1]
+        with open(cfg) as fh:
+            doc = json.load(fh)
+        with open(cfg, "w") as fh:
+            json.dump({**doc, "out_dir": out}, fh)
+        argv = args_without_work["train"]
+    else:
+        argv = [*args_without_work[command], "--out", out]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"config error: output directory {out!r}: {reason}\n")
 
 
 @pytest.mark.parametrize("command", ["train", "theory", "ablate"])

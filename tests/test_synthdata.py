@@ -6,7 +6,6 @@ import pytest
 from freematch_lab.atomic import atomic_open, write_csv
 from freematch_lab.synthdata import (
     PointSet,
-    TwoMoonSpec,
     batch_iter,
     gen_gaussian_clusters,
     gen_two_moons,
@@ -26,13 +25,13 @@ def _on_arc(points: np.ndarray, labels: np.ndarray) -> bool:
 
 
 def test_two_moons_zero_noise_on_canonical_arcs():
-    bundle = gen_two_moons(TwoMoonSpec(n_unlabeled=200, noise_sigma=0.0, seed=3))
+    bundle = gen_two_moons(n_unlabeled=200, noise_sigma=0.0, seed=3)
     for ps in (bundle.labeled, bundle.unlabeled, bundle.test):
         assert _on_arc(ps.points, ps.labels)
 
 
 def test_two_moons_one_label_per_class():
-    bundle = gen_two_moons(TwoMoonSpec(n_unlabeled=100, labels_per_class=1, seed=1))
+    bundle = gen_two_moons(n_unlabeled=100, labels_per_class=1, seed=1)
     assert len(bundle.labeled) == 2
     assert sorted(bundle.labeled.labels.tolist()) == [0, 1]
     # arc midpoints, jitter-free
@@ -41,8 +40,7 @@ def test_two_moons_one_label_per_class():
 
 
 def test_two_moons_seed_determinism():
-    spec = TwoMoonSpec(n_unlabeled=300, seed=9)
-    a, b = gen_two_moons(spec), gen_two_moons(spec)
+    a, b = gen_two_moons(n_unlabeled=300, seed=9), gen_two_moons(n_unlabeled=300, seed=9)
     assert np.array_equal(a.unlabeled.points, b.unlabeled.points)
     assert np.array_equal(a.test.points, b.test.points)
     assert np.array_equal(a.labeled.points, b.labeled.points)
@@ -60,7 +58,7 @@ def test_two_moons_arcs_disjoint_with_default_noise_margin():
 def test_two_moons_not_linearly_separable_by_anchor_bisector():
     # the straight boundary induced by the two labeled anchors must cut the tips,
     # otherwise threshold ablations cannot distinguish the schemes
-    bundle = gen_two_moons(TwoMoonSpec(n_unlabeled=2000, noise_sigma=0.0, seed=0))
+    bundle = gen_two_moons(n_unlabeled=2000, noise_sigma=0.0, seed=0)
     a, b = bundle.labeled.points
     mid, normal = (a + b) / 2, a - b
     side = (bundle.unlabeled.points - mid) @ normal > 0
@@ -69,14 +67,14 @@ def test_two_moons_not_linearly_separable_by_anchor_bisector():
 
 
 def test_two_moons_spec_validation():
-    with pytest.raises(ValueError):
-        TwoMoonSpec(n_unlabeled=1, labels_per_class=1)
-    with pytest.raises(ValueError):
-        TwoMoonSpec(noise_sigma=-0.1)
+    with pytest.raises(ValueError, match=r"n_unlabeled must be >= 2 \* labels_per_class"):
+        gen_two_moons(n_unlabeled=1, labels_per_class=1)
+    with pytest.raises(ValueError, match="noise_sigma must be >= 0"):
+        gen_two_moons(noise_sigma=-0.1)
     for bad in (dict(n_unlabeled="1000"), dict(n_unlabeled=1.5), dict(labels_per_class=True), dict(seed=-1),
                 dict(noise_sigma=float("nan")), dict(noise_sigma="0.1")):
         with pytest.raises(ValueError, match=next(iter(bad))):
-            TwoMoonSpec(**bad)
+            gen_two_moons(**bad)
 
 
 def test_clusters_sigma_zero_collapses_to_means():
@@ -161,7 +159,7 @@ def test_batch_iter_rejects_empty_and_oversize():
 
 
 def test_to_csv_roundtrip_columns(tmp_path):
-    bundle = gen_two_moons(TwoMoonSpec(n_unlabeled=10, seed=0))
+    bundle = gen_two_moons(n_unlabeled=10, seed=0)
     path = tmp_path / "data.csv"
     to_csv(bundle, path)
     lines = path.read_text().strip().splitlines()

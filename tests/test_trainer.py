@@ -22,7 +22,7 @@ from freematch_lab import trainer
 from freematch_lab.adaptive_threshold import Fixed, Sat, to_record
 from freematch_lab.augment import AugmentSpec, strong, weak
 from freematch_lab.ssl_losses import FairnessVariant, consistency_loss, supervised_loss, total_loss
-from freematch_lab.synthdata import PointSet, TwoMoonSpec, batch_iter, gen_gaussian_clusters, gen_two_moons
+from freematch_lab.synthdata import PointSet, batch_iter, gen_gaussian_clusters, gen_two_moons
 from freematch_lab.trainer import (
     MetricsRecord,
     TrainConfig,
@@ -300,7 +300,7 @@ def test_training_streams_are_the_dataset_streams_when_the_seeds_match():
     from streams(seed, 2), and gen_gaussian_clusters (labeled, unlabeled, test)
     from streams(seed, 3)."""
     seed = 3
-    moons = gen_two_moons(TwoMoonSpec(n_unlabeled=1000, labels_per_class=8, noise_sigma=0.0, seed=seed))
+    moons = gen_two_moons(n_unlabeled=1000, labels_per_class=8, noise_sigma=0.0, seed=seed)
     model, _, _, _, lab_iter, _, _ = _build(TrainConfig(seed=seed, B=4), moons)
     # model init draws the unlabeled stream: the 2x64 layer-1 weights are an
     # affine image of the first 128 unlabeled class-0 angles
@@ -493,7 +493,7 @@ def test_run_without_a_blas_setter_writes_the_same_artifacts(tmp_path, monkeypat
 
 def test_run_two_moon_protocol_smoke():
     # reduced-iteration smoke of the canonical layout; the full protocol runs in acceptance
-    data = gen_two_moons(TwoMoonSpec(n_unlabeled=200, seed=0))
+    data = gen_two_moons(n_unlabeled=200, seed=0)
     cfg = TrainConfig(scheme=Sat(), fairness=FairnessVariant.SAF, mu=8, B=2, K=40, eval_every=20, seed=0)
     result = run(cfg, data)
     assert len(result.trace) == 40
@@ -501,7 +501,7 @@ def test_run_two_moon_protocol_smoke():
 
 
 def test_run_fixed_baseline_low_early_utilization():
-    data = gen_two_moons(TwoMoonSpec(n_unlabeled=200, seed=0))
+    data = gen_two_moons(n_unlabeled=200, seed=0)
     cfg = TrainConfig(scheme=Fixed(0.95), fairness=FairnessVariant.NONE, mu=8, B=2, K=30, eval_every=15, seed=0)
     result = run(cfg, data)
     assert np.mean([r.sampling_rate for r in result.trace[:10]]) < 0.5
