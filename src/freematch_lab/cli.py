@@ -124,8 +124,8 @@ def _emit_plots(result: RunResult, data: DatasetBundle, out_dir: str) -> None:
 
 
 def _check_out_dir(path: str) -> None:
-    """Reject, before any work, an output directory that `os.makedirs` could not make: "", a name
-    too long or holding a null byte, or a path that is, or lies below, something not a directory."""
+    """Reject, before any work, an output directory that could not be made or written: "", a name too long
+    or holding a null byte, a path at or below a non-directory, or one whose deepest existing part is read-only."""
     if not path:
         raise ValueError("output directory must not be empty")
     probe = os.path.abspath(path)
@@ -139,6 +139,8 @@ def _check_out_dir(path: str) -> None:
             raise ValueError(f"output directory {path!r}: {getattr(exc, 'strerror', None) or exc}")
     if not os.path.isdir(probe):
         raise ValueError(f"output directory {path!r}: {probe!r} is not a directory")
+    if not os.access(probe, os.W_OK | os.X_OK):  # makedirs and the atomic writes need both
+        raise ValueError(f"output directory {path!r}: {probe!r} is not writable")
 
 
 def cmd_train(config_path: str, out_override: str | None) -> int:
@@ -344,8 +346,7 @@ def _worker_count() -> int:
 
 
 def run_ablation(suite: str, seeds: list[int]) -> dict[str, dict]:
-    """Per-variant summary statistics of the suite across seeds. Every run
-    trains in a spawned worker, so a calling script needs a `__main__` guard."""
+    """The suite's `ablation_summary`. Every run trains in a spawned worker, so a caller needs a `__main__` guard."""
     # the pool is imported here, not at module level, so train and theory never load it
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -353,8 +354,7 @@ def run_ablation(suite: str, seeds: list[int]) -> dict[str, dict]:
 
     jobs = ablation_jobs(suite, seeds)
     n_workers = max(1, min(_worker_count(), len(jobs)))
-    spawn = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=n_workers, mp_context=spawn) as pool:
+    with ProcessPoolExecutor(max_workers=n_workers, mp_context=multiprocessing.get_context("spawn")) as pool:
         futures = [pool.submit(_ablation_job, job) for job in jobs]
         rows = []
         try:
@@ -370,9 +370,13 @@ def run_ablation(suite: str, seeds: list[int]) -> dict[str, dict]:
         finally:
             for f in futures:
                 f.cancel()  # after an abort, the jobs not yet started do not run
-    rows.sort(key=lambda r: (r[0], r[1]))  # order-independent aggregation
+    return ablation_summary(rows)
+
+
+def ablation_summary(rows: list[tuple[str, int, float, float]]) -> dict[str, dict]:
+    """Per-variant statistics of (variant, seed, final error, best error) rows, taken in any order."""
     summary: dict[str, dict] = {}
-    for variant, seed, final_error, best_error in rows:
+    for variant, seed, final_error, best_error in sorted(rows, key=lambda r: (r[0], r[1])):
         entry = summary.setdefault(variant, {"finals": [], "bests": [], "seeds": []})
         entry["seeds"].append(seed)
         entry["finals"].append(final_error)

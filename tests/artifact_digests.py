@@ -9,7 +9,8 @@ Run it from each tree's own copy and compare the two listings:
 
 Every run imports the package from the `src/` beside this file, in a fresh
 interpreter, and writes into a temporary directory removed afterwards. The
-runs: `train` with both shipped configs at dataset and train seeds 0 and 1;
+runs: `train` with both shipped configs and with a small 3-cluster config
+(`CLUSTERS`), each at dataset and train seeds 0 and 1;
 `ablate --suite thresholds --seeds 2` and `--suite fairness --seeds 1`;
 `theory --mc-samples 0`, and `theory --seed 0` at the default `--mc-samples`.
 pytest does not collect this file; it takes about half a minute on two CPUs.
@@ -26,19 +27,27 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIGS = ("two_moon_freematch", "two_moon_fixed")
+# a short SAT+SAF run on the clusters dataset kind, which the shipped configs do not use
+CLUSTERS = {
+    "dataset": {"kind": "clusters", "C": 3, "n_per_class": 100, "means": [[0.0, 2.0], [-1.7, -1.0], [1.7, -1.0]],
+                "sigma": 0.5},
+    "train": {"scheme": {"kind": "sat"}, "fairness": "saf", "w_f": 0.01, "mu": 8, "B": 3, "K": 300, "eval_every": 50},
+}
 
 
 def runs(work: str):
     """(label, command-line arguments but --out) per run; the train configs
     for the seeds are written into `work`."""
+    docs = []
     for name in CONFIGS:
         with open(os.path.join(ROOT, "configs", f"{name}.json")) as fh:
-            doc = json.load(fh)
+            docs.append((name, json.load(fh)))
+    for name, doc in [*docs, ("clusters", CLUSTERS)]:
         for seed in (0, 1):
-            doc["dataset"]["seed"] = doc["train"]["seed"] = seed
+            seeded = {**doc, "dataset": {**doc["dataset"], "seed": seed}, "train": {**doc["train"], "seed": seed}}
             config = os.path.join(work, f"{name}-seed{seed}.json")
             with open(config, "w") as fh:
-                json.dump(doc, fh)
+                json.dump(seeded, fh)
             yield f"train-{name}-seed{seed}", ["train", "--config", config]
     yield "ablate-thresholds-seeds2", ["ablate", "--suite", "thresholds", "--seeds", "2"]
     yield "ablate-fairness-seeds1", ["ablate", "--suite", "fairness", "--seeds", "1"]

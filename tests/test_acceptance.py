@@ -8,7 +8,6 @@ produce false failures while genuine formula errors still trip every seed.
 
 import itertools
 import multiprocessing
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -20,9 +19,8 @@ import tape
 from freematch_lab import adaptive_threshold as at
 from freematch_lab import cli
 from freematch_lab import ndcore as nd
-from freematch_lab.augment import weak
 from freematch_lab.ssl_losses import FairnessVariant, consistency_loss, fairness_loss, supervised_loss, total_loss
-from freematch_lab.theory import MixtureSpec, analytic_dist, mc_agreement_z, mc_dist, sweep
+from freematch_lab.theory import MixtureSpec, SweepRow, analytic_dist, sweep, with_mc
 from freematch_lab.trainer import run
 
 SEEDS = [0, 1, 2, 3, 4]
@@ -41,21 +39,15 @@ def test_criterion_1_theorem_agreement():
     grid = list(
         itertools.product([0.5, 1.0, 2.0, 4.0], [(1.0, 1.0), (0.5, 2.0)], [0.5, 2.0], [0.7, 0.95])
     )
-    n = 10**7
-    worst = 0.0
-    rerolls = 0
+    rows = []
     for i, (delta, (s1, s2), beta, tau) in enumerate(grid):
         spec = MixtureSpec(mu1=-delta / 2, mu2=delta / 2, sigma1=s1, sigma2=s2, beta=beta, tau=tau)
-        dist = analytic_dist(spec)
-        mc = mc_dist(spec, n, seed=1000 + i)
-        z = mc_agreement_z(dist, mc)
-        if z > 3.0:
-            rerolls += 1
-            mc = mc_dist(spec, n, seed=100_000 + i)  # reroll once on a new seed
-            z = mc_agreement_z(dist, mc)
-        worst = max(worst, z)
-        assert z <= 3.0, f"grid point {i} (delta={delta}, sigma=({s1},{s2}), beta={beta}, tau={tau}): z={z:.2f}"
+        row = with_mc(SweepRow(i, spec, analytic_dist(spec)), 10**7, seed=1000 + i)  # the theory command's reroll
+        assert row.z <= 3.0, f"grid point {i} (delta={delta}, sigma=({s1},{s2}), beta={beta}, tau={tau}): z={row.z:.2f}"
+        rows.append(row)
     elapsed = time.time() - t0
+    worst = max(row.z for row in rows)
+    rerolls = sum(row.rerolled for row in rows)
     _report(
         "1 (theorem agreement)",
         worst <= 3.0 and elapsed < 120.0,
@@ -72,11 +64,7 @@ def test_criterion_2_theorem_implications():
         entry["name"]: sweep(MixtureSpec(**entry["base"]), entry["varying"], entry["values"])
         for entry in cli.default_theory_sweeps()
     }
-    checks = [
-        results["utilization_vs_tau"].verdicts["p_mask_strictly_increasing_in_tau"],
-        results["mask_vs_delta"].verdicts["p_mask_strictly_decreasing_in_delta"],
-        results["imbalance_vs_tau"].verdicts["imbalance_non_decreasing_in_tau"],
-    ]
+    checks = [results[name].verdicts[key] for name, key in cli.REQUIRED_VERDICTS]
     _report(
         "2 (theorem implications)",
         all(checks),
@@ -85,36 +73,35 @@ def test_criterion_2_theorem_implications():
     )
 
 
-# -- criteria 3 and 4: the two-moon protocol -------------------------------------------
+# -- criteria 3, 4 and 7: the two-moon protocol ----------------------------------------
 
 
-def _timed_two_moon_run(seed, scheme, fairness, w_f):
-    """One canonical two-moon run and its wall time, both taken in the worker."""
-    data = cli.canonical_two_moon_data(seed)
+def _timed_run(job):
+    """One ablation job's run and its wall time, both taken in the worker."""
+    _, config = job
+    data = cli.canonical_two_moon_data(config.seed)
     t0 = time.time()
-    result = run(cli.canonical_two_moon_config(scheme, fairness, w_f, seed), data)
+    result = run(config, data)
     return result, time.time() - t0
 
 
 @pytest.fixture(scope="module")
 def two_moon_runs():
-    """SAT+SAF and fixed(0.95) at each seed, on a 2-worker spawn pool. Each
-    run's time is taken inside its worker, so it is that run's own time."""
-    variants = [(at.Sat(), FairnessVariant.SAF, 0.01), (at.Fixed(0.95), FairnessVariant.NONE, 0.0)]
-    with ProcessPoolExecutor(max_workers=2, mp_context=multiprocessing.get_context("spawn")) as pool:
-        futures = {seed: [pool.submit(_timed_two_moon_run, seed, *v) for v in variants] for seed in SEEDS}
-        runs = {}
-        for seed, (fm, fx) in futures.items():
-            (fm, fm_time), (fx, fx_time) = fm.result(), fx.result()
-            runs[seed] = (fm, fx, max(fm_time, fx_time))
-    return runs
+    """(result, seconds) per (label, seed) for every run that criteria 3, 4 and
+    7 read: the thresholds suite and the fairness suite's SAT+SAF runs, 30
+    distinct runs trained once each on one spawn pool that `ablate`'s rule
+    sizes. Each run's time is taken inside its worker, so it is its own time."""
+    jobs = cli.ablation_jobs("thresholds", SEEDS) + [j for j in cli.ablation_jobs("fairness", SEEDS) if j[0] == "saf"]
+    workers = max(1, min(cli._worker_count(), len(jobs)))
+    with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        return {(label, config.seed): timed for (label, config), timed in zip(jobs, pool.map(_timed_run, jobs))}
 
 
 def test_criterion_3_two_moon_reproduction(two_moon_runs):
-    fm_errors = [two_moon_runs[s][0].final_error for s in SEEDS]
-    fx_errors = [two_moon_runs[s][1].final_error for s in SEEDS]
-    slowest = max(two_moon_runs[s][2] for s in SEEDS)
-    fm_mean, fx_mean = float(np.mean(fm_errors)), float(np.mean(fx_errors))
+    runs = [two_moon_runs[label, s] for label in ("saf", "fixed(0.95)") for s in SEEDS]
+    slowest = max(seconds for _, seconds in runs)
+    fm_mean = float(np.mean([two_moon_runs["saf", s][0].final_error for s in SEEDS]))
+    fx_mean = float(np.mean([two_moon_runs["fixed(0.95)", s][0].final_error for s in SEEDS]))
     ok = fm_mean <= 0.05 and fm_mean < fx_mean and slowest < 180.0
     _report(
         "3 (two-moon reproduction)",
@@ -128,7 +115,7 @@ def test_criterion_4_threshold_dynamics(two_moon_runs):
     rising = []
     rate_gaps = []
     for seed in SEEDS:
-        fm, fx, _ = two_moon_runs[seed]
+        fm, fx = two_moon_runs["saf", seed][0], two_moon_runs["fixed(0.95)", seed][0]
         rising.append(fm.trace[49].tau_global < fm.trace[1999].tau_global)
         fm_rate = float(np.mean([r.sampling_rate for r in fm.trace[:200]]))
         fx_rate = float(np.mean([r.sampling_rate for r in fx.trace[:200]]))
@@ -299,8 +286,10 @@ def test_criterion_6_invariant_suite():
 # -- criterion 7: ablation ranking -----------------------------------------------------------
 
 
-def test_criterion_7_ablation_ranking():
-    summary = cli.run_ablation("thresholds", SEEDS)
+def test_criterion_7_ablation_ranking(two_moon_runs):
+    """The thresholds suite's runs, ranked by the summary `ablate` writes."""
+    runs = {(label, c.seed): two_moon_runs[label, c.seed][0] for label, c in cli.ablation_jobs("thresholds", SEEDS)}
+    summary = cli.ablation_summary([(label, seed, r.final_error, r.best_error) for (label, seed), r in runs.items()])
     means = {label: entry["mean_error"] for label, entry in summary.items()}
     sat_mean = means["sat"]
     ok = all(sat_mean <= m for m in means.values())

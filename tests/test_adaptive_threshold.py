@@ -1,3 +1,7 @@
+import csv
+import gzip
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -363,3 +367,26 @@ def test_scheme_dict_roundtrip():
         scheme_from_dict({"kind": "fixed", "tau": 0.9, "extra": 1})
     with pytest.raises(ValueError, match=r"unknown scheme kind \['sat'\]"):
         scheme_from_dict({"kind": ["sat"]})
+
+
+REFERENCE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "reference")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_sat_threshold_lags_the_model_confidence_instead_of_following_it(seed):
+    """A difference from the paper, which argues that SAT's threshold follows
+    the model's learning status (arXiv 2205.07246, Sec. 3). On the recorded
+    canonical SAT+SAF two-moon runs (lambda 0.999, K 2000, C 2), tau_global
+    starts at 1/C and climbs at the EMA's pace: 0.54 at step 99, while the
+    batch's mean confidence averages 0.92-0.93 over steps 0-99. tau trails it
+    by about 0.2 over the run and is still below it at the last step. The
+    confidence is rebuilt from the trace by inverting the EMA from
+    tau_{-1} = 1/C: m_k = (tau_k - lam tau_{k-1}) / (1 - lam)."""
+    lam, C = 0.999, 2
+    with gzip.open(os.path.join(REFERENCE, f"train_two_moon_seed{seed}.csv.gz"), "rt") as fh:
+        tau = np.array([float(row["tau_global"]) for row in csv.DictReader(fh)])
+    m = (tau - lam * np.concatenate([[1.0 / C], tau[:-1]])) / (1.0 - lam)
+    assert len(tau) == 2000
+    assert np.all((m > 1.0 / C - 1e-6) & (m < 1.0 + 1e-6))  # a max-probability of C classes: a sound inversion
+    assert np.mean(m - tau) >= 0.15
+    assert tau[-1] < np.mean(m[-100:])

@@ -856,6 +856,37 @@ def test_empty_out_is_a_config_error_before_any_work(tmp_path, args_without_work
     assert not (tmp_path / "config_out").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "theory", "ablate"])
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_out_that_cannot_be_written_is_a_config_error_before_any_work(tmp_path, args_without_work, capsys, monkeypatch,
+                                                                       command, below):
+    """An --out that is, or lies below, a directory this process may not write
+    into is refused before the work, not with a PermissionError after it."""
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    access = os.access
+    monkeypatch.setattr(os, "access", lambda path, mode, **kw: path != str(locked) and access(path, mode, **kw))
+    out = str(locked / below) if below else str(locked)
+    assert cli.main([*args_without_work[command], "--out", out]) == 2
+    assert capsys.readouterr() == ("", f"config error: output directory {out!r}: {str(locked)!r} is not writable\n")
+    assert os.listdir(locked) == []
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root writes into a directory whatever its mode bits")
+@pytest.mark.parametrize("command", ["train", "theory", "ablate"])
+def test_out_below_a_read_only_directory_is_a_config_error_before_any_work(tmp_path, args_without_work, capsys,
+                                                                          command):
+    """The same refusal from the file system's own mode bits, with no stand-in for os.access."""
+    locked = tmp_path / "locked"
+    locked.mkdir(mode=0o555)
+    out = str(locked / "sub")
+    try:
+        assert cli.main([*args_without_work[command], "--out", out]) == 2
+    finally:
+        locked.chmod(0o755)  # so that pytest can remove tmp_path
+    assert capsys.readouterr() == ("", f"config error: output directory {out!r}: {str(locked)!r} is not writable\n")
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc_info:
         cli.main(["train"])  # missing --config
