@@ -11,9 +11,11 @@ directory, and `theory` finds one in its options or any sweep of its grid
 before the first Monte-Carlo draw. Every output file is written atomically
 (temp file + rename), so artifacts are either complete or absent.
 `augment.seed` is accepted and ignored: augmentation noise comes from the
-run's `seed`. Every ablation run trains on the config the parent built, in a
-worker of one spawn pool, whose size FREEMATCH_LAB_THREADS (an integer >= 1;
-default the CPU count) caps. Every training run uses one BLAS thread.
+run's `seed`. The parent builds each ablation run's experiment document,
+`TWO_MOON` plus its variant's train keys, and a worker of one spawn pool
+reads it with `parse_experiment_config`, as `train` reads its file.
+FREEMATCH_LAB_THREADS (an integer >= 1; default the CPU count) caps the
+pool's size. Every training run uses one BLAS thread.
 """
 
 from __future__ import annotations
@@ -26,10 +28,7 @@ import sys
 import numpy as np
 
 from . import trainer
-from .adaptive_threshold import Cpl, Fixed, GlobalOnly, LocalOnly, Sat
 from .atomic import atomic_open, write_csv
-from .augment import AugmentSpec
-from .ssl_losses import FairnessVariant
 from .svgplot import boundary_chart, line_chart
 from .synthdata import (DatasetBundle, check_batch_size, gen_gaussian_clusters, gen_two_moons, read_call, read_kind,
                         read_object, to_csv)
@@ -39,21 +38,15 @@ from .trainer import RunResult, TrainConfig, TrainingAborted, config_from_dict, 
 
 # -- canonical two-moon protocol ------------------------------------------------
 
-# Settings for the barely-supervised two-moon runs: one label per class, 1000
-# unlabeled points, 3x64 MLP, 2000 iterations. The batch is the entire labeled
-# set and the unlabeled draw is large so the threshold statistics are stable.
-TWO_MOON_TRAIN = dict(mu=96, B=2, K=2000, lr0=0.05, eval_every=50)
-TWO_MOON_AUGMENT = AugmentSpec(strong_sigma=0.3)
-
-
-def canonical_two_moon_data(seed: int) -> DatasetBundle:
-    return gen_two_moons(n_unlabeled=1000, labels_per_class=1, noise_sigma=0.1, seed=seed)
-
-
-def canonical_two_moon_config(scheme, fairness: FairnessVariant, w_f: float, seed: int) -> TrainConfig:
-    return TrainConfig(
-        scheme=scheme, fairness=fairness, w_f=w_f, seed=seed, augment=TWO_MOON_AUGMENT, **TWO_MOON_TRAIN
-    )
+# The experiment document of the barely-supervised two-moon runs, holding the
+# keys it sets away from their defaults: gen_two_moons' defaults give one label
+# per class and 1000 unlabeled points; a 3x64 MLP trains for 2000 iterations.
+# The batch is the entire labeled set and the unlabeled draw is large so the
+# threshold statistics are stable.
+TWO_MOON = {
+    "dataset": {"kind": "two_moons"},
+    "train": {"mu": 96, "B": 2, "K": 2000, "lr0": 0.05, "eval_every": 50, "augment": {"strong_sigma": 0.3}},
+}
 
 
 # -- experiment config ------------------------------------------------------------
@@ -297,42 +290,44 @@ def cmd_theory(grid_path: str | None, out_dir: str, mc_samples: int, seed: int) 
 
 # -- ablate command -----------------------------------------------------------------
 
-# per run: variant label, scheme, fairness variant, w_f
+# per suite, in CSV row order: variant label -> the train keys it adds to TWO_MOON's
 ABLATION_SUITES = {
-    "thresholds": [
-        ("fixed(0.95)", Fixed(0.95), FairnessVariant.NONE, 0.0),
-        ("global_only", GlobalOnly(), FairnessVariant.NONE, 0.0),
-        ("local_only(0.95)", LocalOnly(0.95), FairnessVariant.NONE, 0.0),
-        ("sat", Sat(), FairnessVariant.NONE, 0.0),
-        ("cpl(0.95)", Cpl(0.95), FairnessVariant.NONE, 0.0),
-    ],
-    "fairness": [
-        ("none", Sat(), FairnessVariant.NONE, 0.0),
-        ("uniform_prior", Sat(), FairnessVariant.UNIFORM_PRIOR, 0.01),
-        ("saf", Sat(), FairnessVariant.SAF, 0.01),
-    ],
+    "thresholds": {
+        "fixed(0.95)": {"scheme": {"kind": "fixed", "tau": 0.95}, "fairness": "none", "w_f": 0.0},
+        "global_only": {"scheme": {"kind": "global_only"}, "fairness": "none", "w_f": 0.0},
+        "local_only(0.95)": {"scheme": {"kind": "local_only", "tau": 0.95}, "fairness": "none", "w_f": 0.0},
+        "sat": {"scheme": {"kind": "sat"}, "fairness": "none", "w_f": 0.0},
+        "cpl(0.95)": {"scheme": {"kind": "cpl", "tau": 0.95}, "fairness": "none", "w_f": 0.0},
+    },
+    "fairness": {
+        "none": {"scheme": {"kind": "sat"}, "fairness": "none", "w_f": 0.0},
+        "uniform_prior": {"scheme": {"kind": "sat"}, "fairness": "uniform_prior", "w_f": 0.01},
+        "saf": {"scheme": {"kind": "sat"}, "fairness": "saf", "w_f": 0.01},
+    },
 }
 
 
-def _ablation_job(job: tuple[str, TrainConfig]) -> tuple[str, int, float, float]:
-    variant, config = job
-    result = run(config, canonical_two_moon_data(config.seed))
+def _ablation_job(job: tuple[str, dict]) -> tuple[str, int, float, float]:
+    variant, doc = job
+    data, config, _ = parse_experiment_config(doc)
+    result = run(config, data)
     return variant, config.seed, result.final_error, result.best_error
 
 
-def ablation_jobs(suite: str, seeds: list[int]) -> list[tuple[str, TrainConfig]]:
-    """(variant, config) per run, variant-major."""
+def ablation_jobs(suite: str, seeds: list[int]) -> list[tuple[str, dict]]:
+    """(variant, experiment document) per run, variant-major; the dataset and train seeds are both the run's seed."""
     if suite not in ABLATION_SUITES:
         raise ValueError(f"unknown suite {suite!r} (expected 'thresholds' or 'fairness')")
     return [
-        (label, canonical_two_moon_config(scheme, fairness, w_f, seed))
-        for label, scheme, fairness, w_f in ABLATION_SUITES[suite]
+        (label, {"dataset": {**TWO_MOON["dataset"], "seed": seed},
+                 "train": {**TWO_MOON["train"], **keys, "seed": seed}})
+        for label, keys in ABLATION_SUITES[suite].items()
         for seed in seeds
     ]
 
 
-def _run_name(job: tuple[str, TrainConfig]) -> str:
-    return f"{job[0]} seed {job[1].seed}"
+def _run_name(job: tuple[str, dict]) -> str:
+    return f"{job[0]} seed {job[1]['train']['seed']}"
 
 
 def _worker_count() -> int:
@@ -411,7 +406,7 @@ def cmd_ablate(suite: str, n_seeds: int, out_dir: str) -> int:
         return 1
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "ablation.csv")
-    entries = [(label, summary[label]) for label, *_ in ABLATION_SUITES[suite]]
+    entries = [(label, summary[label]) for label in ABLATION_SUITES[suite]]
     write_csv(csv_path, ["variant", "n_seeds", "mean_error", "std_error", "mean_best_error"],
               ([label, len(e["seeds"]), e["mean_error"], e["std_error"], e["mean_best_error"]] for label, e in entries))
     for label, e in entries:

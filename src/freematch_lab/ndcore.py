@@ -335,10 +335,6 @@ class MlpModel:
     def in_dim(self) -> int:
         return self.layers[0][0].shape[0]
 
-    @property
-    def out_dim(self) -> int:
-        return self.layers[-1][0].shape[1]
-
     def parameters(self) -> list[np.ndarray]:
         return [a for pair in self.layers for a in pair]
 

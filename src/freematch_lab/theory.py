@@ -119,11 +119,6 @@ class McResult:
     n: int
 
 
-def confidence(x, spec: MixtureSpec):
-    """Sigmoid confidence s(x) centered on the optimal decision boundary."""
-    return 1.0 / (1.0 + np.exp(-spec.beta * (np.asarray(x, dtype=np.float64) - spec.midpoint)))
-
-
 def _band_halfwidth(spec: MixtureSpec) -> float:
     return math.log(spec.tau / (1.0 - spec.tau)) / spec.beta
 

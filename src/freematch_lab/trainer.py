@@ -110,12 +110,6 @@ class TrainingAborted(RuntimeError):
 
 
 @dataclass
-class EvalResult:
-    error_rate: float
-    confusion: np.ndarray
-
-
-@dataclass
 class RunResult:
     final_error: float
     best_error: float
@@ -144,13 +138,9 @@ def predict(model: nd.MlpModel, points: np.ndarray) -> np.ndarray:
                            for i in range(0, len(points), _PREDICT_ROWS)])
 
 
-def evaluate(model: nd.MlpModel, test: PointSet) -> EvalResult:
-    """Error rate and confusion matrix (rows = true class)."""
-    C = model.out_dim
-    pred = predict(model, test.points)
-    confusion = np.zeros((C, C), dtype=np.int64)
-    np.add.at(confusion, (test.labels, pred), 1)
-    return EvalResult(float((pred != test.labels).mean()), confusion)
+def evaluate(model: nd.MlpModel, test: PointSet) -> float:
+    """Error rate on the test split."""
+    return float((predict(model, test.points) != test.labels).mean())
 
 
 def train_step(
@@ -292,9 +282,8 @@ def run(config: TrainConfig, data: DatasetBundle) -> RunResult:
                 exc.last_good = trace[-1] if trace else None
                 raise
             if (k + 1) % config.eval_every == 0 or k == config.K - 1:
-                ev = evaluate(ema, data.test)
-                record.error_rate = ev.error_rate
-                best_error = min(best_error, ev.error_rate)
+                record.error_rate = evaluate(ema, data.test)
+                best_error = min(best_error, record.error_rate)
             trace.append(record)
     return RunResult(trace[-1].error_rate, best_error, trace, model, ema, state, config)
 

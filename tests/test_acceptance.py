@@ -78,8 +78,7 @@ def test_criterion_2_theorem_implications():
 
 def _timed_run(job):
     """One ablation job's run and its wall time, both taken in the worker."""
-    _, config = job
-    data = cli.canonical_two_moon_data(config.seed)
+    data, config, _ = cli.parse_experiment_config(job[1])
     t0 = time.time()
     result = run(config, data)
     return result, time.time() - t0
@@ -94,7 +93,7 @@ def two_moon_runs():
     jobs = cli.ablation_jobs("thresholds", SEEDS) + [j for j in cli.ablation_jobs("fairness", SEEDS) if j[0] == "saf"]
     workers = max(1, min(cli._worker_count(), len(jobs)))
     with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-        return {(label, config.seed): timed for (label, config), timed in zip(jobs, pool.map(_timed_run, jobs))}
+        return {(label, doc["train"]["seed"]): timed for (label, doc), timed in zip(jobs, pool.map(_timed_run, jobs))}
 
 
 def test_criterion_3_two_moon_reproduction(two_moon_runs):
@@ -288,7 +287,7 @@ def test_criterion_6_invariant_suite():
 
 def test_criterion_7_ablation_ranking(two_moon_runs):
     """The thresholds suite's runs, ranked by the summary `ablate` writes."""
-    runs = {(label, c.seed): two_moon_runs[label, c.seed][0] for label, c in cli.ablation_jobs("thresholds", SEEDS)}
+    runs = {(label, s): two_moon_runs[label, s][0] for label in cli.ABLATION_SUITES["thresholds"] for s in SEEDS}
     summary = cli.ablation_summary([(label, seed, r.final_error, r.best_error) for (label, seed), r in runs.items()])
     means = {label: entry["mean_error"] for label, entry in summary.items()}
     sat_mean = means["sat"]

@@ -11,9 +11,7 @@ import re
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 # referenced only by tests, on purpose
-ALLOWED = {
-    "theory.confidence": "the sigmoid that the closed form's band edges are checked against",
-}
+ALLOWED = {}
 
 
 def _names(node: ast.AST) -> set[str]:

@@ -11,8 +11,6 @@ import numpy as np
 import pytest
 
 from freematch_lab import cli, trainer
-from freematch_lab.adaptive_threshold import Fixed, Sat
-from freematch_lab.ssl_losses import FairnessVariant
 from freematch_lab.trainer import TrainConfig, TrainingAborted, config_from_dict, config_to_dict, run
 
 
@@ -109,9 +107,8 @@ def test_emit_plots_memory_does_not_grow_with_the_raster(tmp_path):
     its buffers to tracemalloc, one whole-raster forward would peak near 40 MB
     and the whole grid in 4,096-row blocks near 5.6 MB. The run is the canonical
     protocol cut to 100 steps; the raster's cost does not depend on K."""
-    data = cli.canonical_two_moon_data(0)
-    config = dataclasses.replace(cli.canonical_two_moon_config(Sat(), FairnessVariant.SAF, 0.01, seed=0), K=100)
-    result = run(config, data)
+    data, config, _ = cli.parse_experiment_config(dict(cli.ablation_jobs("fairness", [0]))["saf"])
+    result = run(dataclasses.replace(config, K=100), data)
     tracemalloc.start()
     try:
         cli._emit_plots(result, data, str(tmp_path))
@@ -228,15 +225,19 @@ def test_bad_train_value_is_a_config_error(tmp_path, capsys, section, override, 
 
 @pytest.mark.parametrize(
     "name, scheme, fairness, w_f",
-    [("two_moon_freematch.json", Sat(), FairnessVariant.SAF, 0.01),
-     ("two_moon_fixed.json", Fixed(0.95), FairnessVariant.NONE, 0.0)],
+    [("two_moon_freematch.json", {"kind": "sat"}, "saf", 0.01),
+     ("two_moon_fixed.json", {"kind": "fixed", "tau": 0.95}, "none", 0.0)],
 )
 def test_shipped_configs_are_the_canonical_protocol(name, scheme, fairness, w_f):
-    """The ablation's in-code protocol and the shipped configs must not drift apart."""
+    """The ablation's suite documents and the shipped configs must not drift
+    apart: each config is the seed-0 job of the one variant with its train keys."""
     with open(os.path.join(CONFIGS_DIR, name)) as fh:
         data, config, _ = cli.parse_experiment_config(json.load(fh))
-    assert config == cli.canonical_two_moon_config(scheme, fairness, w_f, seed=0)
-    canonical = cli.canonical_two_moon_data(0)
+    keys = {"scheme": scheme, "fairness": fairness, "w_f": w_f}
+    (doc,) = [doc for suite, variants in cli.ABLATION_SUITES.items()
+              for label, doc in cli.ablation_jobs(suite, [0]) if variants[label] == keys]
+    canonical, suite_config, _ = cli.parse_experiment_config(doc)
+    assert config == suite_config
     assert data.n_classes == canonical.n_classes
     for split in ("labeled", "unlabeled", "test"):
         assert np.array_equal(getattr(data, split).points, getattr(canonical, split).points)
@@ -603,9 +604,9 @@ def test_theory_required_sweep_name_without_its_verdict_is_skipped(tmp_path):
 
 @pytest.fixture
 def fast_protocol(monkeypatch):
-    monkeypatch.setitem(cli.TWO_MOON_TRAIN, "K", 30)
-    monkeypatch.setitem(cli.TWO_MOON_TRAIN, "mu", 8)
-    monkeypatch.setitem(cli.TWO_MOON_TRAIN, "eval_every", 15)
+    monkeypatch.setitem(cli.TWO_MOON["train"], "K", 30)
+    monkeypatch.setitem(cli.TWO_MOON["train"], "mu", 8)
+    monkeypatch.setitem(cli.TWO_MOON["train"], "eval_every", 15)
     monkeypatch.setenv("FREEMATCH_LAB_THREADS", "1")
 
 
@@ -662,7 +663,7 @@ def test_pooled_ablation_trains_the_config_the_parent_built(fast_protocol, monke
     pooled = cli.run_ablation("fairness", [0])
     monkeypatch.setenv("FREEMATCH_LAB_THREADS", "1")
     assert cli.run_ablation("fairness", [0]) == pooled
-    config = cli.ablation_jobs("fairness", [0])[0][1]
+    _, config, _ = cli.parse_experiment_config(cli.ablation_jobs("fairness", [0])[0][1])
     assert (config.K, config.mu, config.eval_every) == (30, 8, 15)
 
 
@@ -670,10 +671,10 @@ def test_pooled_ablation_trains_the_config_the_parent_built(fast_protocol, monke
 # from this module, so they take every setting from the job itself.
 
 
-def _blas_threads_job(job: tuple[str, TrainConfig]) -> tuple[str, int, float, float]:
+def _blas_threads_job(job: tuple[str, dict]) -> tuple[str, int, float, float]:
     """Trains a tiny run and reports, as its final error, the largest OpenBLAS
     thread count its steps saw, and as its best error the smallest."""
-    variant, config = job
+    variant, seed = job[0], job[1]["train"]["seed"]
     getter = trainer._openblas_threads()[1]
     seen = []
     step = trainer.train_step
@@ -684,32 +685,32 @@ def _blas_threads_job(job: tuple[str, TrainConfig]) -> tuple[str, int, float, fl
 
     trainer.train_step = recording_step
     try:
-        run(TrainConfig(K=3, mu=2, B=2, eval_every=3, hidden_dims=(4,), seed=config.seed),
-            cli.canonical_two_moon_data(config.seed))
+        run(TrainConfig(K=3, mu=2, B=2, eval_every=3, hidden_dims=(4,), seed=seed),
+            cli.build_dataset(job[1]["dataset"]))
     finally:
         trainer.train_step = step
-    return variant, config.seed, float(max(seen)), float(min(seen))
+    return variant, seed, float(max(seen)), float(min(seen))
 
 
-def _diverging_job(job: tuple[str, TrainConfig]) -> tuple[str, int, float, float]:
+def _diverging_job(job: tuple[str, dict]) -> tuple[str, int, float, float]:
     """'sat' at seed 1 trains at a learning rate that overflows the weights in
     its first step; every other job returns at once."""
-    variant, config = job
-    if (variant, config.seed) != ("sat", 1):
-        return variant, config.seed, 0.5, 0.5
+    variant, seed = job[0], job[1]["train"]["seed"]
+    if (variant, seed) != ("sat", 1):
+        return variant, seed, 0.5, 0.5
     config = TrainConfig(lr0=1e200, K=20, mu=2, B=2, eval_every=10, hidden_dims=(8,), seed=1)
     with np.errstate(over="ignore", invalid="ignore"):
-        run(config, cli.canonical_two_moon_data(1))
+        run(config, cli.build_dataset(job[1]["dataset"]))
     raise AssertionError("training did not diverge")
 
 
-def _crashing_job(job: tuple[str, TrainConfig]) -> tuple[str, int, float, float]:
+def _crashing_job(job: tuple[str, dict]) -> tuple[str, int, float, float]:
     """The worker running 'sat' at seed 1 dies at once, as if killed; every
     other job returns at once."""
-    variant, config = job
-    if (variant, config.seed) == ("sat", 1):
+    variant, seed = job[0], job[1]["train"]["seed"]
+    if (variant, seed) == ("sat", 1):
         os._exit(1)
-    return variant, config.seed, 0.5, 0.5
+    return variant, seed, 0.5, 0.5
 
 
 def _assert_names_lost_runs(message: str) -> None:
@@ -718,7 +719,7 @@ def _assert_names_lost_runs(message: str) -> None:
     match = re.search(r"a pool worker died; runs without a result: (.+?) \(", message)
     assert match, message
     lost = match.group(1).split(", ")
-    names = [f"{variant} seed {config.seed}" for variant, config in cli.ablation_jobs("thresholds", [0, 1])]
+    names = [f"{variant} seed {doc['train']['seed']}" for variant, doc in cli.ablation_jobs("thresholds", [0, 1])]
     assert "sat seed 1" in lost
     assert lost == [name for name in names if name in lost]
 

