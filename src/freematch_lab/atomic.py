@@ -11,15 +11,18 @@ from contextlib import contextmanager
 @contextmanager
 def atomic_open(path: str, mode: str = "w", **kwargs):
     """Yield a handle on a temp file beside `path`. A clean exit renames it
-    over `path`; an exception removes it and propagates."""
+    over `path`; an exception removes it and propagates, an OSError as one
+    whose `filename` is `path`, not the temp file's name."""
     tmp = f"{path}.tmp-{os.getpid()}"
     try:
         with open(tmp, mode, **kwargs) as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror or str(exc), path) from exc
         raise
 
 

@@ -9,7 +9,8 @@ a `kind` picks its constructor through `read_kind`. Exit codes: 0 success, 1
 runtime failure, 2 usage or config error; a config error leaves no output
 directory, and `theory` finds one in its options or any sweep of its grid
 before the first Monte-Carlo draw. Every output file is written atomically
-(temp file + rename), so artifacts are either complete or absent.
+(temp file + rename), so artifacts are either complete or absent; a failed
+write is the one line `run failed: could not write <artifact>: <reason>`.
 `augment.seed` is accepted and ignored: augmentation noise comes from the
 run's `seed`. The parent builds each ablation run's experiment document,
 `TWO_MOON` plus its variant's train keys, and a worker of one spawn pool
@@ -81,15 +82,9 @@ def _emit_plots(result: RunResult, data: DatasetBundle, out_dir: str) -> None:
     n = 200
     xs = np.linspace(x0, x1, n)
     ys = np.linspace(y0, y1, n)
-    # predicted a band of raster rows at a time, the most that fit in the test
-    # set's size (at least one row), so no raster forward is larger than the
-    # test-set evaluation the run has already done
-    band = max(1, len(data.test) // n)
-    pred = np.empty((n, n), dtype=np.intp)
-    for i in range(0, n, band):
-        rows = ys[i : i + band]
-        band_points = np.column_stack([np.tile(xs, len(rows)), np.repeat(rows, n)])
-        pred[i : i + band] = predict(result.ema, band_points).reshape(len(rows), n)
+    # one raster row per forward: its arrays are the size of a training step's,
+    # so drawing the figure does not lift the process peak above training's
+    pred = np.stack([predict(result.ema, np.column_stack([xs, np.full(n, y)])) for y in ys])
     boundary_chart(
         "decision boundary (EMA model)",
         pred,
@@ -136,6 +131,12 @@ def _check_out_dir(path: str) -> None:
         raise ValueError(f"output directory {path!r}: {probe!r} is not writable")
 
 
+def _write_failed(exc: OSError) -> int:
+    """A failed output write, such as to a full disk, ends as one line and exit 1, not a traceback."""
+    print(f"run failed: could not write {exc.filename}: {exc.strerror}", file=sys.stderr)
+    return 1
+
+
 def cmd_train(config_path: str, out_override: str | None) -> int:
     try:
         with open(config_path) as fh:
@@ -152,12 +153,15 @@ def cmd_train(config_path: str, out_override: str | None) -> int:
     except TrainingAborted as exc:
         print(f"run aborted: {exc}", file=sys.stderr)
         return 1
-    os.makedirs(out_dir, exist_ok=True)
-    # looked up on the module, where perfbench's tracer patches them
-    trainer.write_trace_csv(result.trace, os.path.join(out_dir, "trace.csv"))
-    trainer.save_checkpoint(result, os.path.join(out_dir, "checkpoint"))
-    to_csv(data, os.path.join(out_dir, "dataset.csv"))
-    _emit_plots(result, data, out_dir)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        # looked up on the module, where perfbench's tracer patches them
+        trainer.write_trace_csv(result.trace, os.path.join(out_dir, "trace.csv"))
+        trainer.save_checkpoint(result, os.path.join(out_dir, "checkpoint"))
+        to_csv(data, os.path.join(out_dir, "dataset.csv"))
+        _emit_plots(result, data, out_dir)
+    except OSError as exc:
+        return _write_failed(exc)
     print(
         f"done: final_error={result.final_error:.4f} best_error={result.best_error:.4f} "
         f"trace={len(result.trace)} rows -> {out_dir}"
@@ -249,15 +253,11 @@ def cmd_theory(grid_path: str | None, out_dir: str, mc_samples: int, seed: int) 
             if mc_samples > 0:
                 row = with_mc(row, mc_samples, int(sweep_seed) + i)
             points.append((name, res.varying, row))
-    os.makedirs(out_dir, exist_ok=True)
     rows = []
     for name, varying, row in points:
         d, m = row.dist, row.mc
         mc = [None] * 6 if m is None else [m.dist.p_pos, m.se_pos, m.dist.p_neg, m.se_neg, m.dist.p_mask, m.se_mask]
         rows.append([name, varying, row.param, d.p_pos, d.p_neg, d.p_mask, d.imbalance, *mc])
-    write_csv(os.path.join(out_dir, "theorem_sweep.csv"),
-              ["sweep", "varying", "param", "p_pos", "p_neg", "p_mask", "imbalance",
-               "mc_p_pos", "mc_se_pos", "mc_p_neg", "mc_se_neg", "mc_p_mask", "mc_se_mask"], rows)
 
     lines = []
     all_pass = True
@@ -282,8 +282,15 @@ def cmd_theory(grid_path: str | None, out_dir: str, mc_samples: int, seed: int) 
             f"{len(rerolled)} rerolled{': ' + ', '.join(rerolled) if rerolled else ''})"
         )
     lines.append(f"overall: {'PASS' if all_pass else 'FAIL'}")
-    with atomic_open(os.path.join(out_dir, "verdicts.txt")) as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        write_csv(os.path.join(out_dir, "theorem_sweep.csv"),
+                  ["sweep", "varying", "param", "p_pos", "p_neg", "p_mask", "imbalance",
+                   "mc_p_pos", "mc_se_pos", "mc_p_neg", "mc_se_neg", "mc_p_mask", "mc_se_mask"], rows)
+        with atomic_open(os.path.join(out_dir, "verdicts.txt")) as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        return _write_failed(exc)
     print("\n".join(lines))
     return 0 if all_pass else 1
 
@@ -404,11 +411,15 @@ def cmd_ablate(suite: str, n_seeds: int, out_dir: str) -> int:
     except BrokenProcessPool as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
-    os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "ablation.csv")
     entries = [(label, summary[label]) for label in ABLATION_SUITES[suite]]
-    write_csv(csv_path, ["variant", "n_seeds", "mean_error", "std_error", "mean_best_error"],
-              ([label, len(e["seeds"]), e["mean_error"], e["std_error"], e["mean_best_error"]] for label, e in entries))
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        write_csv(csv_path, ["variant", "n_seeds", "mean_error", "std_error", "mean_best_error"],
+                  ([label, len(e["seeds"]), e["mean_error"], e["std_error"], e["mean_best_error"]]
+                   for label, e in entries))
+    except OSError as exc:
+        return _write_failed(exc)
     for label, e in entries:
         std = "n/a" if e["std_error"] is None else f"{e['std_error']:.4f}"
         print(f"{label:18s} mean_error={e['mean_error']:.4f} std={std} (n={len(e['seeds'])})")

@@ -8,9 +8,9 @@ closed-form backward (no autodiff graph, bit-identical to the autodiff tape's)
 During warm-up the unsupervised and fairness terms are zeroed while the
 threshold statistics keep updating, so SSL starts from an informed state.
 
-Inference has one path, `predict`: evaluation and the decision-boundary raster
-run the model in blocks of a few thousand rows, so their memory does not grow
-with the number of points.
+Inference has one path, `predict`, in blocks of a few thousand rows, so its
+memory does not grow with the number of points. Evaluation passes it the test
+set, and the decision-boundary raster one 200-point raster row per call.
 
 The loop is single-threaded and fully seed-deterministic: `run` puts NumPy's
 OpenBLAS on one thread and restores the count when it returns or raises. The

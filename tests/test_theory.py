@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freematch_lab import theory
-from freematch_lab.synthdata import streams
+from freematch_lab.synthdata import gen_gaussian_clusters, streams
 from freematch_lab.theory import (
     MC_BLOCK,
     McResult,
@@ -145,6 +145,29 @@ def test_analytic_against_mc_oracle_case2():
     assert d.p_mask == pytest.approx(0.974, abs=5e-4)
     mc = mc_dist(spec, 10**6, seed=2)
     assert abs(mc.dist.p_mask - d.p_mask) <= 4 * mc.se_mask
+
+
+def test_two_clusters_are_the_theorem_mixture_in_their_first_coordinate():
+    """The bridge from the closed form to the training data, with no training:
+    two unit clusters at (-1, 0) and (1, 0) are the mixture with means -1 and
+    1 in x1. Its Bayes rule sign(x1) errs at Phi(-1), and thresholding its
+    Bayes posterior sigmoid(2 x1) at tau masks analytic_dist's p_mask at beta
+    2. Each is checked to 3 binomial standard errors on one draw of 200,000
+    points per class (the seed was fixed before the first run)."""
+    data = gen_gaussian_clusters(C=2, n_per_class=200_000, means=[[-1, 0], [1, 0]], sigma=1, seed=15)
+    x1, labels = data.unlabeled.points[:, 0], data.unlabeled.labels
+    n = len(labels)
+
+    def within_3_se(share, p):
+        return abs(share - p) <= 3 * math.sqrt(p * (1 - p) / n)
+
+    bayes_error = 0.5 * math.erfc(1 / math.sqrt(2))  # Phi(-1)
+    assert bayes_error == pytest.approx(0.158655, abs=5e-7)
+    assert within_3_se(np.mean((x1 > 0) != (labels == 1)), bayes_error)
+    for tau in (0.8, 0.95):
+        spec = MixtureSpec(-1, 1, beta=2, tau=tau)
+        s = confidence(x1, spec)  # sigmoid(2 x1)
+        assert within_3_se(np.mean((s > 1 - tau) & (s < tau)), analytic_dist(spec).p_mask), tau
 
 
 @settings(max_examples=100, deadline=None)
