@@ -95,18 +95,18 @@ def _emit_plots(result: RunResult, data: DatasetBundle, out_dir: str) -> None:
         ],
         os.path.join(out_dir, "boundary.svg"),
     )
-    iters = np.array([r.iteration for r in result.trace])
+    trace = result.trace
     line_chart(
         "confidence thresholds",
         [
-            ("global", iters, np.array([r.tau_global for r in result.trace])),
-            ("mean per-class", iters, np.array([r.mean_class_threshold for r in result.trace])),
+            ("global", trace["iteration"], trace["tau_global"]),
+            ("mean per-class", trace["iteration"], trace["mean_class_threshold"]),
         ],
         os.path.join(out_dir, "thresholds.svg"),
     )
     line_chart(
         "sampling rate",
-        [("sampling rate", iters, np.array([r.sampling_rate for r in result.trace]))],
+        [("sampling rate", trace["iteration"], trace["sampling_rate"])],
         os.path.join(out_dir, "sampling_rate.svg"),
     )
 

@@ -31,6 +31,7 @@ stays independent of the closed form.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -197,19 +198,31 @@ def mc_dist(spec: MixtureSpec, n: int, seed: int) -> McResult:
     From `streams(seed, 3, SFC64)`: the first draws how many of the n labels
     are +1, the second the -1 component's float32 normals and the third the
     +1 component's, which a helper thread counts while this thread counts the
-    -1 component.
+    -1 component. The helper is joined before this returns or raises, and an
+    exception it raises is raised here as itself.
     """
-    from concurrent.futures import ThreadPoolExecutor  # loaded only for a draw
-
     if n < 1:
         raise ValueError("n must be >= 1")
     lo, hi = _band_edges(spec)
     labels, neg, pos = streams(seed, 3, np.random.SFC64)
     n_plus = int(labels.binomial(n, 0.5))
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        plus = helper.submit(_count_tails, pos, n_plus, spec.mu2, spec.sigma2, lo, hi)
+    plus = []  # the helper's counts, or the exception it raised
+
+    def count_plus():
+        try:
+            plus.append(_count_tails(pos, n_plus, spec.mu2, spec.sigma2, lo, hi))
+        except BaseException as exc:  # raised again by the caller after the join
+            plus.append(exc)
+
+    helper = threading.Thread(target=count_plus)
+    helper.start()
+    try:
         minus_hi, minus_lo = _count_tails(neg, n - n_plus, spec.mu1, spec.sigma1, lo, hi)
-        plus_hi, plus_lo = plus.result()
+    finally:
+        helper.join()
+    if isinstance(plus[0], BaseException):
+        raise plus[0]
+    plus_hi, plus_lo = plus[0]
     n_pos, n_neg = plus_hi + minus_hi, plus_lo + minus_lo
     counts = np.array([n_pos, n_neg, n - n_pos - n_neg], dtype=np.int64)  # pos, neg, mask
     freqs = counts / n

@@ -16,7 +16,9 @@ The loop is single-threaded and fully seed-deterministic: `run` puts NumPy's
 OpenBLAS on one thread and restores the count when it returns or raises. The
 count is process-wide, so independent runs go in separate processes. `run`
 returns a `RunResult` and writes no file: see `write_trace_csv` and
-`save_checkpoint`.
+`save_checkpoint`. Its trace is one table of K rows allocated before the first
+step, 80 bytes a row: step k's `MetricsRecord` is copied into row k and only
+the last record is kept, so a longer run costs 80 bytes a step, not a record.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import json
+import math
 import operator
 import os
 import pathlib
@@ -96,6 +99,11 @@ class MetricsRecord:
     pseudo_label_acc: float | None = None
 
 
+# a trace row: one column per MetricsRecord field, in order; NaN stands for None
+TRACE_DTYPE = np.dtype([(f.name, np.int64 if f.name == "iteration" else np.float64) for f in fields(MetricsRecord)])
+_trace_row = operator.attrgetter(*TRACE_DTYPE.names)
+
+
 class TrainingAborted(RuntimeError):
     """Raised on a non-finite loss; carries its record and the last good one, or None."""
 
@@ -111,9 +119,13 @@ class TrainingAborted(RuntimeError):
 
 @dataclass
 class RunResult:
+    """A finished run. `trace` is a TRACE_DTYPE table, one row per step, with
+    NaN where the step's record held None: `error_rate` off the eval cadence,
+    `pseudo_label_acc` when the step kept no pseudo-label."""
+
     final_error: float
     best_error: float
-    trace: list[MetricsRecord]
+    trace: np.ndarray
     model: nd.MlpModel
     ema: nd.MlpModel
     state: at.ThresholdState
@@ -271,29 +283,30 @@ def _one_blas_thread():
 def run(config: TrainConfig, data: DatasetBundle) -> RunResult:
     """Train for K iterations on one BLAS thread."""
     model, velocity, ema, state, lab_iter, unlab_iter, aug_rng = _build(config, data)
-    trace: list[MetricsRecord] = []
-    best_error = float("inf")
+    trace = np.empty(config.K, TRACE_DTYPE)
+    record, best_error = None, float("inf")
     # a blow-up surfaces as TrainingAborted from the finite checks, not as NumPy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(config.K):
             try:
                 record = train_step(model, velocity, ema, state, next(lab_iter), next(unlab_iter), config, aug_rng, k)
             except TrainingAborted as exc:
-                exc.last_good = trace[-1] if trace else None
+                exc.last_good = record  # the previous step's: this one raised before the assignment
                 raise
             if (k + 1) % config.eval_every == 0 or k == config.K - 1:
                 record.error_rate = evaluate(ema, data.test)
                 best_error = min(best_error, record.error_rate)
-            trace.append(record)
-    return RunResult(trace[-1].error_rate, best_error, trace, model, ema, state, config)
+            trace[k] = _trace_row(record)  # NumPy stores a None as NaN
+    return RunResult(record.error_rate, best_error, trace, model, ema, state, config)
 
 
 # -- artifacts ---------------------------------------------------------------------
 
-def write_trace_csv(trace: list[MetricsRecord], path: str) -> None:
-    """One column per MetricsRecord field in order, `iteration` headed `iter`."""
-    names = [f.name for f in fields(MetricsRecord)]
-    write_csv(path, ["iter", *names[1:]], map(operator.attrgetter(*names), trace))
+def write_trace_csv(trace: np.ndarray, path: str) -> None:
+    """One column per trace column in order, `iteration` headed `iter`, and NaN
+    as the empty cell. The rows are formatted one at a time as they are written."""
+    rows = ([None if math.isnan(v) else v for v in row.tolist()] for row in trace)
+    write_csv(path, ["iter", *trace.dtype.names[1:]], rows)
 
 
 def config_to_dict(config: TrainConfig) -> dict:

@@ -115,9 +115,9 @@ def test_criterion_4_threshold_dynamics(two_moon_runs):
     rate_gaps = []
     for seed in SEEDS:
         fm, fx = two_moon_runs["saf", seed][0], two_moon_runs["fixed(0.95)", seed][0]
-        rising.append(fm.trace[49].tau_global < fm.trace[1999].tau_global)
-        fm_rate = float(np.mean([r.sampling_rate for r in fm.trace[:200]]))
-        fx_rate = float(np.mean([r.sampling_rate for r in fx.trace[:200]]))
+        rising.append(fm.trace["tau_global"][49] < fm.trace["tau_global"][1999])
+        fm_rate = float(np.mean(fm.trace["sampling_rate"][:200]))
+        fx_rate = float(np.mean(fx.trace["sampling_rate"][:200]))
         rate_gaps.append(fm_rate - fx_rate)
     ok = all(rising) and all(g > 0 for g in rate_gaps)
     _report(

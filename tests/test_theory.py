@@ -223,9 +223,9 @@ def test_mc_n_not_a_multiple_of_the_block_sums_to_n():
 
 def test_mc_memory_does_not_grow_with_n():
     """The oracle draws in blocks and keeps no sample's x: at n = 4e6 its
-    traced peak is about 1.6 MiB as a process's first call (the thread
-    pool's import included), where the streamed one-generator draw traced
-    2.5 MiB and a whole-array draw of 1e6 samples traces about 39 MiB."""
+    traced peak is about 1 MiB as a process's first call, where the streamed
+    one-generator draw traced 2.5 MiB and a whole-array draw of 1e6 samples
+    traces about 39 MiB."""
     tracemalloc.start()
     try:
         mc_dist(SPEC, 4 * 10**6, seed=6)
@@ -362,6 +362,28 @@ def test_closing_mixture_blocks_early_stops_its_helper_thread(monkeypatch):
     with pytest.raises(RuntimeError, match="count failed"):
         mc_dist(MIXED, 3 * MC_BLOCK, 0)
     assert during == [before + 1]  # the helper was counting the +1 component
+    assert threading.active_count() == before
+
+
+def test_an_exception_in_the_helper_is_raised_in_the_caller_as_itself(monkeypatch):
+    """Only the helper's stream, the +1 component's, fails: mc_dist raises
+    that very exception, after the helper thread has ended."""
+    before = threading.active_count()
+    real_count = theory._count_tails
+    failure = RuntimeError("helper count failed")
+    counted_on = {}
+
+    def count_fails_on_the_helper(rng, m, mu, *rest):
+        counted_on[mu] = threading.current_thread()
+        if mu == MIXED.mu2:
+            raise failure
+        return real_count(rng, m, mu, *rest)
+
+    monkeypatch.setattr(theory, "_count_tails", count_fails_on_the_helper)
+    with pytest.raises(RuntimeError) as exc_info:
+        mc_dist(MIXED, 3 * MC_BLOCK, 0)
+    assert exc_info.value is failure
+    assert counted_on[MIXED.mu1] is threading.main_thread() and counted_on[MIXED.mu2] is not threading.main_thread()
     assert threading.active_count() == before
 
 

@@ -7,6 +7,7 @@ import gzip
 import json
 import pathlib
 import pickle
+import tracemalloc
 import types
 
 import numpy as np
@@ -424,7 +425,7 @@ def test_run_records_one_row_per_iteration(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     result = run(cfg, data)
     assert len(result.trace) == 12
-    assert result.trace[-1].error_rate is not None
+    assert not np.isnan(result.trace["error_rate"][-1])
     assert result.final_error <= 1.0 and result.best_error <= result.final_error + 1e-12
     assert list(tmp_path.iterdir()) == []  # run returns its result and writes no file
 
@@ -435,6 +436,24 @@ def test_run_trace_deterministic(tmp_path):
     _run_and_write(cfg, data, tmp_path / "a")
     _run_and_write(cfg, data, tmp_path / "b")
     assert (tmp_path / "a" / "trace.csv").read_bytes() == (tmp_path / "b" / "trace.csv").read_bytes()
+
+
+def test_run_memory_does_not_grow_per_step():
+    """The trace is one table of 80-byte rows, allocated before the first step,
+    and the run keeps only the last MetricsRecord (a list of every record held
+    about 375 bytes a step). The traced peaks at K 100 and 400 differ by at most
+    150 bytes per added step."""
+    data = _cluster_data()
+    run(_small_config(K=20), data)  # the first run's one-time costs: the BLAS thread setter's lookup
+    peaks = {}
+    for K in (100, 400):
+        tracemalloc.start()
+        try:
+            run(_small_config(K=K, eval_every=50), data)
+            peaks[K] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[400] - peaks[100] <= 150 * 300, peaks
 
 
 def _openblas_or_skip():
@@ -491,23 +510,23 @@ def test_run_two_moon_protocol_smoke():
     cfg = TrainConfig(scheme=Sat(), fairness=FairnessVariant.SAF, mu=8, B=2, K=40, eval_every=20, seed=0)
     result = run(cfg, data)
     assert len(result.trace) == 40
-    assert all(0.0 <= r.sampling_rate <= 1.0 for r in result.trace)
+    assert np.all((0.0 <= result.trace["sampling_rate"]) & (result.trace["sampling_rate"] <= 1.0))
 
 
 def test_run_fixed_baseline_low_early_utilization():
     data = gen_two_moons(n_unlabeled=200, seed=0)
     cfg = TrainConfig(scheme=Fixed(0.95), fairness=FairnessVariant.NONE, mu=8, B=2, K=30, eval_every=15, seed=0)
     result = run(cfg, data)
-    assert np.mean([r.sampling_rate for r in result.trace[:10]]) < 0.5
+    assert np.mean(result.trace["sampling_rate"][:10]) < 0.5
 
 
 # -- artifacts -------------------------------------------------------------------
 
 
 def test_trace_csv_columns(tmp_path):
-    rec = MetricsRecord(0, 1.0, 0.5, -0.1, 1.399, 0.5, 0.5, 0.25, error_rate=None, pseudo_label_acc=0.75)
+    trace = np.array([(0, 1.0, 0.5, -0.1, 1.399, 0.5, 0.5, 0.25, np.nan, 0.75)], dtype=trainer.TRACE_DTYPE)
     path = tmp_path / "t.csv"
-    write_trace_csv([rec], str(path))
+    write_trace_csv(trace, str(path))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "iter,l_s,l_u,l_f,total,tau_global,mean_class_threshold,sampling_rate,error_rate,pseudo_label_acc"
     assert lines[1].split(",")[8] == ""  # off-cadence eval column stays blank
