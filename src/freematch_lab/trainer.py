@@ -17,8 +17,8 @@ OpenBLAS on one thread and restores the count when it returns or raises. The
 count is process-wide, so independent runs go in separate processes. `run`
 returns a `RunResult` and writes no file: see `write_trace_csv` and
 `save_checkpoint`. Its trace is one table of K rows allocated before the first
-step, 80 bytes a row: step k's `MetricsRecord` is copied into row k and only
-the last record is kept, so a longer run costs 80 bytes a step, not a record.
+step, 80 bytes a row: `train_step` returns its row and `run` stores it as row
+k, so a longer run costs 80 bytes a step and no other object.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import ctypes
 import functools
 import json
 import math
-import operator
 import os
 import pathlib
 import sys
@@ -85,29 +84,18 @@ class TrainConfig:
         at.check_statistics_params(self.lam, self.clamp)
 
 
-@dataclass
-class MetricsRecord:
-    iteration: int
-    l_s: float
-    l_u: float
-    l_f: float
-    total: float
-    tau_global: float
-    mean_class_threshold: float
-    sampling_rate: float
-    error_rate: float | None = None
-    pseudo_label_acc: float | None = None
-
-
-# a trace row: one column per MetricsRecord field, in order; NaN stands for None
-TRACE_DTYPE = np.dtype([(f.name, np.int64 if f.name == "iteration" else np.float64) for f in fields(MetricsRecord)])
-_trace_row = operator.attrgetter(*TRACE_DTYPE.names)
+# one step's metrics, a row of a run's trace, with NaN where the step has no
+# value: `error_rate` off the eval cadence, `pseudo_label_acc` when no row is kept
+TRACE_DTYPE = np.dtype([("iteration", np.int64)] + [(name, np.float64) for name in (
+    "l_s", "l_u", "l_f", "total", "tau_global", "mean_class_threshold", "sampling_rate", "error_rate",
+    "pseudo_label_acc")])
 
 
 class TrainingAborted(RuntimeError):
-    """Raised on a non-finite loss; carries its record and the last good one, or None."""
+    """Raised on a non-finite loss; carries the failing step's TRACE_DTYPE row
+    and the last good step's, or None."""
 
-    def __init__(self, record: MetricsRecord, message: str, last_good: MetricsRecord | None = None):
+    def __init__(self, record: np.void, message: str, last_good: np.void | None = None):
         super().__init__(message)
         self.record = record
         self.last_good = last_good
@@ -119,9 +107,9 @@ class TrainingAborted(RuntimeError):
 
 @dataclass
 class RunResult:
-    """A finished run. `trace` is a TRACE_DTYPE table, one row per step, with
-    NaN where the step's record held None: `error_rate` off the eval cadence,
-    `pseudo_label_acc` when the step kept no pseudo-label."""
+    """A finished run. `trace` is a TRACE_DTYPE table, one row per step;
+    `final_error` and `best_error` are the last and the smallest value of its
+    `error_rate` column."""
 
     final_error: float
     best_error: float
@@ -165,10 +153,11 @@ def train_step(
     config: TrainConfig,
     aug_rng: np.random.Generator,
     k: int,
-) -> MetricsRecord:
-    """Step k's full update. The unlabeled batch's labels are read only for
-    the pseudo_label_acc diagnostic. Each head's upstream gradient is its weight
-    (1, w_u, w_f), as in `total_loss`'s backward."""
+) -> np.void:
+    """Step k's full update; returns its TRACE_DTYPE row, `error_rate` NaN.
+    The unlabeled batch's labels are read only for the pseudo_label_acc
+    diagnostic. Each head's upstream gradient is its weight (1, w_u, w_f), as
+    in `total_loss`'s backward."""
     in_warmup = k < config.warmup_iters
     if labeled.points.shape[1] != model.in_dim or unlabeled.points.shape[1] != model.in_dim:
         raise ValueError("batch width does not match the model")
@@ -202,26 +191,18 @@ def train_step(
                 grad_s = grad_s + nd.softmax_backward(strong_probs, grad_f)
     except ValueError as exc:
         # numeric blow-up mid-step (overflowed weights, non-finite activations)
-        nan = float("nan")
-        diag = MetricsRecord(k, nan, nan, nan, nan, state.tau_global, nan, nan)
+        diag = np.void((k, *[math.nan] * 4, state.tau_global, *[math.nan] * 4), TRACE_DTYPE)
         raise TrainingAborted(diag, f"aborted at iteration {k}: {exc}") from exc
 
     # (7) weighted total, backward, SGD step at the cosine learning rate
     n_kept = np.count_nonzero(keep)
-    record = MetricsRecord(
-        iteration=k,
-        l_s=float(l_s),
-        l_u=float(l_u),
-        l_f=float(l_f),
-        total=float(l_s) + config.w_u * float(l_u) + config.w_f * float(l_f),
-        tau_global=state.tau_global,
-        mean_class_threshold=float(np.add.reduce(thresholds) / thresholds.size),
-        sampling_rate=n_kept / keep.size,
-    )
-    if n_kept:
-        record.pseudo_label_acc = np.count_nonzero(hard[keep] == unlabeled.labels[keep]) / n_kept
-    if not np.isfinite(record.total):
-        raise TrainingAborted(record, f"non-finite loss at iteration {k}")
+    l_s, l_u, l_f = float(l_s), float(l_u), float(l_f)
+    total = l_s + config.w_u * l_u + config.w_f * l_f
+    acc = np.count_nonzero(hard[keep] == unlabeled.labels[keep]) / n_kept if n_kept else math.nan
+    row = np.void((k, l_s, l_u, l_f, total, state.tau_global, float(np.add.reduce(thresholds) / thresholds.size),
+                   n_kept / keep.size, math.nan, acc), TRACE_DTYPE)
+    if not np.isfinite(total):
+        raise TrainingAborted(row, f"non-finite loss at iteration {k}")
 
     grad = nd.mlp_backward(model, acts_l, grad_l)
     if grad_s is not None:
@@ -230,7 +211,7 @@ def train_step(
 
     # (8) evaluation-model EMA
     nd.ema_update(ema, model.theta, EMA_DECAY)
-    return record
+    return row
 
 
 def _build(config: TrainConfig, data: DatasetBundle):
@@ -284,20 +265,18 @@ def run(config: TrainConfig, data: DatasetBundle) -> RunResult:
     """Train for K iterations on one BLAS thread."""
     model, velocity, ema, state, lab_iter, unlab_iter, aug_rng = _build(config, data)
     trace = np.empty(config.K, TRACE_DTYPE)
-    record, best_error = None, float("inf")
+    errors = trace["error_rate"]
     # a blow-up surfaces as TrainingAborted from the finite checks, not as NumPy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(config.K):
             try:
-                record = train_step(model, velocity, ema, state, next(lab_iter), next(unlab_iter), config, aug_rng, k)
+                trace[k] = train_step(model, velocity, ema, state, next(lab_iter), next(unlab_iter), config, aug_rng, k)
             except TrainingAborted as exc:
-                exc.last_good = record  # the previous step's: this one raised before the assignment
+                exc.last_good = trace[k - 1].copy() if k else None  # a copy: trace[k - 1] is a view
                 raise
             if (k + 1) % config.eval_every == 0 or k == config.K - 1:
-                record.error_rate = evaluate(ema, data.test)
-                best_error = min(best_error, record.error_rate)
-            trace[k] = _trace_row(record)  # NumPy stores a None as NaN
-    return RunResult(record.error_rate, best_error, trace, model, ema, state, config)
+                errors[k] = evaluate(ema, data.test)
+    return RunResult(float(errors[-1]), float(np.nanmin(errors)), trace, model, ema, state, config)
 
 
 # -- artifacts ---------------------------------------------------------------------

@@ -11,7 +11,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
-from freematch_lab import atomic, cli, trainer
+from freematch_lab import atomic, cli, svgplot, trainer
 from freematch_lab.trainer import TrainConfig, TrainingAborted, config_from_dict, config_to_dict, run
 
 
@@ -119,6 +119,29 @@ def test_emit_plots_memory_does_not_grow_with_the_raster(tmp_path):
         tracemalloc.stop()
     assert peak < 1 * 2**20, f"peak {peak / 2**20:.2f} MB"
     assert (tmp_path / "boundary.svg").exists()
+
+
+def test_line_chart_memory_does_not_grow_with_the_trace(tmp_path):
+    """line_chart writes each polyline point's text as it formats it. Its
+    traced peak, drawing the thresholds figure from a trace table of K rows,
+    grows by at most 40 bytes per added row from K 2,000 to K 8,000 (joining
+    the points' strings grew it by about 122 bytes a row)."""
+    peaks = {}
+    for K in (2000, 8000):
+        trace = np.zeros(K, trainer.TRACE_DTYPE)
+        trace["iteration"] = np.arange(K)
+        trace["tau_global"] = np.linspace(0.5, 0.95, K)
+        trace["mean_class_threshold"] = np.linspace(0.4, 0.9, K) ** 2
+        series = [("global", trace["iteration"], trace["tau_global"]),
+                  ("mean per-class", trace["iteration"], trace["mean_class_threshold"])]
+        tracemalloc.start()
+        try:
+            svgplot.line_chart("confidence thresholds", series, str(tmp_path / f"k{K}.svg"))
+            peaks[K] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[8000] - peaks[2000] <= 40 * 6000, peaks
+    assert (tmp_path / "k8000.svg").read_text().count(",") == 2 * 8000
 
 
 def test_train_requires_output_dir(tmp_path):
@@ -763,8 +786,8 @@ def test_ablation_abort_names_variant_and_seed(monkeypatch, workers):
     with pytest.raises(TrainingAborted) as exc_info:
         cli.run_ablation("thresholds", [0, 1])
     assert str(exc_info.value).startswith("ablation run sat seed 1: aborted at iteration 1")
-    assert exc_info.value.record.iteration == 1
-    assert exc_info.value.last_good.iteration == 0
+    assert exc_info.value.record["iteration"] == 1
+    assert exc_info.value.last_good["iteration"] == 0
 
 
 def test_ablate_command_reports_aborted_pool_run(tmp_path, monkeypatch, capsys):

@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import gzip
 import json
+import math
 import pathlib
 import pickle
 import tracemalloc
@@ -25,7 +26,7 @@ from freematch_lab.augment import AugmentSpec, strong, weak
 from freematch_lab.ssl_losses import FairnessVariant, consistency_loss, supervised_loss, total_loss
 from freematch_lab.synthdata import PointSet, batch_iter, gen_gaussian_clusters, gen_two_moons
 from freematch_lab.trainer import (
-    MetricsRecord,
+    TRACE_DTYPE,
     TrainConfig,
     TrainingAborted,
     _build,
@@ -99,7 +100,7 @@ def test_single_step_near_zero_lambda_tracks_batch():
     uw = weak(ub.points, cfg.augment, ref_rng)
     q = nd.softmax(nd.forward(ref_model, uw))
     rec = train_step(model, velocity, ema, state, lb, ub, cfg, aug_rng, 0)
-    assert rec.tau_global == pytest.approx(q.max(axis=1).mean(), abs=1e-9)
+    assert rec["tau_global"] == pytest.approx(q.max(axis=1).mean(), abs=1e-9)
 
 
 def _tape_step(model, velocity, ema, state, labeled, unlabeled, config, aug_rng, k):
@@ -120,15 +121,14 @@ def _tape_step(model, velocity, ema, state, labeled, unlabeled, config, aug_rng,
         strong_logits = tape.forward(params, us)
         l_u = tape.head(lambda z, g: consistency_loss(q, z, thresholds, g), strong_logits)
         l_f = tensor_op_fairness(config.fairness, state, q, tape.softmax(strong_logits), thresholds)
-    record = MetricsRecord(k, float(l_s), float(l_u), float(l_f),
-                           float(l_s) + config.w_u * float(l_u) + config.w_f * float(l_f),
-                           state.tau_global, float(thresholds.mean()), float(keep.mean()))
-    if keep.any():
-        record.pseudo_label_acc = float((hard[keep] == unlabeled.labels[keep]).mean())
+    acc = float((hard[keep] == unlabeled.labels[keep]).mean()) if keep.any() else float("nan")
+    row = np.void((k, float(l_s), float(l_u), float(l_f),
+                   float(l_s) + config.w_u * float(l_u) + config.w_f * float(l_f),
+                   state.tau_global, float(thresholds.mean()), float(keep.mean()), float("nan"), acc), TRACE_DTYPE)
     total_loss(l_s, l_u, l_f, config.w_u, config.w_f).backward()
     nd.sgd_step(model.theta, tape.grad(params), velocity, config.momentum, nd.cosine_lr(config.lr0, k, config.K))
     nd.ema_update(ema, model.theta, trainer.EMA_DECAY)
-    return record
+    return row
 
 
 def _ablation_configs():
@@ -145,7 +145,8 @@ def _ablation_configs():
 @pytest.mark.parametrize("label, data, config", _ablation_configs())
 def test_train_step_is_bit_identical_to_the_tape(monkeypatch, label, data, config):
     """60 steps of train_step and of _tape_step from the same state: every
-    record, parameter gradient, parameter and EMA parameter is equal."""
+    trace row is equal byte for byte (NaN as NaN, zero with its sign), and
+    every parameter gradient, parameter and EMA parameter is equal."""
     grads = []
     sgd_step = nd.sgd_step
 
@@ -160,16 +161,17 @@ def test_train_step_is_bit_identical_to_the_tape(monkeypatch, label, data, confi
         for step, (model, velocity, ema, state, lab_iter, unlab_iter, aug_rng), out in zip(
                 (train_step, _tape_step), runs, records):
             out.append(step(model, velocity, ema, state, next(lab_iter), next(unlab_iter), config, aug_rng, k))
-        assert records[0][-1] == records[1][-1]
+        assert records[0][-1].dtype == records[1][-1].dtype == TRACE_DTYPE
+        assert records[0][-1].tobytes() == records[1][-1].tobytes(), (k, records[0][-1], records[1][-1])
         new, tape = grads[-2:]
         assert new.shape == tape.shape and np.array_equal(new, tape)
     (model_a, _, ema_a, *_), (model_b, _, ema_b, *_) = runs
     assert np.array_equal(model_a.theta, model_b.theta)
     assert np.array_equal(ema_a.theta, ema_b.theta)
     if label == "fixed(0.95)":
-        assert records[0][0].sampling_rate == 0.0  # a step that keeps no row: only the labeled branch has a gradient
+        assert records[0][0]["sampling_rate"] == 0.0  # a step that keeps no row: only the labeled branch has a gradient
     if label == "warmup":
-        assert [r.l_u for r in records[0][:3]] == [0.0] * 3 and records[0][3].l_u > 0
+        assert [r["l_u"] for r in records[0][:3]] == [0.0] * 3 and records[0][3]["l_u"] > 0
 
 
 GOLDEN = [
@@ -192,7 +194,7 @@ def test_ten_step_golden_trace_replays():
     model, velocity, ema, state, lab_iter, unlab_iter, aug_rng = _build(cfg, data)
     for k, expected in enumerate(GOLDEN):
         rec = train_step(model, velocity, ema, state, next(lab_iter), next(unlab_iter), cfg, aug_rng, k)
-        got = (rec.l_s, rec.l_u, rec.l_f, rec.tau_global)
+        got = (rec["l_s"], rec["l_u"], rec["l_f"], rec["tau_global"])
         for g, e in zip(got, expected):
             assert g == pytest.approx(e, rel=1e-9)
 
@@ -206,15 +208,15 @@ def test_canonical_run_replays_the_reference_trace():
     assert (cfg.K, cfg.seed, cfg.eval_every) == (2000, 0, 50)
     with gzip.open(ROOT / "perfbench" / "reference" / "train_two_moon_seed0.csv.gz", "rt") as fh:
         header, *want = list(csv.reader(fh))[:201]
-    assert header[1:] == [f.name for f in dataclasses.fields(MetricsRecord)][1:]
+    assert header[1:] == list(TRACE_DTYPE.names[1:])
     model, velocity, ema, state, lab_iter, unlab_iter, aug_rng = _build(cfg, data)
     with trainer._one_blas_thread():
         for k, row in enumerate(want):
             rec = train_step(model, velocity, ema, state, next(lab_iter), next(unlab_iter), cfg, aug_rng, k)
             if (k + 1) % cfg.eval_every == 0:
-                rec.error_rate = evaluate(ema, data.test)
-            for got, cell in zip(dataclasses.astuple(rec), row, strict=True):
-                assert got is None if cell == "" else got == pytest.approx(float(cell), rel=1e-9), (k, row)
+                rec["error_rate"] = evaluate(ema, data.test)
+            for got, cell in zip(rec.tolist(), row, strict=True):
+                assert math.isnan(got) if cell == "" else got == pytest.approx(float(cell), rel=1e-9), (k, row)
 
 
 def test_sampling_rate_matches_mask_mean():
@@ -232,7 +234,7 @@ def test_sampling_rate_matches_mask_mean():
     th = at.per_class_thresholds(state, cfg.scheme)
     # state has been updated by the step; rebuild thresholds as the step saw them
     keep, _ = at.mask(q, th)
-    assert rec.sampling_rate == pytest.approx(keep.mean(), abs=1e-12)
+    assert rec["sampling_rate"] == pytest.approx(keep.mean(), abs=1e-12)
 
 
 def test_training_aborts_on_weight_blowup():
@@ -244,17 +246,20 @@ def test_training_aborts_on_weight_blowup():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingAborted) as exc_info:
             train_step(model, velocity, ema, state, lb, ub, cfg, aug_rng, 0)
-    assert isinstance(exc_info.value.record, MetricsRecord)
+    record = exc_info.value.record
+    assert record.dtype == TRACE_DTYPE and record["iteration"] == 0 and not np.isfinite(record["total"])
 
 
 def test_training_aborted_survives_pickling():
-    record = MetricsRecord(3, 0.5, float("inf"), 0.0, float("inf"), 0.6, 0.7, 0.25)
-    last_good = MetricsRecord(2, 0.5, 0.4, 0.0, 0.9, 0.6, 0.7, 0.25, pseudo_label_acc=1.0)
+    nan = float("nan")
+    record = np.void((3, 0.5, float("inf"), 0.0, float("inf"), 0.6, 0.7, 0.25, nan, nan), TRACE_DTYPE)
+    last_good = np.void((2, 0.5, 0.4, 0.0, 0.9, 0.6, 0.7, 0.25, nan, 1.0), TRACE_DTYPE)
     exc = TrainingAborted(record, "non-finite loss at iteration 3", last_good)
     back = pickle.loads(pickle.dumps(exc))
     assert type(back) is TrainingAborted
     assert str(back) == "non-finite loss at iteration 3"
-    assert back.record == record and back.last_good == last_good
+    assert back.record.dtype == back.last_good.dtype == TRACE_DTYPE
+    assert back.record.tobytes() == record.tobytes() and back.last_good.tobytes() == last_good.tobytes()
     assert pickle.loads(pickle.dumps(TrainingAborted(record, "x"))).last_good is None
 
 
@@ -262,13 +267,13 @@ def test_run_attaches_the_last_good_record(monkeypatch):
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingAborted) as exc_info:
         run(_small_config(K=5, lr0=1e200), _cluster_data())
     aborted = exc_info.value
-    assert aborted.record.iteration == 1 and aborted.last_good.iteration == 0
-    assert np.isfinite(aborted.last_good.total)
+    assert aborted.record["iteration"] == 1 and aborted.last_good["iteration"] == 0
+    assert np.isfinite(aborted.last_good["total"])
     # a step-0 abort has no good record before it
     monkeypatch.setattr(trainer, "weak", lambda points, spec, rng: np.full_like(points, np.inf))
     with np.errstate(invalid="ignore"), pytest.raises(TrainingAborted) as exc_info:
         run(_small_config(K=5), _cluster_data())
-    assert exc_info.value.record.iteration == 0 and exc_info.value.last_good is None
+    assert exc_info.value.record["iteration"] == 0 and exc_info.value.last_good is None
 
 
 def test_warmup_parameters_independent_of_unlabeled_values():
@@ -327,8 +332,8 @@ def test_warmup_zeroes_unsupervised_terms():
     cfg = _small_config(warmup_iters=5)
     model, velocity, ema, state, lb, ub, aug_rng = _step_once(cfg, data)
     rec = train_step(model, velocity, ema, state, lb, ub, cfg, aug_rng, 0)
-    assert rec.l_u == 0.0 and rec.l_f == 0.0
-    assert rec.total == pytest.approx(rec.l_s, abs=0)
+    assert rec["l_u"] == 0.0 and rec["l_f"] == 0.0
+    assert rec["total"] == pytest.approx(rec["l_s"], abs=0)
 
 
 # -- evaluate --------------------------------------------------------------------
@@ -430,6 +435,19 @@ def test_run_records_one_row_per_iteration(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []  # run returns its result and writes no file
 
 
+def test_run_reads_its_errors_off_the_trace(monkeypatch):
+    """final_error is the last error_rate of the trace and best_error its
+    smallest non-NaN one; error_rate is NaN off the eval cadence."""
+    errors = iter([0.4, 0.2, 0.3])
+    monkeypatch.setattr(trainer, "evaluate", lambda model, test: next(errors))
+    result = run(_small_config(K=12, eval_every=5), _cluster_data())
+    column = result.trace["error_rate"]
+    assert np.flatnonzero(~np.isnan(column)).tolist() == [4, 9, 11]
+    assert column[[4, 9, 11]].tolist() == [0.4, 0.2, 0.3]
+    assert (result.final_error, result.best_error) == (0.3, 0.2)
+    assert type(result.final_error) is type(result.best_error) is float
+
+
 def test_run_trace_deterministic(tmp_path):
     data = _cluster_data()
     cfg = _small_config(K=8)
@@ -440,8 +458,8 @@ def test_run_trace_deterministic(tmp_path):
 
 def test_run_memory_does_not_grow_per_step():
     """The trace is one table of 80-byte rows, allocated before the first step,
-    and the run keeps only the last MetricsRecord (a list of every record held
-    about 375 bytes a step). The traced peaks at K 100 and 400 differ by at most
+    and each step's row is stored into it (a list of a record object per step
+    held about 375 bytes a step). The traced peaks at K 100 and 400 differ by at most
     150 bytes per added step."""
     data = _cluster_data()
     run(_small_config(K=20), data)  # the first run's one-time costs: the BLAS thread setter's lookup
@@ -524,10 +542,11 @@ def test_run_fixed_baseline_low_early_utilization():
 
 
 def test_trace_csv_columns(tmp_path):
-    trace = np.array([(0, 1.0, 0.5, -0.1, 1.399, 0.5, 0.5, 0.25, np.nan, 0.75)], dtype=trainer.TRACE_DTYPE)
+    trace = np.array([(0, 1.0, 0.5, -0.1, 1.399, 0.5, 0.5, 0.25, np.nan, 0.75)], dtype=TRACE_DTYPE)
     path = tmp_path / "t.csv"
     write_trace_csv(trace, str(path))
     lines = path.read_text().strip().splitlines()
+    assert lines[0] == ",".join(["iter", *TRACE_DTYPE.names[1:]])
     assert lines[0] == "iter,l_s,l_u,l_f,total,tau_global,mean_class_threshold,sampling_rate,error_rate,pseudo_label_acc"
     assert lines[1].split(",")[8] == ""  # off-cadence eval column stays blank
 
