@@ -172,35 +172,35 @@ def cmd_train(config_path: str, out_override: str | None) -> int:
 # -- theory command ----------------------------------------------------------------
 
 
-def default_theory_sweeps() -> list[dict]:
-    return [
-        {
-            "name": "utilization_vs_tau",
-            "varying": "tau",
-            "base": {"mu1": -1.0, "mu2": 1.0, "sigma1": 1.0, "sigma2": 1.0, "beta": 1.0, "tau": 0.8},
-            "values": [0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95],
-        },
-        {
-            "name": "mask_vs_delta",
-            "varying": "delta",
-            "base": {"mu1": -1.0, "mu2": 1.0, "sigma1": 1.0, "sigma2": 1.0, "beta": 1.0, "tau": 0.8},
-            "values": [0.5, 1.0, 2.0, 4.0],
-        },
-        {
-            "name": "mask_vs_beta",
-            "varying": "beta",
-            "base": {"mu1": -1.0, "mu2": 1.0, "sigma1": 1.0, "sigma2": 1.0, "beta": 1.0, "tau": 0.8},
-            "values": [0.5, 1.0, 2.0, 4.0],
-        },
-        {
-            # imbalance growth holds in a regime where the masked band still
-            # overlaps both components; this grid was checked analytically
-            "name": "imbalance_vs_tau",
-            "varying": "tau",
-            "base": {"mu1": -2.0, "mu2": 2.0, "sigma1": 0.5, "sigma2": 2.0, "beta": 2.0, "tau": 0.8},
-            "values": [0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9],
-        },
-    ]
+# the built-in sweep grid, a `--grid` document that `_grid_sweeps` checks as it checks a file
+THEORY_GRID = {"sweeps": [
+    {
+        "name": "utilization_vs_tau",
+        "varying": "tau",
+        "base": {"mu1": -1.0, "mu2": 1.0, "sigma1": 1.0, "sigma2": 1.0, "beta": 1.0, "tau": 0.8},
+        "values": [0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95],
+    },
+    {
+        "name": "mask_vs_delta",
+        "varying": "delta",
+        "base": {"mu1": -1.0, "mu2": 1.0, "sigma1": 1.0, "sigma2": 1.0, "beta": 1.0, "tau": 0.8},
+        "values": [0.5, 1.0, 2.0, 4.0],
+    },
+    {
+        "name": "mask_vs_beta",
+        "varying": "beta",
+        "base": {"mu1": -1.0, "mu2": 1.0, "sigma1": 1.0, "sigma2": 1.0, "beta": 1.0, "tau": 0.8},
+        "values": [0.5, 1.0, 2.0, 4.0],
+    },
+    {
+        # imbalance growth holds in a regime where the masked band still
+        # overlaps both components; this grid was checked analytically
+        "name": "imbalance_vs_tau",
+        "varying": "tau",
+        "base": {"mu1": -2.0, "mu2": 2.0, "sigma1": 0.5, "sigma2": 2.0, "beta": 2.0, "tau": 0.8},
+        "values": [0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9],
+    },
+]}
 
 
 # the three headline monotonicity claims the sweeps must certify
@@ -211,9 +211,7 @@ REQUIRED_VERDICTS = [
 ]
 
 
-def _load_sweep_file(path: str) -> list[dict]:
-    with open(path) as fh:
-        doc = json.load(fh)
+def _grid_sweeps(doc) -> list[dict]:
     read_object(doc, "sweep grid", {"sweeps"}, {"sweeps"})
     sweeps = doc["sweeps"]
     if not isinstance(sweeps, list) or not sweeps:
@@ -237,7 +235,11 @@ def cmd_theory(grid_path: str | None, out_dir: str, mc_samples: int, seed: int) 
         if seed < 0:  # refused by name, not with NumPy's SeedSequence message
             raise ValueError("--seed must be >= 0")
         _check_out_dir(out_dir)
-        entries = _load_sweep_file(grid_path) if grid_path else default_theory_sweeps()
+        grid = THEORY_GRID
+        if grid_path:
+            with open(grid_path) as fh:
+                grid = json.load(fh)
+        entries = _grid_sweeps(grid)
         bases = [read_call(MixtureSpec, entry["base"], "sweep base") for entry in entries]
         results = [(entry["name"], sweep(base, entry["varying"], entry["values"])) for entry, base in zip(entries, bases)]
     except (OSError, ValueError, TypeError) as exc:  # a JSONDecodeError is a ValueError

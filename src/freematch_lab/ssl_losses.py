@@ -1,6 +1,7 @@
 """The three training-objective terms: supervised cross-entropy on labeled
 data, threshold-masked consistency loss on unlabeled data, and the class
-fairness regularizers (none / uniform-prior / self-adaptive).
+fairness term that a config names by one of the strings "none",
+"uniform_prior" and "saf" (self-adaptive).
 
 Each of the three heads takes arrays and ``g``, its weight in the total loss,
 and returns ``(value, gradient of g * value)`` in closed form; the gradient is
@@ -24,8 +25,6 @@ reference trace depends on it.
 
 from __future__ import annotations
 
-from enum import Enum
-
 import numpy as np
 
 from .adaptive_threshold import ThresholdState, mask
@@ -35,10 +34,8 @@ _HIST_FLOOR = 1e-9
 _LOG_GUARD = 1e-12  # keeps log finite if soft mass underflows to exact zero
 
 
-class FairnessVariant(str, Enum):
-    NONE = "none"
-    UNIFORM_PRIOR = "uniform_prior"
-    SAF = "saf"
+# the fairness terms, as a config names them
+FAIRNESS_VARIANTS = ("none", "uniform_prior", "saf")
 
 
 def supervised_loss(logits: np.ndarray, labels: np.ndarray, g=1.0):
@@ -72,20 +69,22 @@ def _sum_norm(x):
     return x / x.sum()
 
 
-def fairness_loss(variant: FairnessVariant, state: ThresholdState, weak_probs: np.ndarray,
+def fairness_loss(variant: str, state: ThresholdState, weak_probs: np.ndarray,
                   strong_probs: np.ndarray, thresholds: np.ndarray, g=1.0):
-    """Class fairness term; 0 when disabled or nothing is masked in. Both
-    variants are (log(r) * target).sum(): the uniform prior with r = p_bar and a
-    uniform target, SAF with r = SumNorm(p_bar / h_bar). Value and gradient take
-    the same floating-point operations as composing the autodiff tape's ops."""
-    variant = FairnessVariant(variant)
-    keep = None if variant is FairnessVariant.NONE else mask(weak_probs, thresholds)[0]
+    """Class fairness term of `variant`, a string of FAIRNESS_VARIANTS; 0 for
+    "none" or when nothing is masked in. The other two are (log(r) * target).sum():
+    "uniform_prior" with r = p_bar and a uniform target, "saf" with r =
+    SumNorm(p_bar / h_bar). Value and gradient take the same floating-point
+    operations as composing the autodiff tape's ops."""
+    if variant not in FAIRNESS_VARIANTS:
+        raise ValueError(f"unknown fairness variant {variant!r}")
+    keep = None if variant == "none" else mask(weak_probs, thresholds)[0]
     if keep is None or not keep.any():
         return 0.0, None
     n_in = int(keep.sum())
     B, C = strong_probs.shape
     keep_col = keep.astype(np.float64)[:, None]
-    uniform = variant is FairnessVariant.UNIFORM_PRIOR
+    uniform = variant == "uniform_prior"
     scale = 1.0 / (n_in if uniform else B)
     p_bar = (strong_probs * keep_col).sum(axis=0) * scale + _LOG_GUARD
     if uniform:

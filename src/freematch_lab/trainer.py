@@ -2,7 +2,8 @@
 
 Each step, in order: supervised loss on the weak-augmented labeled batch; a
 weak forward on the unlabeled batch; threshold statistics updates; per-class
-thresholds; masked consistency loss on the strong branch; fairness loss;
+thresholds; masked consistency loss on the strong branch; the fairness term
+that `TrainConfig.fairness` names ("none", "uniform_prior" or "saf");
 closed-form backward (no autodiff graph, bit-identical to the autodiff tape's)
 + SGD step at the cosine learning rate; parameter-EMA update; metrics.
 During warm-up the unsupervised and fairness terms are zeroed while the
@@ -39,7 +40,7 @@ from . import adaptive_threshold as at
 from . import ndcore as nd
 from .atomic import atomic_open, write_csv
 from .augment import AugmentSpec, strong, weak
-from .ssl_losses import FairnessVariant, consistency_loss, fairness_loss, supervised_loss
+from .ssl_losses import FAIRNESS_VARIANTS, consistency_loss, fairness_loss, supervised_loss
 from .ssl_losses import total_loss  # noqa: F401 -- unused; perfbench's tracer patches this name
 from .synthdata import DatasetBundle, PointSet, batch_iter, check_fields, is_int, read_call, read_object, streams
 
@@ -54,7 +55,7 @@ EMA_DECAY = 0.999
 @dataclass(frozen=True)
 class TrainConfig:
     scheme: at.SchemeId = field(default_factory=at.Sat)
-    fairness: FairnessVariant = FairnessVariant.SAF
+    fairness: str = "saf"  # one of FAIRNESS_VARIANTS
     w_u: float = 1.0
     w_f: float = 0.01
     lam: float = 0.999
@@ -73,6 +74,8 @@ class TrainConfig:
     def __post_init__(self):
         lows = dict(K=1, mu=1, B=1, eval_every=1, seed=0, w_u=0, w_f=0, momentum=0)
         check_fields(type(self).__annotations__, vars(self), lows, _CONFIG_KEYS)
+        if self.fairness not in FAIRNESS_VARIANTS:
+            raise ValueError(f"fairness must be one of {list(FAIRNESS_VARIANTS)}, got {self.fairness!r}")
         if not self.lr0 > 0:
             raise ValueError("lr0 must be > 0")
         if not self.momentum < 1:
@@ -291,7 +294,7 @@ def write_trace_csv(trace: np.ndarray, path: str) -> None:
 def config_to_dict(config: TrainConfig) -> dict:
     """The config's JSON form: every field under its config key."""
     d = {_CONFIG_KEYS.get(f.name, f.name): getattr(config, f.name) for f in fields(config)}
-    d.update(scheme=at.scheme_to_dict(config.scheme), fairness=config.fairness.value, augment=asdict(config.augment))
+    d.update(scheme=at.scheme_to_dict(config.scheme), augment=asdict(config.augment))
     return d
 
 
@@ -301,11 +304,6 @@ def config_from_dict(d: dict) -> TrainConfig:
     kwargs = {names[k]: v for k, v in read_object(d, "train config", names).items()}
     if "scheme" in kwargs:
         kwargs["scheme"] = at.scheme_from_dict(kwargs["scheme"])
-    if "fairness" in kwargs:
-        values = [v.value for v in FairnessVariant]
-        if kwargs["fairness"] not in values:
-            raise ValueError(f"fairness must be one of {values}, got {kwargs['fairness']!r}")
-        kwargs["fairness"] = FairnessVariant(kwargs["fairness"])
     if "augment" in kwargs:
         kwargs["augment"] = read_call(AugmentSpec, kwargs["augment"], "augment")
     return TrainConfig(**kwargs)

@@ -19,7 +19,7 @@ import tape
 from freematch_lab import adaptive_threshold as at
 from freematch_lab import cli
 from freematch_lab import ndcore as nd
-from freematch_lab.ssl_losses import FairnessVariant, consistency_loss, fairness_loss, supervised_loss, total_loss
+from freematch_lab.ssl_losses import consistency_loss, fairness_loss, supervised_loss, total_loss
 from freematch_lab.theory import MixtureSpec, SweepRow, analytic_dist, sweep, with_mc
 from freematch_lab.trainer import run
 
@@ -62,7 +62,7 @@ def test_criterion_1_theorem_agreement():
 def test_criterion_2_theorem_implications():
     results = {
         entry["name"]: sweep(MixtureSpec(**entry["base"]), entry["varying"], entry["values"])
-        for entry in cli.default_theory_sweeps()
+        for entry in cli.THEORY_GRID["sweeps"]
     }
     checks = [results[name].verdicts[key] for name, key in cli.REQUIRED_VERDICTS]
     _report(
@@ -201,7 +201,7 @@ def _composite_loss_case(rng):
         l_s, _ = supervised_loss(nd.forward(model, xl), yl)
         strong_logits = nd.forward(model, us)
         l_u, _ = consistency_loss(q, strong_logits, th)
-        l_f, _ = fairness_loss(FairnessVariant.SAF, state, q, nd.softmax(strong_logits), th)
+        l_f, _ = fairness_loss("saf", state, q, nd.softmax(strong_logits), th)
         return float(total_loss(l_s, l_u, l_f, w_u=w_u, w_f=w_f))
 
     acts_l = nd.mlp_forward(model, xl)
@@ -209,7 +209,7 @@ def _composite_loss_case(rng):
     acts_s = nd.mlp_forward(model, us)
     _, grad_s = consistency_loss(q, acts_s[-1], th, w_u)
     probs = nd.softmax(acts_s[-1])
-    _, grad_f = fairness_loss(FairnessVariant.SAF, state, q, probs, th, w_f)
+    _, grad_f = fairness_loss("saf", state, q, probs, th, w_f)
     if grad_s is not None:  # then grad_f is too: both heads keep the same rows
         grad += nd.mlp_backward(model, acts_s, grad_s + nd.softmax_backward(probs, grad_f))
     return value, [(grad, model.theta)]

@@ -354,7 +354,7 @@ def test_any_value_of_any_key_parses_or_is_a_config_error(tmp_path, capsys):
                     cli.parse_experiment_config(_replaced(doc, path, value))
                 except ValueError:
                     pass
-    entry = cli.default_theory_sweeps()[0]
+    entry = cli.THEORY_GRID["sweeps"][0]
     grid, out = tmp_path / "grid.json", str(tmp_path / "o")
     for path in [("base", key) for key in entry["base"]] + [("values",), ("values", -1)]:
         for value in _ODD_VALUES:
@@ -608,6 +608,18 @@ def test_theory_custom_grid(tmp_path):
     out = tmp_path / "o"
     assert cli.main(["theory", "--grid", str(grid), "--out", str(out), "--mc-samples", "0"]) == 0
     assert "SKIP mask_vs_delta" in (out / "verdicts.txt").read_text()
+
+
+@pytest.mark.parametrize("mc_samples", ["0", "2000"])
+def test_a_grid_file_of_the_built_in_grid_writes_the_built_in_bytes(tmp_path, mc_samples):
+    """The built-in grid takes the path a `--grid` file takes, so as a file it writes the same bytes."""
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(cli.THEORY_GRID))
+    outs = [tmp_path / "built_in", tmp_path / "file"]
+    for out, grid_args in zip(outs, ([], ["--grid", str(grid)])):
+        assert cli.main(["theory", *grid_args, "--out", str(out), "--mc-samples", mc_samples, "--seed", "7"]) == 0
+    for name in ("theorem_sweep.csv", "verdicts.txt"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_theory_required_sweep_name_without_its_verdict_is_skipped(tmp_path):

@@ -9,7 +9,6 @@ import tape
 from freematch_lab.adaptive_threshold import Sat, ThresholdState, mask, per_class_thresholds
 from freematch_lab.ndcore import Tensor, softmax, softmax_backward
 from freematch_lab.ssl_losses import (
-    FairnessVariant,
     _sum_norm,
     consistency_loss,
     fairness_loss,
@@ -121,21 +120,27 @@ def _state_with(p_local, hist, C=None):
 
 def test_fairness_none_is_zero():
     state = _state_with([0.5, 0.5], [0.5, 0.5])
-    out = fairness_loss(FairnessVariant.NONE, state, np.array([[0.9, 0.1]]), np.array([[0.9, 0.1]]), np.zeros(2))
+    out = fairness_loss("none", state, np.array([[0.9, 0.1]]), np.array([[0.9, 0.1]]), np.zeros(2))
     assert out == (0.0, None)
+
+
+def test_fairness_unknown_variant_is_refused():
+    state = _state_with([0.5, 0.5], [0.5, 0.5])
+    with pytest.raises(ValueError, match="unknown fairness variant 'bogus'"):
+        fairness_loss("bogus", state, np.array([[0.9, 0.1]]), np.array([[0.9, 0.1]]), np.zeros(2))
 
 
 def test_fairness_balanced_case_is_minus_log_two():
     state = _state_with([0.5, 0.5], [0.5, 0.5])
     weak = np.array([[0.9, 0.1], [0.1, 0.9]])
-    out, _ = fairness_loss(FairnessVariant.SAF, state, weak, np.array([[0.6, 0.4], [0.4, 0.6]]), np.zeros(2))
+    out, _ = fairness_loss("saf", state, weak, np.array([[0.6, 0.4], [0.4, 0.6]]), np.zeros(2))
     assert out == pytest.approx(-math.log(2.0), abs=1e-12)
 
 
 def test_fairness_zero_when_nothing_masked_in():
     state = _state_with([0.5, 0.5], [0.5, 0.5])
     weak = np.array([[0.6, 0.4]])
-    out = fairness_loss(FairnessVariant.SAF, state, weak, np.array([[0.6, 0.4]]), np.array([0.99, 0.99]))
+    out = fairness_loss("saf", state, weak, np.array([[0.6, 0.4]]), np.array([0.99, 0.99]))
     assert out == (0.0, None)
 
 
@@ -146,7 +151,7 @@ def test_fairness_saf_matches_straight_line_recomputation():
     weak = _rand_probs(rng, B, C)
     strong = _rand_probs(rng, B, C)
     th = rng.uniform(0.2, 0.5, size=C)
-    out, _ = fairness_loss(FairnessVariant.SAF, state, weak, strong, th)
+    out, _ = fairness_loss("saf", state, weak, strong, th)
 
     # independent re-computation of the formula chain
     keep, _ = mask(weak, th)
@@ -167,7 +172,7 @@ def test_fairness_saf_empty_class_uses_the_floored_histogram():
     state = _state_with(np.full(C, 1.0 / C), np.full(C, 1.0 / C))
     weak = np.array([[0.8, 0.1, 0.1], [0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.2, 0.7, 0.1]])
     strong = np.array([[0.7, 0.2, 0.1], [0.6, 0.3, 0.1], [0.2, 0.7, 0.1], [0.3, 0.6, 0.1]])
-    out, _ = fairness_loss(FairnessVariant.SAF, state, weak, strong, np.zeros(C))
+    out, _ = fairness_loss("saf", state, weak, strong, np.zeros(C))
 
     p_bar = strong.sum(axis=0) / B + 1e-12
     h_bar = np.array([2.0, 2.0, 0.0]) / B
@@ -184,7 +189,7 @@ def test_fairness_uniform_prior_value_and_masking():
     state = _state_with([0.5, 0.5], [0.5, 0.5])
     weak = np.array([[0.99, 0.01], [0.5, 0.5]])
     strong_probs = np.array([[0.7, 0.3], [0.2, 0.8]])
-    out, _ = fairness_loss(FairnessVariant.UNIFORM_PRIOR, state, weak, strong_probs, np.array([0.95, 0.95]))
+    out, _ = fairness_loss("uniform_prior", state, weak, strong_probs, np.array([0.95, 0.95]))
     # only the first sample is masked in, so p_bar' = [0.7, 0.3]
     assert out == pytest.approx(0.5 * (math.log(0.7) + math.log(0.3)), abs=1e-10)
 
@@ -196,8 +201,8 @@ def test_fairness_saf_invariant_to_ratio_rescaling():
     strong = _rand_probs(rng, B, C)
     th = np.full(C, 0.2)
     p_loc, hist = _rand_probs(rng, 1, C)[0], _rand_probs(rng, 1, C)[0]
-    a, _ = fairness_loss(FairnessVariant.SAF, _state_with(p_loc, hist), weak, strong, th)
-    b, _ = fairness_loss(FairnessVariant.SAF, _state_with(7.3 * p_loc / (7.3 * p_loc).sum(), hist), weak, strong, th)
+    a, _ = fairness_loss("saf", _state_with(p_loc, hist), weak, strong, th)
+    b, _ = fairness_loss("saf", _state_with(7.3 * p_loc / (7.3 * p_loc).sum(), hist), weak, strong, th)
     # common positive rescaling of the numerator vector is absorbed by SumNorm
     assert a == pytest.approx(b, abs=1e-12)
 
@@ -208,7 +213,7 @@ def test_fairness_gradient_flows_only_through_soft_mass():
     th = np.full(3, np.median(weak.max(axis=1)))  # splits the batch
     strong = _rand_probs(rng, 8, 3)
     state = _state_with(_rand_probs(rng, 1, 3)[0], _rand_probs(rng, 1, 3)[0])
-    _, grad = fairness_loss(FairnessVariant.SAF, state, weak, strong, th)
+    _, grad = fairness_loss("saf", state, weak, strong, th)
     keep, _ = mask(weak, th)
     assert keep.any() and not keep.all()
     assert np.abs(grad[~keep]).max() == 0.0
@@ -226,11 +231,11 @@ def tensor_op_fairness(variant, state, weak, strong_probs, th):
     form must match bit for bit, in value and gradient."""
     keep, _ = mask(weak, th)
     n_in = int(keep.sum())
-    if variant is FairnessVariant.NONE or n_in == 0:
+    if variant == "none" or n_in == 0:
         return Tensor(0.0)
     B, C = strong_probs.data.shape
     keep_col = keep.astype(np.float64)[:, None]
-    if variant is FairnessVariant.UNIFORM_PRIOR:
+    if variant == "uniform_prior":
         p_bar = (strong_probs * keep_col).sum(axis=0) * (1.0 / n_in) + 1e-12
         return (p_bar.log() * np.full(C, 1.0 / C)).sum()
     p_bar = (strong_probs * keep_col).sum(axis=0) * (1.0 / B) + 1e-12
@@ -255,7 +260,7 @@ def _fairness_case(name):
 
 
 @pytest.mark.parametrize("case", ["split", "two_class", "empty_class"])
-@pytest.mark.parametrize("variant", [FairnessVariant.SAF, FairnessVariant.UNIFORM_PRIOR])
+@pytest.mark.parametrize("variant", ["saf", "uniform_prior"])
 def test_fairness_node_matches_the_tensor_op_chain_bit_for_bit(variant, case):
     state, weak, logits, th = _fairness_case(case)
     results = []
@@ -266,7 +271,7 @@ def test_fairness_node_matches_the_tensor_op_chain_bit_for_bit(variant, case):
         results.append((float(out), z.grad))
     (node_value, node_grad), (chain_value, chain_grad) = results
     assert node_value == chain_value and np.array_equal(node_grad, chain_grad)
-    if case == "empty_class" and variant is FairnessVariant.SAF:
+    if case == "empty_class" and variant == "saf":
         assert node_value < -10 * math.log(3)  # the floored histogram's spike
     # the array form, as the training step calls it, returns the same value and gradient
     probs = softmax(logits)
@@ -324,12 +329,12 @@ def test_total_loss_gradient_matches_finite_differences():
 
     def total() -> float:
         l_u, _ = consistency_loss(weak, x, th)
-        l_f, _ = fairness_loss(FairnessVariant.SAF, state, weak, softmax(x), th)
+        l_f, _ = fairness_loss("saf", state, weak, softmax(x), th)
         return total_loss(0.1, l_u, l_f, w_u=1.0, w_f=0.05)
 
     _, grad_u = consistency_loss(weak, x, th, 1.0)
     probs = softmax(x)
-    _, grad_f = fairness_loss(FairnessVariant.SAF, state, weak, probs, th, 0.05)
+    _, grad_f = fairness_loss("saf", state, weak, probs, th, 0.05)
     ad = grad_u + softmax_backward(probs, grad_f)
 
     fd = np.zeros_like(ad)

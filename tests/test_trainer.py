@@ -23,7 +23,7 @@ from freematch_lab import ndcore as nd
 from freematch_lab import trainer
 from freematch_lab.adaptive_threshold import Fixed, Sat, to_record
 from freematch_lab.augment import AugmentSpec, strong, weak
-from freematch_lab.ssl_losses import FairnessVariant, consistency_loss, supervised_loss, total_loss
+from freematch_lab.ssl_losses import consistency_loss, supervised_loss, total_loss
 from freematch_lab.synthdata import PointSet, batch_iter, gen_gaussian_clusters, gen_two_moons
 from freematch_lab.trainer import (
     TRACE_DTYPE,
@@ -50,7 +50,7 @@ def _cluster_data(seed=42):
 def _small_config(**overrides):
     base = dict(
         scheme=Sat(),
-        fairness=FairnessVariant.SAF,
+        fairness="saf",
         w_f=0.05,
         mu=4,
         B=4,
@@ -75,7 +75,7 @@ def _step_once(cfg, data):
 
 def test_zero_weights_reduce_to_pure_supervised_update():
     data = _cluster_data()
-    cfg = _small_config(w_u=0.0, w_f=0.0, fairness=FairnessVariant.NONE)
+    cfg = _small_config(w_u=0.0, w_f=0.0, fairness="none")
     model, velocity, ema, state, lb, ub, aug_rng = _step_once(cfg, data)
 
     # manual supervised-only replay with an identical rng stream
@@ -278,7 +278,7 @@ def test_run_attaches_the_last_good_record(monkeypatch):
 
 def test_warmup_parameters_independent_of_unlabeled_values():
     data = _cluster_data()
-    cfg = _small_config(K=10, warmup_iters=8, fairness=FairnessVariant.SAF)
+    cfg = _small_config(K=10, warmup_iters=8, fairness="saf")
     model_a, velocity_a, ema_a, state_a, lab_a, unlab_a, rng_a = _build(cfg, data)
     model_b, velocity_b, ema_b, state_b, lab_b, unlab_b, rng_b = _build(cfg, data)
     for k in range(8):
@@ -334,6 +334,44 @@ def test_warmup_zeroes_unsupervised_terms():
     rec = train_step(model, velocity, ema, state, lb, ub, cfg, aug_rng, 0)
     assert rec["l_u"] == 0.0 and rec["l_f"] == 0.0
     assert rec["total"] == pytest.approx(rec["l_s"], abs=0)
+
+
+# the standard normal CDF on [-9, 9], linearly interpolated from 2^16 intervals
+# (error below 3e-9; np.interp holds the end values outside), since NumPy has no
+# erf and one math.erfc call per point and step would dominate the test's time
+_PHI_Z = np.linspace(-9.0, 9.0, 2**16 + 1)
+_PHI = np.array([0.5 * math.erfc(-z / math.sqrt(2.0)) for z in _PHI_Z])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("scheme", [Fixed(0.95), Sat()], ids=["fixed", "sat"])
+def test_linear_model_keep_rate_is_predicted_at_every_step(scheme, seed):
+    """With no hidden layer the logit gap L = g.x + c of a weak view of point x
+    is Gaussian: x's jitter N(0, s^2 I) gives it mean g.x + c and sd s|g|. The
+    mask keeps class 1 iff L >= max(logit tau_1, 0) and class 0 iff L <=
+    -max(logit tau_0, 0), so each unlabeled point's keep chance, and their mean,
+    follow from the weights before the step and the thresholds it used. On the
+    theorem's two clusters, the step's observed keep rate is that mean plus a
+    batch draw: its z against the binomial SE of a 192-of-1000 draw without
+    replacement must look standard normal over all 2,000 steps."""
+    data = gen_gaussian_clusters(2, 500, [[-1.0, 0.0], [1.0, 0.0]], 1.0, seed)
+    cfg = TrainConfig(scheme=scheme, fairness="none", w_f=0.0, mu=96, B=2, K=2000, lr0=0.05, hidden_dims=(),
+                      seed=seed + 1000)
+    model, velocity, ema, state, lab_iter, unlab_iter, aug_rng = _build(cfg, data)
+    ((w, b),) = model.layers  # views into model.theta, which each step updates
+    points = data.unlabeled.points
+    n, N = cfg.mu * cfg.B, len(points)
+    z = np.empty(cfg.K)
+    for k in range(cfg.K):
+        g, c = w[:, 1] - w[:, 0], b[1] - b[0]
+        row = train_step(model, velocity, ema, state, next(lab_iter), next(unlab_iter), cfg, aug_rng, k)
+        th = at.per_class_thresholds(state, cfg.scheme)  # as the step used them: `observe` came first
+        cut1, cut0 = (max(math.log(t / (1.0 - t)), 0.0) for t in (th[1], th[0]))
+        m, sd = points @ g + c, cfg.augment.weak_sigma * math.hypot(*g)
+        p = (np.interp((m - cut1) / sd, _PHI_Z, _PHI) + np.interp((-cut0 - m) / sd, _PHI_Z, _PHI)).mean()
+        z[k] = (row["sampling_rate"] - p) / math.sqrt(p * (1.0 - p) / n * (1.0 - n / N))
+    big = np.mean(np.abs(z) > 3.0)
+    assert abs(z.mean()) <= 0.25 and 0.85 <= z.std() <= 1.15 and big <= 0.01, (z.mean(), z.std(), big)
 
 
 # -- evaluate --------------------------------------------------------------------
@@ -525,7 +563,7 @@ def test_run_without_a_blas_setter_writes_the_same_artifacts(tmp_path, monkeypat
 def test_run_two_moon_protocol_smoke():
     # reduced-iteration smoke of the canonical layout; the full protocol runs in acceptance
     data = gen_two_moons(n_unlabeled=200, seed=0)
-    cfg = TrainConfig(scheme=Sat(), fairness=FairnessVariant.SAF, mu=8, B=2, K=40, eval_every=20, seed=0)
+    cfg = TrainConfig(scheme=Sat(), fairness="saf", mu=8, B=2, K=40, eval_every=20, seed=0)
     result = run(cfg, data)
     assert len(result.trace) == 40
     assert np.all((0.0 <= result.trace["sampling_rate"]) & (result.trace["sampling_rate"] <= 1.0))
@@ -533,7 +571,7 @@ def test_run_two_moon_protocol_smoke():
 
 def test_run_fixed_baseline_low_early_utilization():
     data = gen_two_moons(n_unlabeled=200, seed=0)
-    cfg = TrainConfig(scheme=Fixed(0.95), fairness=FairnessVariant.NONE, mu=8, B=2, K=30, eval_every=15, seed=0)
+    cfg = TrainConfig(scheme=Fixed(0.95), fairness="none", mu=8, B=2, K=30, eval_every=15, seed=0)
     result = run(cfg, data)
     assert np.mean(result.trace["sampling_rate"][:10]) < 0.5
 
@@ -591,7 +629,8 @@ def test_config_validation():
         TrainConfig(K=10, warmup_iters=10)
     # the checks ThresholdState and the schema make, at construction
     for bad in (dict(K=10.0), dict(mu=True), dict(seed=-1), dict(lam=1.5), dict(clamp=(0.9, 0.5)),
-                dict(w_u=float("nan")), dict(lr0="0.1"), dict(hidden_dims=(64, 0)), dict(hidden_dims=[64])):
+                dict(w_u=float("nan")), dict(lr0="0.1"), dict(hidden_dims=(64, 0)), dict(hidden_dims=[64]),
+                dict(fairness="bogus"), dict(fairness="SAF")):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
     # the edges of the optimizer, loss-weight and scale ranges stay valid
